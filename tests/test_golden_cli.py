@@ -1,0 +1,108 @@
+"""Golden CLI output: stdout pinned byte for byte.
+
+``tests/golden/cli.txt`` holds one block per call: a line ``$ <argv as
+JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
+the README examples, every job printed by ``corpus --seed 1 --count 10``,
+and one call of each subcommand that shares code with another; each runs in
+text and in ``--json`` form.
+
+Print the transcript of the current code (to compare by hand, never to
+overwrite the file after a refactor):
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from zonotopal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+
+ZP = "[[1,0,1,-1],[0,1,1,1]]"
+CORPUS = ["corpus", "--seed", "1", "--count", "10"]
+
+README = [
+    ["arith-tutte", "--x", ZP],
+    ["count", "--x", "[[1,2,4]]", "--u", "[5]"],
+    ["bv-count", "--x", "[[1,2,4]]", "--z", "[1]", "--u", "[6]"],
+    ["f-tilde", "--x", "[[1,2]]", "--z", "[1]"],
+    ["pper-basis", "--x", "[[2]]", "--group", "Z/4"],
+    ["vertices", "--x", "[[1,2,4]]"],
+    ["check-unity", "--x", ZP],
+    ["wall-jump", "--x", "[[1,0,1],[0,1,1]]"],
+]
+
+SHARED_CODE = [
+    ["dm-basis", "--x", "[[1,0,1],[0,1,2]]"],
+    ["pper-internal", "--x", "[[1,0,1],[0,1,1],[0,1,1]]",
+     "--group", "Z^2 + Z/2"],
+    ["check-continuity", "--x", ZP],
+    ["zonotope", "--x", "[[1,2,-1],[1,1,2]]"],
+    ["cells", "--x", "[[1,2,-1],[1,1,2]]"],
+    ["wall-jump", "--x", "[[1,2,-1],[1,1,2]]"],
+    ["check-delta", "--x", "[[1,0,1],[0,1,1]]"],
+    ["todd", "--x", "[[1,2]]", "--z", "[1]"],
+]
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def corpus_jobs():
+    code, out = run(CORPUS)
+    assert code == 0
+    jobs = []
+    for line in out.splitlines():
+        job = json.loads(line)
+        jobs.append([job["command"], "--x", json.dumps(job["x"]),
+                     "--group", job["group"]])
+    return jobs
+
+
+def calls():
+    out = []
+    for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE:
+        out.append(argv)
+        if argv != CORPUS:
+            out.append(argv + ["--json"])
+    return out
+
+
+def transcript(argvs):
+    return "".join(f"$ {json.dumps(a)}\n{run(a)[1]}" for a in argvs)
+
+
+def expected():
+    """[(argv, stdout)] in file order."""
+    blocks = []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ "):
+            blocks.append((json.loads(line[2:]), []))
+        else:
+            blocks[-1][1].append(line)
+    return [(argv, "".join(lines)) for argv, lines in blocks]
+
+
+def test_golden_covers_every_call():
+    assert [argv for argv, _ in expected()] == calls()
+
+
+@pytest.mark.parametrize("argv,want", expected(),
+                         ids=[" ".join(a) for a, _ in expected()])
+def test_golden_output(argv, want):
+    code, out = run(argv)
+    assert code == 0
+    assert out == want
+
+
+if __name__ == "__main__":
+    print(transcript(calls()), end="")
