@@ -11,7 +11,7 @@ function, so objects can be shared freely across threads or processes; any
 parallel evaluation reduces in a fixed deterministic order.
 """
 
-from .backend import IMPL as kernel_impl
+kernel_impl = "pure"  # kept for callers that record it; there is no compiled variant
 
 __version__ = "0.1.0"
 

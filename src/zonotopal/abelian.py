@@ -129,9 +129,13 @@ class FgGroup:
 
     def __post_init__(self):
         inv = tuple(int(k) for k in self.invariants)
-        assert all(k >= 2 for k in inv)
+        if any(k < 2 for k in inv):
+            raise ValueError(f"invariant factors must be >= 2, got {inv}")
         for a, b in zip(inv, inv[1:]):
-            assert b % a == 0, "invariants must be in divisibility order"
+            if b % a:
+                raise ValueError(
+                    f"invariant factors must be in divisibility order, "
+                    f"got {inv}")
         object.__setattr__(self, "invariants", inv)
 
     @property

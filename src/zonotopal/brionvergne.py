@@ -286,7 +286,7 @@ def walls(x: GList, cells=None, pieces=None) -> list:
         pairs.append((b.rays[0], a, b))
     pairs.append((cells[-1].rays[1], cells[-1], None))
     for ray, ca, cb in pairs:
-        eta = _primitive_frac((-Fraction(ray[1]), Fraction(ray[0])))
+        eta = (-ray[1], ray[0])      # primitive, as the ray is
         side = {}
         for c in (ca, cb):
             if c is None:
@@ -297,24 +297,11 @@ def walls(x: GList, cells=None, pieces=None) -> list:
             side[1 if v > 0 else -1] = c
         pos = side.get(1)
         neg = side.get(-1)
-        out.append(Wall(normal=tuple(eta),
-                        ray=tuple(int(r) for r in ray),
+        out.append(Wall(normal=eta, ray=ray,
                         piece_pos=pieces[id(pos)] if pos else zero,
                         piece_neg=pieces[id(neg)] if neg else zero,
                         cell_pos=pos, cell_neg=neg))
     return out
-
-
-def _primitive_frac(vec):
-    den = 1
-    for v in vec:
-        den = den * Fraction(v).denominator // math.gcd(
-            den, Fraction(v).denominator)
-    ints = [int(Fraction(v) * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return tuple(v // g for v in ints)
 
 
 def continuity_check(x: GList, p: PeriodicPoly, window: int = 3,

@@ -35,14 +35,45 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _exact(value, flag, length, integral=False) -> list:
+    """``value`` (decoded JSON) as a list of ``length`` exact numbers.
+
+    Entries are JSON numbers or strings such as "3/4"; with ``integral``
+    they must be integers.  Anything else is a usage error.
+    """
+    if not isinstance(value, list) or len(value) != length:
+        raise ValueError(f"--{flag} needs a JSON list of length {length}, "
+                         f"got {json.dumps(value)}")
+    try:
+        out = [Fraction(str(v)) for v in value]
+    except ValueError:
+        raise ValueError(f"--{flag} needs numbers, "
+                         f"got {json.dumps(value)}") from None
+    if not integral:
+        return out
+    if any(q.denominator != 1 for q in out):
+        raise ValueError(f"--{flag} needs integers, got {json.dumps(value)}")
+    return [int(q) for q in out]
+
+
 def _parse_x(args) -> GList:
     rows = json.loads(args.x)
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
+        raise ValueError(f"--x needs a JSON list of rows, got {args.x}")
+    rows = [_exact(r, "x", len(rows[0]), integral=True) for r in rows]
     group = FgGroup.parse(args.group) if args.group else None
     return GList.from_rows(rows, group)
 
 
-def _parse_vec(s):
-    return [Fraction(str(v)) for v in json.loads(s)]
+def _parse_vec(args, flag, x: GList, integral=False) -> list:
+    """--flag as a point of the free part of x's group."""
+    return _exact(json.loads(getattr(args, flag)), flag, x.dim, integral)
+
+
+def _parse_element(args, x: GList):
+    """--z as an element of x's group: free coordinates, then residues."""
+    v = _exact(json.loads(args.z), "z", x.group.ncoords, integral=True)
+    return x.group.element(v[:x.dim], v[x.dim:])
 
 
 def _emit(args, payload: dict, text: str):
@@ -50,10 +81,6 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-
-
-def _poly_text(p) -> str:
-    return repr(p)
 
 
 def thread_count() -> int:
@@ -99,43 +126,38 @@ def _cmd_vertices(args):
 def _cmd_p_basis(args):
     span = p_basis(_parse_x(args))
     _emit(args, {"basis": span.to_json()},
-          "\n".join(_poly_text(p) for p in span.basis))
+          "\n".join(repr(p) for p in span.basis))
 
 
 def _cmd_d_basis(args):
     span = d_basis(_parse_x(args))
     _emit(args, {"basis": span.to_json()},
-          "\n".join(_poly_text(p) for p in span.basis))
+          "\n".join(repr(p) for p in span.basis))
 
 
 def _cmd_pper_basis(args):
     basis = pper_basis(_parse_x(args))
     _emit(args, {"basis": [p.to_json() for p in basis],
                  "hilbert": hilbert(basis)},
-          "\n".join(_poly_text(p) for p in basis))
+          "\n".join(repr(p) for p in basis))
 
 
 def _cmd_pper_internal(args):
     basis = pper_internal_basis(_parse_x(args))
     _emit(args, {"basis": [p.to_json() for p in basis],
                  "hilbert": hilbert(basis)},
-          "\n".join(_poly_text(p) for p in basis))
+          "\n".join(repr(p) for p in basis))
 
 
 def _cmd_dm_basis(args):
     basis = dm_basis(_parse_x(args))
     _emit(args, {"basis": [f.to_json() for f in basis]},
-          "\n".join(_poly_text(f) for f in basis))
+          "\n".join(repr(f) for f in basis))
 
 
 def _cmd_todd(args):
     x = _parse_x(args)
-    if args.z:
-        zv = [int(v) for v in _parse_vec(args.z)]
-        z = x.group.element(tuple(zv[: x.group.free_rank]),
-                            tuple(zv[x.group.free_rank:]))
-    else:
-        z = x.group.zero()
+    z = _parse_element(args, x) if args.z else x.group.zero()
     series = periodic_todd(x, z, args.cap)
     payload = [{"character": c.to_json(), "series": s.body.to_json(),
                 "cap": s.cap} for c, s in series.terms]
@@ -146,34 +168,34 @@ def _cmd_todd(args):
 
 def _cmd_f_tilde(args):
     x = _parse_x(args)
-    zv = [int(v) for v in _parse_vec(args.z)]
-    z = x.group.element(tuple(zv[: x.group.free_rank]),
-                        tuple(zv[x.group.free_rank:]))
-    ft = f_tilde(x, z, args.cap)
-    _emit(args, {"f_tilde": ft.to_json()}, _poly_text(ft))
+    ft = f_tilde(x, _parse_element(args, x), args.cap)
+    _emit(args, {"f_tilde": ft.to_json()}, repr(ft))
 
 
 def _cmd_count(args):
     from .geometry import vpf_count
-    c = vpf_count(_parse_x(args), _parse_vec(args.u))
+    x = _parse_x(args)
+    c = vpf_count(x, _parse_vec(args, "u", x))
     _emit(args, {"count": c}, str(c))
 
 
 def _cmd_bv_count(args):
     x = _parse_x(args)
-    w = _parse_vec(args.w) if args.w else None
-    c = bv_count(x, [int(v) for v in _parse_vec(args.z)],
-                 [int(v) for v in _parse_vec(args.u)], w)
+    w = _parse_vec(args, "w", x) if args.w else None
+    c = bv_count(x, _parse_element(args, x),
+                 _parse_vec(args, "u", x, integral=True), w)
     _emit(args, {"bv_count": c}, str(c))
 
 
 def _cmd_volume(args):
-    v = tx_value(_parse_x(args), _parse_vec(args.u))
+    x = _parse_x(args)
+    v = tx_value(x, _parse_vec(args, "u", x))
     _emit(args, {"volume": rat_str(v)}, rat_str(v))
 
 
 def _cmd_box(args):
-    v = bx_value(_parse_x(args), _parse_vec(args.u))
+    x = _parse_x(args)
+    v = bx_value(x, _parse_vec(args, "u", x))
     _emit(args, {"box": rat_str(v)}, rat_str(v))
 
 
@@ -182,7 +204,7 @@ def _cmd_quasipoly(args):
     cells = big_cells(x)
     cell = cells[0]
     if args.u:
-        u = _parse_vec(args.u)
+        u = _parse_vec(args, "u", x)
         for c in cells:
             if c.hrep is not None and c.hrep.contains(u):
                 cell = c
@@ -217,9 +239,8 @@ def _cmd_l_map(args):
             tuple(f"s{i}" for i in range(1, x.group.free_rank + 1)),
             json.loads(args.p))
     else:
-        zv = [int(v) for v in _parse_vec(args.z)]
-        p = f_tilde(x, x.group.element(tuple(zv)))
-    w = _parse_vec(args.w) if args.w else short_regular(x)
+        p = f_tilde(x, _parse_element(args, x))
+    w = _parse_vec(args, "w", x) if args.w else short_regular(x)
     lc = l_map(x, p, w)
     text = ", ".join(f"{list(pt)}: {c!r}"
                      for pt, c in zip(lc.support, lc.coeffs))
@@ -229,7 +250,6 @@ def _cmd_l_map(args):
 def _cmd_check_continuity(args):
     x = _parse_x(args)
     wl = walls(x)
-    basis = pper_basis(x)
     internal = pper_internal_basis(x)
     report = {"identity": "internal space = continuous operators",
               "walls": len(wl), "status": "pass", "counterexample": None}
@@ -253,7 +273,7 @@ def _cmd_check_unity(args):
 
 def _cmd_check_delta(args):
     x = _parse_x(args)
-    w = _parse_vec(args.w) if args.w else short_regular(x)
+    w = _parse_vec(args, "w", x) if args.w else short_regular(x)
     points = lattice_points(x, "shifted", w=w)
     results = _pmap(_DeltaJob(x, w), points)
     bad = None
@@ -283,7 +303,7 @@ class _DeltaJob:
 
 def _cmd_check_deconv(args):
     x = _parse_x(args)
-    w = _parse_vec(args.w) if args.w else None
+    w = _parse_vec(args, "w", x) if args.w else None
     res = box_deconvolution_check(x, w)
     bad = None
     for lam, val in res.items():

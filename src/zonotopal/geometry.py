@@ -179,44 +179,40 @@ def in_cone(x: GList, u) -> bool:
 # zonotope and lattice points
 # ---------------------------------------------------------------------------
 
-def hyperplane_normals(x: GList) -> list:
-    """Primitive integer normals of the admissible hyperplanes, deduplicated.
+@dataclass(frozen=True)
+class Hyperplane:
+    """An admissible hyperplane: the span of a corank-1 flat of X."""
 
-    For d = 1 the single "hyperplane" {0} has normal (1,).
+    normal: tuple          # primitive integer normal, first nonzero > 0
+    mult: int              # m(H) = |X \ H|
+
+
+def hyperplanes(x: GList) -> list:
+    """The admissible hyperplanes, one per normal, sorted by normal.
+
+    For d = 1 the single "hyperplane" {0} has normal (1,).  A list that
+    does not span has none.
     """
     d = x.group.free_rank
     if d == 0:
         return []
     if d == 1:
-        return [(1,)]
-    normals = {}
-    for flat in corank_one_flats(x):
-        cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
-                if any(x.elems[i].free)]
-        if not cols:
-            continue
-        null = linalg.nullspace(cols, ncols=d)
-        assert len(null) == 1
-        normals[_primitive(null[0])] = True
-    return sorted(normals)
+        normals = [(1,)]
+    else:
+        normals = set()
+        for flat in corank_one_flats(x):
+            cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
+                    if any(x.elems[i].free)]
+            null = linalg.nullspace(cols, ncols=d)
+            if len(null) == 1:
+                normals.add(linalg.primitive(null[0]))
+    return [Hyperplane(eta, sum(1 for e in x.elems if _dot_int(eta, e.free)))
+            for eta in sorted(normals)]
 
 
-def _primitive(vec):
-    """Scale a rational vector to a primitive integer tuple, first nz > 0."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+def hyperplane_normals(x: GList) -> list:
+    """Primitive integer normals of the admissible hyperplanes, sorted."""
+    return [h.normal for h in hyperplanes(x)]
 
 
 def zonotope_hrep(x: GList) -> HPolytope:
@@ -565,7 +561,7 @@ def _cone_rays(x: GList) -> list:
     dirs = {}
     for e in x.elems:
         if any(e.free):
-            v = _primitive([Fraction(c) for c in e.free])
+            v = linalg.primitive([Fraction(c) for c in e.free])
             dirs[v] = True
             dirs[tuple(-c for c in v)] = True
     inside = [v for v in dirs if in_cone(x, v)]
@@ -667,7 +663,6 @@ def _cell_sample_points(cell: Cell, d: int, count: int, salt: int = 0):
 
 def _interpolate(points, values, degree, vars):
     """The unique polynomial of total degree <= degree through the data."""
-    monos = _monomials(vars, 0)
     all_monos = []
     for k in range(degree + 1):
         all_monos.extend(_monomials(vars, k))

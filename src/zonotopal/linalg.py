@@ -8,9 +8,8 @@ division.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-from .backend import kernels
 
 
 def mat_copy(m):
@@ -38,10 +37,11 @@ def rref(m):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = 1 / m[r][c] if isinstance(m[r][c], Fraction) else m[r][c].inv()
-        m[r] = kernels.vec_scale(m[r], inv)
+        m[r] = row = [v * inv for v in m[r]]
         for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = kernels.vec_axpy(m[i], m[r], m[i][c])
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -127,17 +127,19 @@ def det(m):
         for i in range(c + 1, n):
             if m[i][c]:
                 f = m[i][c] * inv
-                m[i] = kernels.vec_axpy(m[i], m[c], f)
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return acc if sign > 0 else -acc
 
 
-def matmul(a, b):
-    bt = list(zip(*b))
-    return [[kernels.dot(row, col) for col in bt] for row in a]
-
-
-def matvec(a, v):
-    return [kernels.dot(row, v) for row in a]
+def primitive(vec) -> tuple:
+    """Scale a nonzero rational vector to a primitive integer tuple whose
+    first nonzero entry is positive."""
+    den = math.lcm(*(v.denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def span_contains(basis_rows, v) -> bool:

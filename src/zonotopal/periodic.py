@@ -8,7 +8,6 @@ sum_phi e_phi(lambda) f_phi(lambda).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from . import linalg
 from .abelian import GElement, GList, contract, rank_of, snf
 from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
+from .geometry import hyperplanes
 from .matroid import arithmetic_tutte, bases, external_activity
 from .polyspace import PsiProjector, d_basis, p_product, pair
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
@@ -31,8 +31,9 @@ def _pper_vars(x: GList):
     return s_vars(x.group.free_rank, with_s0=need_s0)
 
 
-class PeriodicPoly:
-    """sum over vertices of e_phi * (polynomial in s0, s1..sd).
+class _CharacterSum:
+    """sum over characters of e_phi * (polynomial), as (character, MPoly)
+    pairs.
 
     Characters within one value are distinct and kept sorted; zero
     components are dropped.
@@ -44,7 +45,9 @@ class PeriodicPoly:
         self.vars = tuple(vars)
         merged = {}
         for char, poly in (terms or []):
-            assert poly.vars == self.vars
+            if poly.vars != self.vars:
+                raise ValueError(
+                    f"variable mismatch: {poly.vars} vs {self.vars}")
             key = char.sort_key()
             if key in merged:
                 merged[key] = (char, merged[key][1] + poly)
@@ -53,6 +56,43 @@ class PeriodicPoly:
         self.terms = tuple(sorted(
             ((c, p) for c, p in merged.values() if p),
             key=lambda cp: cp[0].sort_key()))
+
+    def __add__(self, other):
+        return type(self)(self.vars, self.terms + other.terms)
+
+    def scale(self, c):
+        return type(self)(self.vars, [(ch, p * c) for ch, p in self.terms])
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vars == other.vars and len(self.terms) == len(other.terms) \
+            and all(c1.sort_key() == c2.sort_key() and p1 == p2
+                    for (c1, p1), (c2, p2) in zip(self.terms, other.terms))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for char, poly in self.terms:
+            if char.is_trivial():
+                bits.append(f"{poly!r}")
+            else:
+                bits.append(f"{char!r}*({poly!r})")
+        return " + ".join(bits)
+
+    def to_json(self):
+        return [{"character": c.to_json(), "poly": p.to_json()}
+                for c, p in self.terms]
+
+
+class PeriodicPoly(_CharacterSum):
+    """sum over vertices of e_phi * (polynomial in s0, s1..sd)."""
+
+    __slots__ = ()
 
     @staticmethod
     def one(x: GList) -> "PeriodicPoly":
@@ -70,25 +110,8 @@ class PeriodicPoly:
                 return p
         return MPoly(self.vars)
 
-    def __add__(self, other):
-        assert self.vars == other.vars
-        return PeriodicPoly(self.vars, list(self.terms) + list(other.terms))
-
     def __sub__(self, other):
         return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "PeriodicPoly":
-        return PeriodicPoly(self.vars, [(ch, p * c) for ch, p in self.terms])
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PeriodicPoly):
-            return NotImplemented
-        return self.vars == other.vars and len(self.terms) == len(other.terms) \
-            and all(c1.sort_key() == c2.sort_key() and p1 == p2
-                    for (c1, p1), (c2, p2) in zip(self.terms, other.terms))
 
     def is_homogeneous(self):
         degs = {p.total_degree() for _, p in self.terms}
@@ -103,21 +126,6 @@ class PeriodicPoly:
         for char, poly in self.terms:
             out = out + poly * evaluate(char, g)
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for char, poly in self.terms:
-            if char.is_trivial():
-                bits.append(f"{poly!r}")
-            else:
-                bits.append(f"{char!r}*({poly!r})")
-        return " + ".join(bits)
-
-    def to_json(self):
-        return [{"character": c.to_json(), "poly": p.to_json()}
-                for c, p in self.terms]
 
     @staticmethod
     def from_json(vars, obj) -> "PeriodicPoly":
@@ -138,31 +146,10 @@ class PeriodicSeries:
         assert all(s.cap == cap for _, s in self.terms)
 
 
-class QuasiFunction:
+class QuasiFunction(_CharacterSum):
     """sum over vertices of e_phi * f_phi with f_phi a t-polynomial."""
 
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, vars, terms=None):
-        self.vars = tuple(vars)
-        merged = {}
-        for char, poly in (terms or []):
-            assert poly.vars == self.vars
-            key = char.sort_key()
-            if key in merged:
-                merged[key] = (char, merged[key][1] + poly)
-            else:
-                merged[key] = (char, poly)
-        self.terms = tuple(sorted(
-            ((c, p) for c, p in merged.values() if p),
-            key=lambda cp: cp[0].sort_key()))
-
-    def __add__(self, other):
-        assert self.vars == other.vars
-        return QuasiFunction(self.vars, list(self.terms) + list(other.terms))
-
-    def scale(self, c) -> "QuasiFunction":
-        return QuasiFunction(self.vars, [(ch, p * c) for ch, p in self.terms])
+    __slots__ = ()
 
     def evaluate_at(self, point) -> Cyclotomic:
         """Value at a lattice point: sum e_phi(point) * f_phi(point)."""
@@ -175,31 +162,6 @@ class QuasiFunction:
             total = total + root * poly.evaluate(
                 [Fraction(v) for v in point])
         return total
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiFunction):
-            return NotImplemented
-        return self.vars == other.vars and len(self.terms) == len(other.terms) \
-            and all(c1.sort_key() == c2.sort_key() and p1 == p2
-                    for (c1, p1), (c2, p2) in zip(self.terms, other.terms))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for char, poly in self.terms:
-            if char.is_trivial():
-                bits.append(f"{poly!r}")
-            else:
-                bits.append(f"{char!r}*({poly!r})")
-        return " + ".join(bits)
-
-    def to_json(self):
-        return [{"character": c.to_json(), "poly": p.to_json()}
-                for c, p in self.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -330,103 +292,23 @@ def f_tilde(x: GList, z: GElement, cap: int | None = None) -> PeriodicPoly:
 
 
 # ---------------------------------------------------------------------------
-# hyperplane data for the internal space
+# the internal space
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """A generalised hyperplane: saturated corank-1 sublattice + torsion."""
-
-    normal: tuple          # primitive integer normal on the free part
-    sat_basis: tuple       # rows: lattice basis of span cap Lambda
-    mult: int              # m(H) = |X \\ H|
-
-
-def hyperplanes(x: GList) -> list:
-    """All generalised hyperplanes spanned by rank-(d-1) sublists."""
-    from .matroid import corank_one_flats
-    d = x.group.free_rank
-    if d == 0:
-        return []
-    out = []
-    if d == 1:
-        m = sum(1 for e in x.elems if any(e.free))
-        out.append(Hyperplane(normal=(1,), sat_basis=(), mult=m))
-        return out
-    seen = {}
-    for flat in corank_one_flats(x):
-        cols = [[Fraction(c) for c in x.elems[i].free] for i in flat
-                if any(x.elems[i].free)]
-        if not cols:
-            continue
-        if linalg.rank(cols) != d - 1:
-            continue
-        null = linalg.nullspace(cols, ncols=d)
-        eta = _primitive_int(null[0])
-        if eta in seen:
-            continue
-        sat = _saturation_basis(cols, d)
-        m = sum(1 for e in x.elems
-                if sum(a * b for a, b in zip(eta, e.free)) != 0)
-        seen[eta] = Hyperplane(normal=eta, sat_basis=sat, mult=m)
-    # rank-0 closures only matter for d = 1 (handled above); for d >= 2 the
-    # hyperplanes come from rank d-1 sublists.
-    return [seen[k] for k in sorted(seen)]
-
-
-def _primitive_int(vec):
-    den = 1
-    for v in vec:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
-def _saturation_basis(cols, d):
-    """Lattice basis of (span of cols) cap Z^d, via SNF transforms."""
-    mat = [[int(c[i] * _lcm_dens(c)) for c in cols] for i in range(d)]
-    u, dd, _ = snf(mat)
-    r = sum(1 for i in range(min(len(dd), len(dd[0]))) if dd[i][i])
-    uinv = _int_inverse(u)
-    return tuple(tuple(row[i] for row in uinv) for i in range(r))
-
-
-def _lcm_dens(col):
-    den = 1
-    for v in col:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return den
-
-
-def _int_inverse(u):
-    n = len(u)
-    m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
-    inv_cols = linalg.solve(m, [[Fraction(int(i == j)) for j in range(n)]
-                                for i in range(n)])
-    return [[int(inv_cols[i][j]) for j in range(n)] for i in range(n)]
-
 
 def pper_internal_basis(x: GList) -> list:
     """Kernel of the wall constraints inside span(pper_basis), degreewise.
 
-    For each generalised hyperplane H: group the vertices by the restriction
-    of their character to the subgroup H; within each class the sum of
-    D_eta^(m(H)-1) applied to the polynomial components must vanish.
+    For each generalised hyperplane H (the admissible hyperplane plus the
+    torsion): group the vertices by the restriction of their character to
+    the subgroup H; within each class the sum of D_eta^(m(H)-1) applied to
+    the polynomial components must vanish.
     """
     x.require_full_rank()
     vars = _pper_vars(x)
     basis = pper_basis(x)
-    planes = hyperplanes(x)
     verts = vertices(x)
+    planes = [(hp, _restriction_classes(verts, hp.normal))
+              for hp in hyperplanes(x)]
     by_degree = {}
     for b in basis:
         by_degree.setdefault(b.total_degree(), []).append(b)
@@ -434,8 +316,7 @@ def pper_internal_basis(x: GList) -> list:
     for deg in sorted(by_degree):
         elems = by_degree[deg]
         rows = []      # one row per (hyperplane, class, output monomial)
-        for hp in planes:
-            classes = _restriction_classes(verts, hp, x.group)
+        for hp, classes in planes:
             order = hp.mult - 1
             for cls in classes:
                 cols = []
@@ -467,12 +348,16 @@ def pper_internal_basis(x: GList) -> list:
     return out
 
 
-def _restriction_classes(verts, hp: Hyperplane, group):
-    """Vertex keys grouped by equal character restriction to the subgroup."""
+def _restriction_classes(verts, eta):
+    """Vertex keys grouped by equal character restriction to the subgroup
+    {v : eta . v = 0} of the free part plus the torsion."""
+    # columns 2..d of V span the integer kernel of the 1 x d matrix [eta]
+    _, _, v_snf = snf([list(eta)])
+    sat_basis = [[row[j] for row in v_snf] for j in range(1, len(eta))]
     groups = {}
     for v in verts:
         key = []
-        for gen in hp.sat_basis:
+        for gen in sat_basis:
             angle = sum((t * g for t, g in zip(v.character.theta, gen)),
                         _F0) % 1
             key.append(angle)
@@ -679,7 +564,7 @@ def pper_project(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
             raise NonMember(f"character {char} is not a vertex")
         if not evaluate(char, x.elems[i]).is_one():
             continue
-        # decompose: strip the full prefactor (non-X_phi, non-torsion部分)
+        # decompose: strip the full prefactor (non-X_phi, non-torsion part)
         pre_idx = [j for j in range(len(x))
                    if j not in v.x_phi and j not in tors_set]
         q = poly

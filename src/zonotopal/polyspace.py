@@ -7,6 +7,7 @@ pivoting; degree slices are handled independently (each space here is graded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from . import linalg
 from .abelian import GList, rank_of
 from .errors import InternalError
 from .matroid import bases, cocircuits, external_activity, tutte
-from .scalar import Cyclotomic, MPoly, TruncatedSeries, s_vars, t_vars
+from .scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi, s_vars,
+                     t_vars)
 
 
 @dataclass
@@ -175,10 +177,7 @@ class PsiProjector:
                 continue
             monos, npcols, cols, mat = self._solver(deg)
             rhs_cyc = [slice_.coefficient(e) for e in monos]
-            order = 1
-            for c in rhs_cyc:
-                order = order * c.order // _gcd(order, c.order)
-            from .scalar import euler_phi
+            order = math.lcm(*(c.order for c in rhs_cyc))
             proj = MPoly(self.vars)
             for j in range(euler_phi(order)):
                 comp = [c.embed(order).coeffs[j] for c in rhs_cyc]
@@ -202,12 +201,6 @@ class PsiProjector:
                     f"series cap {f.cap} below top degree {self.top}")
             return self.project_poly(f.body)
         return self.project_poly(f)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def psi_project(x: GList, f) -> MPoly:

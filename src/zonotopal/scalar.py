@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .backend import kernels
-
 Rat = Fraction
 
 _F0 = Fraction(0)
@@ -84,6 +82,19 @@ def _poly_divide_exact(num, den):
 
 
 @lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    result, p, m = 1, 2, n
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+@lru_cache(maxsize=None)
 def _reduction_table(n: int) -> tuple:
     """Rows: zeta_n^(phi+k) expanded in the power basis.
 
@@ -106,6 +117,40 @@ def _reduction_table(n: int) -> tuple:
     return tuple(rows)
 
 
+def _convolve(a, b):
+    """Polynomial product of coefficient vectors (len = len(a)+len(b)-1)."""
+    out = [None] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            cur = out[i + j]
+            out[i + j] = ai * bj if cur is None else cur + ai * bj
+    zero = a[0] - a[0]
+    return [zero if c is None else c for c in out]
+
+
+def _reduce_mod(vec, deg, red_table):
+    """Reduce a raw product vector (at least ``deg`` long) modulo the
+    minimal polynomial.
+
+    ``red_table[k]`` is the length-``deg`` expansion of x^(deg+k) in the
+    power basis.  Entries of ``vec`` beyond ``deg`` are folded back in.
+    """
+    out = list(vec[:deg])
+    for k in range(deg, len(vec)):
+        c = vec[k]
+        if not c:
+            continue
+        row = red_table[k - deg]
+        for i in range(deg):
+            if row[i]:
+                out[i] = out[i] + c * row[i]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _embed_powers(m: int, n: int) -> tuple:
     """Power-basis expansions in Q(zeta_n) of zeta_m^j, j = 0..phi(m)-1."""
@@ -117,7 +162,7 @@ def _embed_powers(m: int, n: int) -> tuple:
         e = (j * step) % n
         vec = [_F0] * max(phi_n, e + 1)
         vec[e] = _F1
-        vec = kernels.reduce_mod(vec, phi_n, _reduction_table(n))
+        vec = _reduce_mod(vec, phi_n, _reduction_table(n))
         rows.append(tuple(vec))
     return tuple(rows)
 
@@ -162,7 +207,7 @@ class Cyclotomic:
         phi = euler_phi(n)
         vec = [_F0] * max(phi, k + 1)
         vec[k] = _F1
-        vec = kernels.reduce_mod(vec, phi, _reduction_table(n))
+        vec = _reduce_mod(vec, phi, _reduction_table(n))
         return Cyclotomic(n, vec)
 
     @staticmethod
@@ -208,11 +253,20 @@ class Cyclotomic:
         return any(self.coeffs)
 
     def __hash__(self):
-        # Canonical only through to_rational for order-1 values; cyclotomics
-        # are not used as dict keys elsewhere.
-        if self.is_rational():
+        # The normalised trace sum_k c_k mu(n/g_k)/phi(n/g_k), g_k = gcd(n, k),
+        # does not change under embed(), and is the value itself when the
+        # value is rational, so equal values hash equal (Fraction included).
+        if self.order == 1:
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        n = self.order
+        total = _F0
+        for k, c in enumerate(self.coeffs):
+            if c:
+                m = n // math.gcd(n, k)
+                mu = _mobius(m)
+                if mu:
+                    total += c * Fraction(mu, euler_phi(m))
+        return hash(total)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -231,7 +285,7 @@ class Cyclotomic:
         if self.order == 1 and other.order == 1:
             return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],))
         a, b, n = self._common(other)
-        return Cyclotomic(n, kernels.vec_add(a.coeffs, b.coeffs))
+        return Cyclotomic(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
@@ -245,7 +299,7 @@ class Cyclotomic:
         if self.order == 1 and other.order == 1:
             return Cyclotomic(1, (self.coeffs[0] - other.coeffs[0],))
         a, b, n = self._common(other)
-        return Cyclotomic(n, kernels.vec_sub(a.coeffs, b.coeffs))
+        return Cyclotomic(n, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         return Cyclotomic._coerce(other).__sub__(self)
@@ -257,14 +311,14 @@ class Cyclotomic:
         if self.order == 1:
             if other.order == 1:
                 return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
-            return Cyclotomic(other.order,
-                              kernels.vec_scale(other.coeffs, self.coeffs[0]))
+            c = self.coeffs[0]
+            return Cyclotomic(other.order, [x * c for x in other.coeffs])
         if other.order == 1:
-            return Cyclotomic(self.order,
-                              kernels.vec_scale(self.coeffs, other.coeffs[0]))
+            c = other.coeffs[0]
+            return Cyclotomic(self.order, [x * c for x in self.coeffs])
         a, b, n = self._common(other)
-        raw = kernels.convolve(a.coeffs, b.coeffs)
-        return Cyclotomic(n, kernels.reduce_mod(raw, euler_phi(n),
+        raw = _convolve(a.coeffs, b.coeffs)
+        return Cyclotomic(n, _reduce_mod(raw, euler_phi(n),
                                                 _reduction_table(n)))
 
     __rmul__ = __mul__
@@ -362,7 +416,7 @@ def _poly_xgcd_mod(a, mod):
         return q, num[: dd] if dd > 0 else [_F0]
 
     def mul(p, q):
-        return kernels.convolve(p, q) if p and q else [_F0]
+        return _convolve(p, q) if p and q else [_F0]
 
     def sub(p, q):
         n = max(len(p), len(q))
@@ -378,19 +432,6 @@ def _poly_xgcd_mod(a, mod):
         s0, s1 = s1, sub(s0, mul(q, s1))
     c = r1[deg(r1)]
     return [x / c for x in s1]
-
-
-def cyc_arith(a: Cyclotomic, b: Cyclotomic, op: str) -> Cyclotomic:
-    """Single-entry dispatcher for cyclotomic field arithmetic."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

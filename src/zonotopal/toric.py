@@ -9,6 +9,7 @@ so exactly m(B) candidate characters are produced per basis, no search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,11 +54,7 @@ class Character:
 
     def order(self) -> int:
         """Order of the root-of-unity image lattice (lcm of denominators)."""
-        n = 1
-        for t in self.theta + self.tors:
-            q = t.denominator
-            n = n * q // _gcd(n, q)
-        return n
+        return math.lcm(*(t.denominator for t in self.theta + self.tors))
 
     def sort_key(self):
         return (self.theta, self.tors)
@@ -77,12 +74,6 @@ class Character:
     def from_json(obj) -> "Character":
         return Character(tuple(Fraction(t) for t in obj["theta"]),
                          tuple(Fraction(t) for t in obj["tors"]))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def evaluate(c: Character, g: GElement) -> Cyclotomic:

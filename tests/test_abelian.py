@@ -159,8 +159,10 @@ class TestGroupParsing:
         assert FgGroup.parse(g.spec_string()) == g
 
     def test_invariant_normalization_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FgGroup(0, (4, 2))
+        with pytest.raises(ValueError):
+            FgGroup(1, (0,))
 
     def test_list_json_roundtrip(self):
         x = GList.from_columns([[1, 0, 1], [0, 2, 1]], FgGroup(2, (3,)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, ZLaurent,
-                              bernoulli, cyc_arith, cyclotomic_polynomial,
+                              bernoulli, cyclotomic_polynomial,
                               divide_by_linear, exp_series, rat_parse,
                               rat_str, residue, todd_factor)
 from zonotopal.errors import NonMember
@@ -22,8 +22,7 @@ class TestCyclotomic:
         assert z4 * z4 == -1
 
     def test_inv_one_minus_zeta2(self):
-        val = cyc_arith(Cyclotomic.one() - Cyclotomic.root_of_unity(2),
-                        Cyclotomic.one(), "inv")
+        val = (Cyclotomic.one() - Cyclotomic.root_of_unity(2)).inv()
         assert val == Fraction(1, 2)
 
     def test_conjugate_roots_sum_to_zero(self):
@@ -94,6 +93,36 @@ class TestFieldAxioms:
     def test_inverse(self, a):
         if a:
             assert (a * a.inv()).is_one()
+
+
+class TestHash:
+    def test_embedded_root_hashes_equal(self):
+        a = Cyclotomic.root_of_unity(3)
+        b = a.embed(6)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_rational_value_hashes_like_fraction(self):
+        minus_one = Cyclotomic.root_of_unity(3) + Cyclotomic.root_of_unity(3, 2)
+        assert minus_one.order == 3 and minus_one == -1
+        assert hash(minus_one) == hash(Fraction(-1))
+        assert {Fraction(-1): "ok"}[minus_one] == "ok"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclotomics(), st.sampled_from([1, 2, 3, 5]))
+    def test_hash_invariant_under_embedding(self, a, k):
+        b = a.embed(a.order * k)
+        assert a == b and hash(a) == hash(b)
+
+    def test_mpoly_hash_agrees_with_equality(self):
+        z3 = Cyclotomic.root_of_unity(3)
+        p = MPoly.linear_form(SV, (z3,)) + MPoly.constant(SV, z3 * z3)
+        q = MPoly.linear_form(SV, (z3.embed(6),)) \
+            + MPoly.constant(SV, (z3 * z3).embed(12))
+        assert p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
 
 
 class TestToddFactor:
