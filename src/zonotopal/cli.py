@@ -238,8 +238,10 @@ def _cmd_l_map(args):
         p = PeriodicPoly.from_json(
             tuple(f"s{i}" for i in range(1, x.group.free_rank + 1)),
             json.loads(args.p))
-    else:
+    elif args.z:
         p = f_tilde(x, _parse_element(args, x))
+    else:
+        raise ValueError("l-map needs --z or --p")
     w = _parse_vec(args, "w", x) if args.w else short_regular(x)
     lc = l_map(x, p, w)
     text = ", ".join(f"{list(pt)}: {c!r}"
