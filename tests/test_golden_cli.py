@@ -3,8 +3,9 @@
 ``tests/golden/cli.txt`` holds one block per call: a line ``$ <argv as
 JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
 the README examples, every job printed by ``corpus --seed 1 --count 10``,
-and one call of each subcommand that shares code with another; each runs in
-text and in ``--json`` form.
+one call of each subcommand that shares code with another, and calls of the
+per-vertex (character-indexed) code; each runs in text and in ``--json``
+form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -49,6 +50,18 @@ SHARED_CODE = [
     ["todd", "--x", "[[1,2]]", "--z", "[1]"],
 ]
 
+# one Todd series per vertex, f~_z looked up by vertex, the pairing with
+# DM(X) keyed on characters; the torsion todd at cap 0 keeps zero components
+PER_VERTEX = [
+    ["check-deconv", "--x", "[[1,0,1],[0,1,1]]"],
+    ["l-map", "--x", "[[1,2]]", "--z", "[1]"],
+    ["l-map", "--x", "[[1,2]]", "--p",
+     '[{"character": {"theta": ["1/2"], "tors": []}, "poly": '
+     '[{"coeff": {"coeffs": ["1"], "order": 1}, "exp": [1]}]}]'],
+    ["todd", "--x", "[[1,2],[1,1]]", "--group", "Z+Z/2", "--z", "[1,1]",
+     "--cap", "0"],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -70,7 +83,7 @@ def corpus_jobs():
 
 def calls():
     out = []
-    for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE:
+    for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
