@@ -383,30 +383,6 @@ class QuotientMap:
         tors = [c % m for c, m in zip(coords, self.moduli) if m]
         return self.target.element(tuple(free), tuple(tors))
 
-    def pull_character(self, theta, tors):
-        """Rational functional on lift(G) whose class is the given character.
-
-        ``theta``/``tors`` are the quotient character's rational coordinates;
-        the result is a tuple of Fractions of length source.ncoords (evaluate
-        against lift(g), take mod 1).
-        """
-        coeffs = []
-        free_i = tors_i = 0
-        for m in self.moduli:
-            if m == 0:
-                coeffs.append(Fraction(theta[free_i]))
-                free_i += 1
-            else:
-                coeffs.append(Fraction(tors[tors_i]))
-                tors_i += 1
-        n = self.source.ncoords
-        out = [Fraction(0)] * n
-        for c, row in zip(coeffs, self.matrix):
-            if c:
-                for i in range(n):
-                    out[i] += c * row[i]
-        return tuple(out)
-
 
 def contract(x: GList, i: int):
     """Quotient list X/x_i over G/<x_i> plus the projection descriptor."""

@@ -14,16 +14,16 @@ from fractions import Fraction
 from . import linalg
 from .abelian import GElement, GList
 from .errors import (InternalError, NonIntegerResult, NotInCone,
-                     NotUnimodular, RankDeficient)
-from .geometry import (Cell, big_cells, bx_value, hyperplane_normals,
-                       in_cone, lattice_points, local_piece,
-                       pointed_certificate, require_pointed, short_regular,
-                       zonotope_hrep)
+                     NotUnimodular, RankDeficient, SingularGram)
+from .geometry import (Cell, _interpolate, big_cells, bx_value,
+                       hyperplane_normals, in_cone, lattice_points,
+                       local_piece, pointed_certificate, require_pointed,
+                       short_regular, zonotope_hrep)
 from .matroid import is_unimodular
-from .periodic import PeriodicPoly, f_tilde
+from .periodic import PeriodicPoly, f_tilde, periodic_todd
 from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, ZLaurent, s_vars, t_vars
-from .toric import evaluate, vertices
+from .toric import evaluate, evaluate_point, vertices
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -38,12 +38,8 @@ def apply_periodic(p: PeriodicPoly, f: MPoly, point) -> Cyclotomic:
     total = Cyclotomic.zero()
     pt = [Fraction(v) for v in point]
     for char, q in p.terms:
-        angle = Fraction(0)
-        for t, v in zip(char.theta, point):
-            angle += t * v
-        root = Cyclotomic.from_angle(angle)
         g = q.apply_diff(f)
-        total = total + root * g.evaluate(pt)
+        total = total + evaluate_point(char, point) * g.evaluate(pt)
     return total
 
 
@@ -156,8 +152,9 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
                 for eta in normals)
     eps0 = Fraction(1, 4 * (int(bound) + 1))
     for eta in normals:
-        ew = sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w))
-        assert ew != 0, "w is not affine regular"
+        if not sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)):
+            raise SingularGram(f"w is not affine regular: it is orthogonal "
+                               f"to the hyperplane normal {list(eta)}")
     p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
                for v, c in zip(point, w))
     # exact interior slack of the alcove at p0
@@ -169,29 +166,11 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
         room = min(frac, 1 - frac) / sum(abs(e) for e in eta)
         delta = room if delta is None else min(delta, room)
     delta = delta / (deg + 2)
-    monos = []
-    for k in range(deg + 1):
-        monos.extend(_monomials(t_vars(d), k))
     # principal-lattice nodes: p0 + delta * (i1..id), sum i <= deg
-    nodes = []
-    for e in monos:
-        nodes.append(tuple(p + delta * k for p, k in zip(p0, e)))
-    rows = []
-    vals = []
-    for nd in nodes:
-        rows.append([_mono_eval(nd, e) for e in monos])
-        vals.append(spline(x, nd))
-    sol = linalg.solve(rows, vals)
-    if sol is None or linalg.rank(rows) < len(monos):
-        raise InternalError("alcove interpolation degenerate")
-    return MPoly(t_vars(d), dict(zip(monos, sol)))
-
-
-def _mono_eval(point, expo):
-    v = _F1
-    for p, k in zip(point, expo):
-        v *= Fraction(p) ** k
-    return v
+    nodes = [tuple(p + delta * k for p, k in zip(p0, e))
+             for j in range(deg + 1) for e in _monomials(t_vars(d), j)]
+    return _interpolate(nodes, [spline(x, nd) for nd in nodes], deg,
+                        t_vars(d))
 
 
 def box_limit_value(x: GList, op: PeriodicPoly, point, w,
@@ -518,24 +497,16 @@ def box_deconvolution_check(x: GList, w=None) -> dict:
         w = short_regular(x)
     d = x.group.free_rank
     n = len(x)
-    cap = n - d
-    sv = s_vars(d)
+    todd = periodic_todd(x, x.group.zero(), n - d)
     eta_c = pointed_certificate(x)
     support = lattice_points(x, "shifted", w=[_F0] * d)
     kmax = max((sum(Fraction(e) * v for e, v in zip(eta_c, lam))
                 for lam in support), default=_F0)
     kmax = int(kmax) + 1
-    from .scalar import todd_factor as _todd
     out = {lam: Cyclotomic.zero() for lam in support}
     alcove_cache = {}
     for v in vertices(x):
-        series = None
-        for i in range(n):
-            c = evaluate(v.character, -x.elems[i])
-            form = MPoly.linear_form(sv, [Fraction(cc)
-                                          for cc in x.elems[i].free])
-            t = _todd(form, c, cap)
-            series = t if series is None else series * t
+        series = todd.component(v.character)
         # expand the product of (1 - c_i tau_{x_i}) * sum_k tau_{x_i}^k
         offs = [i for i in range(n) if i not in v.x_phi]
         shifts = {(0,) * d: Cyclotomic.one()}

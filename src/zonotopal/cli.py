@@ -24,7 +24,7 @@ from .matroid import arithmetic_tutte, tutte
 from .periodic import (PeriodicPoly, dm_basis, f_tilde, hilbert, l_map,
                        periodic_todd, pper_basis, pper_internal_basis)
 from .polyspace import d_basis, p_basis
-from .scalar import Cyclotomic, rat_str
+from .scalar import Cyclotomic, rat_str, s_vars
 from .toric import vertices
 
 
@@ -74,6 +74,17 @@ def _parse_element(args, x: GList):
     """--z as an element of x's group: free coordinates, then residues."""
     v = _exact(json.loads(args.z), "z", x.group.ncoords, integral=True)
     return x.group.element(v[:x.dim], v[x.dim:])
+
+
+def _parse_periodic(args, x: GList) -> PeriodicPoly:
+    """--p as a periodic polynomial in s1..sd, in the JSON form f-tilde
+    prints."""
+    try:
+        return PeriodicPoly.from_json(s_vars(x.group.free_rank),
+                                      json.loads(args.p))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"--p needs a list of {{character, poly}} "
+                         f"objects, got {args.p} ({exc!r})") from None
 
 
 def _emit(args, payload: dict, text: str):
@@ -235,9 +246,7 @@ def _cmd_zonotope(args):
 def _cmd_l_map(args):
     x = _parse_x(args)
     if args.p:
-        p = PeriodicPoly.from_json(
-            tuple(f"s{i}" for i in range(1, x.group.free_rank + 1)),
-            json.loads(args.p))
+        p = _parse_periodic(args, x)
     elif args.z:
         p = f_tilde(x, _parse_element(args, x))
     else:

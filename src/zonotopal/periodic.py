@@ -17,13 +17,12 @@ from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
 from .geometry import hyperplanes
 from .matroid import arithmetic_tutte, bases, external_activity
-from .polyspace import PsiProjector, d_basis, p_product, pair
+from .polyspace import PsiProjector, d_basis, p_linear, p_product, pair
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
                      exp_series, s_vars, t_vars, todd_factor)
-from .toric import Character, evaluate, vertices
+from .toric import Character, evaluate, evaluate_point, vertices
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _pper_vars(x: GList):
@@ -32,11 +31,11 @@ def _pper_vars(x: GList):
 
 
 class _CharacterSum:
-    """sum over characters of e_phi * (polynomial), as (character, MPoly)
-    pairs.
+    """sum over characters of e_phi * (body), as (Character, body) pairs.
 
-    Characters within one value are distinct and kept sorted; zero
-    components are dropped.
+    Characters within one value are distinct and kept sorted.  A body is an
+    MPoly, dropped when zero, or a TruncatedSeries, which is always kept so
+    that a Todd operator has a component at every vertex.
     """
 
     __slots__ = ("vars", "terms")
@@ -48,14 +47,8 @@ class _CharacterSum:
             if poly.vars != self.vars:
                 raise ValueError(
                     f"variable mismatch: {poly.vars} vs {self.vars}")
-            key = char.sort_key()
-            if key in merged:
-                merged[key] = (char, merged[key][1] + poly)
-            else:
-                merged[key] = (char, poly)
-        self.terms = tuple(sorted(
-            ((c, p) for c, p in merged.values() if p),
-            key=lambda cp: cp[0].sort_key()))
+            merged[char] = merged[char] + poly if char in merged else poly
+        self.terms = tuple(sorted((c, p) for c, p in merged.items() if p))
 
     def __add__(self, other):
         return type(self)(self.vars, self.terms + other.terms)
@@ -69,9 +62,14 @@ class _CharacterSum:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.vars == other.vars and len(self.terms) == len(other.terms) \
-            and all(c1.sort_key() == c2.sort_key() and p1 == p2
-                    for (c1, p1), (c2, p2) in zip(self.terms, other.terms))
+        return self.vars == other.vars and self.terms == other.terms
+
+    def component(self, char: Character):
+        """The body at char; the zero polynomial if there is none."""
+        for c, p in self.terms:
+            if c == char:
+                return p
+        return MPoly(self.vars)
 
     def __repr__(self):
         if not self.terms:
@@ -104,12 +102,6 @@ class PeriodicPoly(_CharacterSum):
     def single(vars, char: Character, poly: MPoly) -> "PeriodicPoly":
         return PeriodicPoly(vars, [(char, poly)])
 
-    def component(self, char: Character) -> MPoly:
-        for c, p in self.terms:
-            if c.sort_key() == char.sort_key():
-                return p
-        return MPoly(self.vars)
-
     def __sub__(self, other):
         return self + other.scale(Fraction(-1))
 
@@ -120,13 +112,6 @@ class PeriodicPoly(_CharacterSum):
     def total_degree(self):
         return max((p.total_degree() for _, p in self.terms), default=-1)
 
-    def local_part(self, g: GElement) -> MPoly:
-        """p(g, .): the polynomial this operator takes at the group element."""
-        out = MPoly(self.vars)
-        for char, poly in self.terms:
-            out = out + poly * evaluate(char, g)
-        return out
-
     @staticmethod
     def from_json(vars, obj) -> "PeriodicPoly":
         return PeriodicPoly(vars, [(Character.from_json(t["character"]),
@@ -134,16 +119,10 @@ class PeriodicPoly(_CharacterSum):
                                    for t in obj])
 
 
-class PeriodicSeries:
-    """As PeriodicPoly with truncated series bodies; uniform cap."""
+class PeriodicSeries(_CharacterSum):
+    """As PeriodicPoly with truncated series bodies."""
 
-    __slots__ = ("vars", "cap", "terms")
-
-    def __init__(self, vars, cap, terms):
-        self.vars = tuple(vars)
-        self.cap = cap
-        self.terms = tuple((c, s) for c, s in terms)
-        assert all(s.cap == cap for _, s in self.terms)
+    __slots__ = ()
 
 
 class QuasiFunction(_CharacterSum):
@@ -154,13 +133,9 @@ class QuasiFunction(_CharacterSum):
     def evaluate_at(self, point) -> Cyclotomic:
         """Value at a lattice point: sum e_phi(point) * f_phi(point)."""
         total = Cyclotomic.zero()
+        pt = [Fraction(v) for v in point]
         for char, poly in self.terms:
-            angle = Fraction(0)
-            for t, v in zip(char.theta, point):
-                angle += t * v
-            root = Cyclotomic.from_angle(angle)
-            total = total + root * poly.evaluate(
-                [Fraction(v) for v in point])
+            total = total + evaluate_point(char, point) * poly.evaluate(pt)
         return total
 
 
@@ -236,26 +211,19 @@ def periodic_todd(x: GList, z: GElement, cap: int | None = None
     for v in vertices(x):
         shift = evaluate(v.character, -z)
         series = TruncatedSeries(MPoly.constant(vars, shift), cap)
-        pz = _linear_of(x, z, vars)
+        pz = p_linear(z, vars)
         if pz:
             series = series * exp_series(-pz, cap)
         for i in range(n):
             c = evaluate(v.character, -x.elems[i])
-            form = _linear_of(x, x.elems[i], vars)
+            form = p_linear(x.elems[i], vars)
             if not form:
                 if c.is_one():
                     continue          # torsion fixed by the vertex: factor 1
                 form = s0_form
             series = series * todd_factor(form, c, cap)
         out.append((v.character, series))
-    return PeriodicSeries(vars, cap, out)
-
-
-def _linear_of(x: GList, g: GElement, vars) -> MPoly:
-    coeffs = [Fraction(v) for v in g.free]
-    if len(vars) == len(coeffs) + 1:
-        coeffs = [_F0] + coeffs
-    return MPoly.linear_form(vars, coeffs)
+    return PeriodicSeries(vars, out)
 
 
 def f_tilde(x: GList, z: GElement, cap: int | None = None) -> PeriodicPoly:
@@ -274,19 +242,12 @@ def f_tilde(x: GList, z: GElement, cap: int | None = None) -> PeriodicPoly:
     psi = PsiProjector(x, vars)
     terms = []
     for v in vertices(x):
-        comp = None
-        for c, s in todd.terms:
-            if c.sort_key() == v.character.sort_key():
-                comp = s
-                break
-        assert comp is not None
-        proj = psi(comp)
+        proj = psi(todd.component(v.character))
         if proj:
             rem = proj
             for i in range(len(x)):
                 if i not in v.x_phi:
-                    rem = divide_by_linear(rem, _linear_of(x, x.elems[i],
-                                                           vars))
+                    rem = divide_by_linear(rem, p_linear(x.elems[i], vars))
             terms.append((v.character, proj))
     return PeriodicPoly(vars, terms)
 
@@ -323,7 +284,7 @@ def pper_internal_basis(x: GList) -> list:
                 for b in elems:
                     total = MPoly(vars)
                     for char, poly in b.terms:
-                        if char.sort_key() in cls:
+                        if char in cls:
                             total = total + _eta_derivative(
                                 poly, hp.normal, order, vars)
                     cols.append(total)
@@ -349,7 +310,7 @@ def pper_internal_basis(x: GList) -> list:
 
 
 def _restriction_classes(verts, eta):
-    """Vertex keys grouped by equal character restriction to the subgroup
+    """Vertex characters grouped by equal restriction to the subgroup
     {v : eta . v = 0} of the free part plus the torsion."""
     # columns 2..d of V span the integer kernel of the 1 x d matrix [eta]
     _, _, v_snf = snf([list(eta)])
@@ -362,7 +323,7 @@ def _restriction_classes(verts, eta):
                         _F0) % 1
             key.append(angle)
         key.extend(v.character.tors)   # torsion generators are in H
-        groups.setdefault(tuple(key), set()).add(v.character.sort_key())
+        groups.setdefault(tuple(key), set()).add(v.character)
     return list(groups.values())
 
 
@@ -400,23 +361,11 @@ def hilbert(space: list) -> list:
 
 
 def _periodic_rank(elems) -> int:
-    keys = sorted({c.sort_key() for p in elems for c, _ in p.terms})
+    chars = sorted({c for p in elems for c, _ in p.terms})
     monos = sorted({e for p in elems for _, poly in p.terms
                     for e in poly.terms})
-    rows = []
-    for p in elems:
-        row = []
-        for k in keys:
-            comp = None
-            for c, poly in p.terms:
-                if c.sort_key() == k:
-                    comp = poly
-                    break
-            for e in monos:
-                row.append(comp.coefficient(e) if comp is not None
-                           else Cyclotomic.zero())
-        rows.append(row)
-    return linalg.rank(rows)
+    return linalg.rank([[p.component(c).coefficient(e)
+                         for c in chars for e in monos] for p in elems])
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +374,16 @@ def _periodic_rank(elems) -> int:
 
 def pper_decompose(x: GList, p: PeriodicPoly):
     """Write each phi-component as p_{X \\ X_phi} * q_phi (exact division)."""
-    verts = {v.character.sort_key(): v for v in vertices(x)}
+    verts = {v.character: v for v in vertices(x)}
     out = []
     for char, poly in p.terms:
-        v = verts.get(char.sort_key())
+        v = verts.get(char)
         if v is None:
             raise NonMember(f"character {char} is not a vertex")
         q = poly
         for i in range(len(x)):
             if i not in v.x_phi:
-                q = divide_by_linear(q, _linear_of(x, x.elems[i], p.vars))
+                q = divide_by_linear(q, p_linear(x.elems[i], p.vars))
         out.append((v, q))
     return out
 
@@ -443,10 +392,10 @@ def pair_pper_dm(x: GList, p: PeriodicPoly, f: QuasiFunction) -> Cyclotomic:
     """<p, f> = sum_phi <q_phi, f_phi> after stripping the prefactors."""
     if x.group.invariants:
         raise TorsionUnsupported("the DM pairing is defined over lattices")
-    comps = {v.character.sort_key(): q for v, q in pper_decompose(x, p)}
+    comps = {v.character: q for v, q in pper_decompose(x, p)}
     total = Cyclotomic.zero()
     for char, fpoly in f.terms:
-        q = comps.get(char.sort_key())
+        q = comps.get(char)
         if q is None:
             continue
         total = total + pair(q, fpoly)
@@ -504,7 +453,7 @@ def pper_mult(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
     if x.elems[i].is_torsion():
         raise TorsionPivot("multiplication pivot must be non-torsion")
     vars = _pper_vars(x)
-    form = _linear_of(x, x.elems[i], vars)
+    form = p_linear(x.elems[i], vars)
     terms = []
     for char, poly in p.terms:
         lifted = _change_vars(poly, vars)
@@ -543,7 +492,7 @@ def pper_project(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
         raise TorsionPivot("projection pivot must be non-torsion")
     quotient, qm = contract(x, i)
     tvars = _pper_vars(quotient)
-    verts = {v.character.sort_key(): v for v in vertices(x)}
+    verts = {v.character: v for v in vertices(x)}
     svars = _pper_vars(x)
     # images of the source s-variables in the quotient's s-variables
     d_src = x.group.free_rank
@@ -559,7 +508,7 @@ def pper_project(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
     tors_set = set(x.torsion_indices())
     out_terms = []
     for char, poly in p.terms:
-        v = verts.get(char.sort_key())
+        v = verts.get(char)
         if v is None:
             raise NonMember(f"character {char} is not a vertex")
         if not evaluate(char, x.elems[i]).is_one():
@@ -569,7 +518,7 @@ def pper_project(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
                    if j not in v.x_phi and j not in tors_set]
         q = poly
         for j in pre_idx:
-            q = divide_by_linear(q, _linear_of(x, x.elems[j], svars))
+            q = divide_by_linear(q, p_linear(x.elems[j], svars))
         # s0 exponent of q is tors(phi), uniform per component; strip it
         s0_exp = 0
         if "s0" in svars:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .abelian import GList, rank_of
+from .abelian import GElement, GList, rank_of
 from .errors import InternalError
 from .matroid import bases, cocircuits, external_activity, tutte
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi, s_vars,
@@ -85,10 +85,9 @@ def _to_matrix(polys, monos=None):
 # products of linear forms
 # ---------------------------------------------------------------------------
 
-def p_linear(x: GList, i: int, vars=None) -> MPoly:
-    """Linear form of the free part of x_i."""
-    vars = vars or s_vars(x.group.free_rank)
-    coeffs = [Fraction(v) for v in x.elems[i].free]
+def p_linear(g: GElement, vars) -> MPoly:
+    """Linear form of the free part of g (zero on a leading s0)."""
+    coeffs = [Fraction(v) for v in g.free]
     if len(vars) == len(coeffs) + 1:      # leading s0 present
         coeffs = [Fraction(0)] + coeffs
     return MPoly.linear_form(vars, coeffs)
@@ -99,7 +98,7 @@ def p_product(x: GList, indices, vars=None) -> MPoly:
     vars = vars or s_vars(x.group.free_rank)
     out = MPoly.constant(vars, 1)
     for i in indices:
-        out = out * p_linear(x, i, vars)
+        out = out * p_linear(x.elems[i], vars)
         if not out:
             break
     return out

@@ -382,7 +382,16 @@ class Cyclotomic:
 
     @staticmethod
     def from_json(obj) -> "Cyclotomic":
-        return Cyclotomic(obj["order"], [Fraction(c) for c in obj["coeffs"]])
+        order, coeffs = obj["order"], obj["coeffs"]
+        # phi(n) >= sqrt(n/2): the bound rejects a huge order before
+        # euler_phi factors it
+        if type(order) is not int or order < 1 \
+                or not isinstance(coeffs, list) \
+                or order > 2 * len(coeffs) ** 2 \
+                or len(coeffs) != euler_phi(order):
+            raise ValueError(f"a cyclotomic needs an order n >= 1 and "
+                             f"phi(n) coefficients, got {obj}")
+        return Cyclotomic(order, [Fraction(str(c)) for c in coeffs])
 
 
 _CYC_ZERO = Cyclotomic(1, (_F0,))
@@ -700,8 +709,15 @@ class MPoly:
 
     @staticmethod
     def from_json(vars, obj) -> "MPoly":
-        return MPoly(vars, {tuple(t["exp"]): Cyclotomic.from_json(t["coeff"])
-                            for t in obj})
+        terms = {}
+        for t in obj:
+            e = t["exp"]
+            if not isinstance(e, list) or len(e) != len(vars) \
+                    or any(type(k) is not int or k < 0 for k in e):
+                raise ValueError(f"an exponent needs {len(vars)} "
+                                 f"non-negative integers, got {e}")
+            terms[tuple(e)] = Cyclotomic.from_json(t["coeff"])
+        return MPoly(vars, terms)
 
 
 def divide_by_linear(p: MPoly, linear: MPoly) -> MPoly:
@@ -753,6 +769,10 @@ class TruncatedSeries:
     @staticmethod
     def constant(vars, c, cap) -> "TruncatedSeries":
         return TruncatedSeries(MPoly.constant(vars, c), cap)
+
+    @property
+    def vars(self):
+        return self.body.vars
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):

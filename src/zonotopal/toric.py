@@ -19,9 +19,13 @@ from .matroid import bases
 from .scalar import Cyclotomic, rat_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Character:
-    """theta . free(g) + tors . tors(g) mod 1, all entries reduced mod 1."""
+    """theta . free(g) + tors . tors(g) mod 1, all entries reduced mod 1.
+
+    Equal data means an equal character, so a Character is the key of every
+    per-vertex value; characters sort by (theta, tors).
+    """
 
     theta: tuple
     tors: tuple
@@ -56,9 +60,6 @@ class Character:
         """Order of the root-of-unity image lattice (lcm of denominators)."""
         return math.lcm(*(t.denominator for t in self.theta + self.tors))
 
-    def sort_key(self):
-        return (self.theta, self.tors)
-
     def __repr__(self):
         th = ",".join(rat_str(t) for t in self.theta)
         if not self.tors:
@@ -72,13 +73,19 @@ class Character:
 
     @staticmethod
     def from_json(obj) -> "Character":
-        return Character(tuple(Fraction(t) for t in obj["theta"]),
-                         tuple(Fraction(t) for t in obj["tors"]))
+        return Character(tuple(Fraction(str(t)) for t in obj["theta"]),
+                         tuple(Fraction(str(t)) for t in obj["tors"]))
 
 
 def evaluate(c: Character, g: GElement) -> Cyclotomic:
     """e_phi(g) as an exact root of unity."""
     return Cyclotomic.from_angle(c.angle(g))
+
+
+def evaluate_point(c: Character, point) -> Cyclotomic:
+    """e_phi at a point of the free part, given by its coordinates."""
+    return Cyclotomic.from_angle(
+        sum((t * v for t, v in zip(c.theta, point)), Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -134,17 +141,12 @@ def vertices(x: GList) -> list:
     if g.free_rank == 0:
         chars = _all_torsion_characters(g)
     else:
-        seen = {}
-        for b in bases(x):
-            for c in _characters_killing(x, b):
-                seen[c.sort_key()] = c
-        if not seen:
+        chars = {c for b in bases(x) for c in _characters_killing(x, b)}
+        if not chars:
             raise RankDeficient("no basis of finite index")
-        chars = list(seen.values())
-    chars.sort(key=Character.sort_key)
     tors_idx = set(x.torsion_indices())
     out = []
-    for c in chars:
+    for c in sorted(chars):
         x_phi = tuple(i for i in range(len(x)) if c.fixes(x.elems[i]))
         tors_count = sum(1 for i in tors_idx if i not in x_phi)
         out.append(VertexData(c, x_phi, tors_count))

@@ -48,12 +48,12 @@ def criterion(num, title):
 
 
 def _pper_rows(polys):
-    keys = sorted({c.sort_key() for p in polys for c, _ in p.terms})
+    keys = sorted({c for p in polys for c, _ in p.terms})
     monos = sorted({e for p in polys for _, poly in p.terms
                     for e in poly.terms})
     rows = []
     for p in polys:
-        comps = {c.sort_key(): poly for c, poly in p.terms}
+        comps = {c: poly for c, poly in p.terms}
         row = []
         for k in keys:
             poly = comps.get(k)

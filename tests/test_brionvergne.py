@@ -152,13 +152,13 @@ class TestContinuity:
             wl = walls(x)
             internal = pper_internal_basis(x)
             basis = pper_basis(x)
-            keys = sorted({c.sort_key() for p in internal + basis
+            keys = sorted({c for p in internal + basis
                            for c, _ in p.terms})
             monos = sorted({e for p in internal + basis
                             for _, poly in p.terms for e in poly.terms})
 
             def row(p):
-                comps = {c.sort_key(): poly for c, poly in p.terms}
+                comps = {c: poly for c, poly in p.terms}
                 out = []
                 for k in keys:
                     poly = comps.get(k)

@@ -22,6 +22,13 @@ def run_cli(*argv):
 ZP = "[[1,0,1,-1],[0,1,1,1]]"
 
 
+def _periodic_json(exp, order, coeffs):
+    """--p with one term e[1/2] * coeffs * s^exp, as f-tilde --json prints."""
+    return json.dumps([{"character": {"theta": ["1/2"], "tors": []},
+                        "poly": [{"exp": exp, "coeff": {"order": order,
+                                                        "coeffs": coeffs}}]}])
+
+
 class TestCommands:
     def test_arith_tutte_text(self):
         code, out = run_cli("arith-tutte", "--x", ZP)
@@ -150,12 +157,30 @@ class TestExitCodes:
         ["tutte", "--x", "[[1,2],[0,1]]", "--group", "Z/2 + Z/3"],
         ["tutte", "--x", "[[1,2],[0,1]]", "--group", "Z + Z/0"],
         ["l-map", "--x", "[[1,2]]"],
+        ["l-map", "--x", "[[1,2]]", "--p", '[{"foo": 1}]'],
+        ["l-map", "--x", "[[1,2]]", "--p", "5"],
+        ["l-map", "--x", "[[1,2]]", "--p", _periodic_json([1, 0], 1, ["1"])],
+        ["l-map", "--x", "[[1,2]]", "--p",
+         _periodic_json([1], 1, ["1", "2"])],
+        ["l-map", "--x", "[[1,2]]", "--p", _periodic_json([1], 0, [])],
+        ["l-map", "--x", "[[1,2]]", "--p",
+         _periodic_json([1], 10 ** 24 + 7, ["1"])],
     ])
     def test_invalid_input_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-delta", "--x", "[[1,1]]", "--w", "[0]"],
+        ["check-deconv", "--x", "[[1,0,1],[0,1,1]]", "--w", "[0,0]"],
+    ])
+    def test_non_regular_w_is_domain_error(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("domain error: w is not affine regular")
 
     def test_bad_matrix(self):
         assert main(["count", "--x", "[[2],[0]]", "--group", "Z/4",

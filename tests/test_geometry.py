@@ -227,9 +227,9 @@ class TestQuasiFit:
         from zonotopal.toric import vertices
         cells = big_cells(zp_list)
         q = quasi_fit(zp_list, cells[1])
-        verts = {v.character.sort_key(): v for v in vertices(zp_list)}
+        verts = {v.character: v for v in vertices(zp_list)}
         for char, poly in q.terms:
-            v = verts[char.sort_key()]
+            v = verts[char]
             sub = zp_list.sublist(v.x_phi)
             db = d_basis(sub)
             monos = sorted({e for p in db.basis for e in p.terms}
