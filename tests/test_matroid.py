@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from zonotopal.abelian import FgGroup, GList, contract, multiplicity
+from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
+                               rank_of)
 from zonotopal.errors import RankDeficient
 from zonotopal.matroid import (BivarPoly, arithmetic_tutte, bases, cocircuits,
                                external_activity, is_coloop, is_unimodular,
@@ -134,3 +137,91 @@ class TestTutte:
     def test_bivar_json_roundtrip(self, zp_list):
         t = arithmetic_tutte(zp_list)
         assert BivarPoly.from_json(t.to_json()) == t
+
+
+# ---------------------------------------------------------------------------
+# subset-sum oracle: rank_of and multiplicity for every subset
+# ---------------------------------------------------------------------------
+
+def _oracle_powers(p, top):
+    out = [BivarPoly({(0, 0): 1})]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
+
+
+def tutte_oracle(x):
+    """T(a, b) = sum over S of (a-1)^(r-rk S) (b-1)^(|S|-rk S)."""
+    n = len(x)
+    r = rank_of(x, range(n))
+    total = BivarPoly()
+    pow_a = _oracle_powers(poly({(1, 0): 1, (0, 0): -1}), r)
+    pow_b = _oracle_powers(poly({(0, 1): 1, (0, 0): -1}), n)
+    for size in range(n + 1):
+        for comb in itertools.combinations(range(n), size):
+            rk = rank_of(x, comb)
+            total = total + pow_a[r - rk] * pow_b[size - rk]
+    return total
+
+
+def arithmetic_tutte_oracle(x):
+    """M(a, b) = sum over S of m(S) (a-1)^(d-rk S) (b-1)^(|S|-rk S)."""
+    n = len(x)
+    d = x.group.free_rank
+    total = BivarPoly()
+    pow_a = _oracle_powers(poly({(1, 0): 1, (0, 0): -1}), d)
+    pow_b = _oracle_powers(poly({(0, 1): 1, (0, 0): -1}), n)
+    for size in range(n + 1):
+        for comb in itertools.combinations(range(n), size):
+            rk = rank_of(x, comb)
+            m = multiplicity(x, comb)
+            term = pow_a[d - rk] * pow_b[size - rk]
+            total = total + BivarPoly({e: m * c
+                                       for e, c in term.terms.items()})
+    return total
+
+
+def _special_lists():
+    """A zero column, a torsion-only element and a repeated column."""
+    g = FgGroup(2, (4,))
+    return [
+        GList.from_columns([[1, 0], [0, 0], [1, 2], [1, 0]]),
+        GList.from_columns([[1, 0, 1], [0, 0, 2], [0, 1, 0], [1, 1, 3],
+                            [0, 0, 0], [1, 0, 1]], g),
+        GList.from_columns([[0, 0, 2], [0, 0, 2], [2, 1, 0], [0, 3, 1]], g),
+    ]
+
+
+def _z2_z2z4_lists():
+    g = FgGroup(2, (2, 4))
+    return [
+        GList.from_columns([[1, 0, 1, 3], [0, 1, 0, 2], [1, 1, 1, 1]], g),
+        GList.from_columns([[2, 1, 0, 1], [0, 2, 1, 3], [1, -1, 1, 0],
+                            [0, 0, 1, 2], [3, 1, 0, 0]], g),
+        GList.from_columns([[1, 2, 1, 1], [-1, 1, 0, 3], [2, 0, 1, 2],
+                            [1, 1, 0, 0], [0, 1, 1, 1], [2, 2, 0, 2]], g),
+    ]
+
+
+def _rank_deficient_lists():
+    return [GList.from_rows([[1, 2, 0], [2, 4, 0]]),
+            GList.from_columns([[1, 1, 0], [2, 2, 1], [0, 0, 1]],
+                               FgGroup(2, (2,)))]
+
+
+@pytest.mark.parametrize("case, arithmetic", [
+    ("mixed_corpus", True),
+    ("special", True),
+    ("rank_deficient", False),
+    ("z2_z2z4", True),
+])
+def test_tutte_polynomials_equal_subset_sum_oracle(case, arithmetic,
+                                                   request):
+    lists = {"mixed_corpus": lambda: request.getfixturevalue("mixed_corpus"),
+             "special": _special_lists,
+             "rank_deficient": _rank_deficient_lists,
+             "z2_z2z4": _z2_z2z4_lists}[case]()
+    for x in lists:
+        assert tutte(x) == tutte_oracle(x), x
+        if arithmetic:
+            assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x), x
