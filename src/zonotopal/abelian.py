@@ -117,6 +117,77 @@ def snf_diagonal(m):
 
 
 # ---------------------------------------------------------------------------
+# Hermite normal form
+# ---------------------------------------------------------------------------
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _pivot(row):
+    c = 0
+    while not row[c]:
+        c += 1
+    return c
+
+
+def hnf_insert(basis, v):
+    """Row basis, in Hermite normal form, of the lattice spanned by the
+    rows of ``basis`` (itself in that form) and the integer vector v.
+
+    The form: rows in increasing pivot column, each pivot positive, and the
+    entries above a pivot reduced into [0, pivot).  It is canonical, so two
+    generating sets of one lattice give the same tuple of tuples.  Only
+    integer row operations of determinant +-1 are used.
+    """
+    rows = list(basis)
+    pivots = [_pivot(r) for r in rows]
+    changed = False
+    i = 0
+    while any(v):
+        c = _pivot(v)
+        while i < len(rows) and pivots[i] < c:
+            i += 1
+        if i == len(rows) or pivots[i] > c:
+            if v[c] < 0:
+                v = [-q for q in v]
+            rows.insert(i, v)
+            pivots.insert(i, c)
+            changed = True
+            break
+        # same pivot column: v keeps only what lies past c
+        row = rows[i]
+        if v[c] % row[c]:
+            g, s, t = _xgcd(row[c], v[c])
+            a, b = row[c] // g, v[c] // g
+            rows[i] = [s * p + t * q for p, q in zip(row, v)]
+            v = [a * q - b * p for p, q in zip(row, v)]
+            changed = True
+        else:
+            f = v[c] // row[c]
+            v = [q - f * p for p, q in zip(row, v)]
+        i += 1
+    if not changed:
+        return basis
+    for i, row in enumerate(rows):
+        c = pivots[i]
+        for above in range(i):
+            f = rows[above][c] // row[c]
+            if f:
+                rows[above] = [p - f * r for p, r in zip(rows[above], row)]
+    return tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
 # groups, elements, lists
 # ---------------------------------------------------------------------------
 
@@ -189,8 +260,11 @@ class GElement:
     tors: tuple
 
     def __post_init__(self):
-        assert len(self.free) == self.group.free_rank
-        assert len(self.tors) == len(self.group.invariants)
+        if (len(self.free) != self.group.free_rank
+                or len(self.tors) != len(self.group.invariants)):
+            raise ValueError(
+                f"element with {len(self.free)} free and {len(self.tors)} "
+                f"torsion coordinates is not in {self.group.spec_string()}")
         object.__setattr__(self, "free", tuple(int(x) for x in self.free))
         object.__setattr__(
             self, "tors",
@@ -208,7 +282,10 @@ class GElement:
         return not any(self.free) and not any(self.tors)
 
     def __add__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError(
+                f"cannot add elements of {self.group.spec_string()} and "
+                f"{other.group.spec_string()}")
         return GElement(self.group,
                         tuple(a + b for a, b in zip(self.free, other.free)),
                         tuple(a + b for a, b in zip(self.tors, other.tors)))
@@ -229,7 +306,11 @@ class GList:
     def __init__(self, group: FgGroup, elems):
         self.group = group
         self.elems = tuple(elems)
-        assert all(e.group == group for e in self.elems)
+        for e in self.elems:
+            if e.group != group:
+                raise ValueError(f"{e} is an element of "
+                                 f"{e.group.spec_string()}, not of "
+                                 f"{group.spec_string()}")
 
     # -- constructors ------------------------------------------------------
 
@@ -375,7 +456,9 @@ class QuotientMap:
     sections: tuple = ()   # columns over Z, one per new coordinate
 
     def apply(self, g: GElement) -> GElement:
-        assert g.group == self.source
+        if g.group != self.source:
+            raise ValueError(f"{g} is not in the source group "
+                             f"{self.source.spec_string()}")
         lift = g.lift()
         coords = [sum(r * v for r, v in zip(row, lift))
                   for row in self.matrix]

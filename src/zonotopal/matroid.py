@@ -1,16 +1,21 @@
 """Matroid and arithmetic-matroid combinatorics of a list.
 
-Bases, cocircuits, external activity, and both Tutte polynomials.  The Tutte
-polynomials are computed by direct subset summation, which doubles as a
-formula-level oracle at desk scale.
+Bases, cocircuits, external activity, and both Tutte polynomials.  Both
+Tutte polynomials come from one depth-first walk over the subsets of the
+list, which carries the integer lattice each subset spans and extends it by
+one column per step: the rank is read off the lattice's Hermite normal
+form, and the multiplicity is computed once per distinct lattice.  The
+direct subset sum, with `rank_of` and `multiplicity` for every subset, is
+kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .abelian import GList, multiplicity, rank_of
+from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import RankDeficient
 from .linalg import span_contains
 
@@ -179,43 +184,67 @@ def external_activity(x: GList, b) -> frozenset:
 
 def tutte(x: GList) -> BivarPoly:
     """Tutte polynomial of the matroid of free parts (torsion = loops)."""
-    n = len(x)
-    r = rank_of(x, range(n))
-    total = BivarPoly()
-    am1 = BivarPoly({(1, 0): 1, (0, 0): -1})
-    bm1 = BivarPoly({(0, 1): 1, (0, 0): -1})
-    pow_a = _powers(am1, r)
-    pow_b = _powers(bm1, n)
-    for size in range(n + 1):
-        for comb in itertools.combinations(range(n), size):
-            rk = rank_of(x, comb)
-            total = total + pow_a[r - rk] * pow_b[size - rk]
-    return total
+    r = rank_of(x, range(len(x)))
+    table = {}
+    for size, rk, _, _ in _walk(x):
+        table[size, rk] = table.get((size, rk), 0) + 1
+    return _tutte_sum(table, r)
 
 
 def arithmetic_tutte(x: GList) -> BivarPoly:
     """Subset sum with multiplicities; exponent d is the group rank."""
-    n = len(x)
-    d = x.group.free_rank
-    total = BivarPoly()
-    am1 = BivarPoly({(1, 0): 1, (0, 0): -1})
-    bm1 = BivarPoly({(0, 1): 1, (0, 0): -1})
-    pow_a = _powers(am1, d)
-    pow_b = _powers(bm1, n)
-    for size in range(n + 1):
-        for comb in itertools.combinations(range(n), size):
-            rk = rank_of(x, comb)
-            m = multiplicity(x, comb)
-            term = pow_a[d - rk] * pow_b[size - rk]
-            total = total + BivarPoly({e: m * c for e, c in term.terms.items()})
-    return total
+    table = {}
+    mult = {}
+    for size, rk, lattice, subset in _walk(x):
+        m = mult.get(lattice)
+        if m is None:
+            m = mult[lattice] = multiplicity(x, subset)
+        table[size, rk] = table.get((size, rk), 0) + m
+    return _tutte_sum(table, x.group.free_rank)
 
 
-def _powers(p: BivarPoly, top: int) -> list:
-    out = [BivarPoly({(0, 0): 1})]
-    for _ in range(top):
-        out.append(out[-1] * p)
-    return out
+def _walk(x: GList):
+    """Yield (|S|, rank S, L_S, S) for every subset S of indices, depth
+    first.
+
+    L_S is the lattice spanned by lift(S) and the torsion relations
+    k_j e_(d+j), in the canonical form of `hnf_insert`; each step extends
+    its parent's lattice by one column.  The relations span the t torsion
+    coordinates, so the free rank of S is the row count of L_S minus t.
+    """
+    g = x.group
+    lifts = [e.lift() for e in x.elems]
+    relations = ()
+    for j, k in enumerate(g.invariants):
+        col = [0] * g.ncoords
+        col[g.free_rank + j] = k
+        relations = hnf_insert(relations, col)
+    t = len(g.invariants)
+    subset = []
+
+    def visit(start, lattice):
+        yield len(subset), len(lattice) - t, lattice, subset
+        for i in range(start, len(lifts)):
+            subset.append(i)
+            yield from visit(i + 1, hnf_insert(lattice, lifts[i]))
+            subset.pop()
+
+    return visit(0, relations)
+
+
+def _tutte_sum(table, top: int) -> BivarPoly:
+    """Sum of c (a-1)^(top - rk) (b-1)^(size - rk) over table[size, rk] = c."""
+    terms = {}
+    for (size, rk), c in table.items():
+        for i, ci in enumerate(_binomial_row(top - rk)):
+            for j, cj in enumerate(_binomial_row(size - rk)):
+                terms[i, j] = terms.get((i, j), 0) + c * ci * cj
+    return BivarPoly(terms)
+
+
+def _binomial_row(p: int) -> list:
+    """Coefficients of (z - 1)^p in increasing degree."""
+    return [math.comb(p, i) * (-1) ** (p - i) for i in range(p + 1)]
 
 
 def is_coloop(x: GList, i: int) -> bool:

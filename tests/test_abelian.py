@@ -1,9 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
-                               rank_of, snf, snf_diagonal)
+from zonotopal import linalg
+from zonotopal.abelian import (FgGroup, GList, contract, hnf_insert,
+                               multiplicity, rank_of, snf, snf_diagonal)
 
 
 def _matmul(a, b):
@@ -78,6 +81,83 @@ class TestMultiplicity:
                 det = (cols[sub[0]][0] * cols[sub[1]][1]
                        - cols[sub[0]][1] * cols[sub[1]][0])
                 assert (multiplicity(x, b) == 1) == (abs(det) == 1)
+
+
+def _hnf(vectors, basis=()):
+    for v in vectors:
+        basis = hnf_insert(basis, v)
+    return basis
+
+
+def _relations(g):
+    return [[k if i == g.free_rank + j else 0 for i in range(g.ncoords)]
+            for j, k in enumerate(g.invariants)]
+
+
+def _random_glist(rng, g, n):
+    return GList(g, [g.element([rng.randint(-3, 3)
+                                for _ in range(g.free_rank)],
+                               [rng.randrange(k) for k in g.invariants])
+                     for _ in range(n)])
+
+
+class TestHnf:
+    GROUPS = (FgGroup(2), FgGroup(3), FgGroup(1, (2,)), FgGroup(2, (3,)),
+              FgGroup(2, (2, 4)), FgGroup(0, (6,)))
+
+    def test_form(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            vecs = [[rng.randint(-6, 6) for _ in range(dim)]
+                    for _ in range(rng.randint(0, 5))]
+            basis = _hnf(vecs)
+            pivots = []
+            for row in basis:
+                c = next(i for i, v in enumerate(row) if v)
+                assert row[c] > 0
+                pivots.append(c)
+            assert pivots == sorted(set(pivots))
+            for i, c in enumerate(pivots):
+                assert all(0 <= basis[k][c] < basis[i][c] for k in range(i))
+
+    def test_canonical_under_order_and_generators(self):
+        rng = random.Random(18)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            vecs = [[rng.randint(-6, 6) for _ in range(dim)]
+                    for _ in range(rng.randint(1, 5))]
+            basis = _hnf(vecs)
+            shuffled = vecs[:]
+            rng.shuffle(shuffled)
+            assert _hnf(shuffled) == basis
+            # an integer combination of the generators spans nothing new
+            coeffs = [rng.randint(-3, 3) for _ in vecs]
+            combo = [sum(a * v[i] for a, v in zip(coeffs, vecs))
+                     for i in range(dim)]
+            assert hnf_insert(basis, combo) == basis
+            assert _hnf([combo] + shuffled) == basis
+            assert _hnf(vecs, _hnf(shuffled)) == basis
+
+    def test_row_count_minus_torsion_is_free_rank(self):
+        rng = random.Random(19)
+        for g in self.GROUPS:
+            for _ in range(15):
+                x = _random_glist(rng, g, rng.randint(0, 5))
+                basis = _hnf([e.lift() for e in x], _hnf(_relations(g)))
+                free = [[Fraction(v) for v in e.free] for e in x
+                        if any(e.free)]
+                rank = linalg.rank(free) if free else 0
+                assert len(basis) - len(g.invariants) == rank
+
+    def test_snf_of_basis_is_multiplicity(self):
+        rng = random.Random(20)
+        for g in self.GROUPS:
+            for _ in range(15):
+                x = _random_glist(rng, g, rng.randint(0, 5))
+                basis = _hnf([e.lift() for e in x], _hnf(_relations(g)))
+                order = math.prod(snf_diagonal([list(r) for r in basis]))
+                assert order == multiplicity(x, range(len(x)))
 
 
 class TestRank:
@@ -163,6 +243,22 @@ class TestGroupParsing:
             FgGroup(0, (4, 2))
         with pytest.raises(ValueError):
             FgGroup(1, (0,))
+
+    def test_mismatched_elements_raise_value_error(self):
+        # ValueError, not assert, so the checks also hold under python -O
+        g = FgGroup(2, (2,))
+        with pytest.raises(ValueError):
+            g.element((1, 2, 3), ())
+        with pytest.raises(ValueError):
+            g.element((1, 2), ())
+        e = g.element((1, 2), (1,))
+        with pytest.raises(ValueError):
+            GList(FgGroup(1), [e])
+        with pytest.raises(ValueError):
+            e + FgGroup(2).element((1, 2))
+        _, qm = contract(GList.from_rows([[1, 0], [0, 2]]), 0)
+        with pytest.raises(ValueError):
+            qm.apply(e)
 
     def test_list_json_roundtrip(self):
         x = GList.from_columns([[1, 0, 1], [0, 2, 1]], FgGroup(2, (3,)))
