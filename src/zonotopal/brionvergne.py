@@ -487,14 +487,20 @@ def _leading_structure_ok(x: GList, wall: Wall, v12: MPoly,
 def box_deconvolution_check(x: GList, w=None) -> dict:
     """lim_w ToddB(X)(D_pw) B_X over the support lattice; expect delta_0.
 
-    The translation factors (1 - e_phi(-x) tau_x) / (1 - tau_x) are expanded
-    as finite geometric sums on the compact support of B_X.
+    w must lie in cone(X) (`NotInCone` otherwise) and be affine regular
+    (`SingularGram` otherwise).  The translation factors
+    (1 - e_phi(-x) tau_x) / (1 - tau_x) are expanded as finite geometric
+    sums on the compact support of B_X.
     """
     require_pointed(x)
     if x.group.invariants:
         raise NotUnimodular("box deconvolution runs over lattices")
     if w is None:
         w = short_regular(x)
+    elif not in_cone(x, w):
+        # the limit at lambda = 0 is delta_0 only from inside cone(X)
+        raise NotInCone(f"w = [{', '.join(map(str, w))}] is outside "
+                        f"cone(X)")
     d = x.group.free_rank
     n = len(x)
     todd = periodic_todd(x, x.group.zero(), n - d)

@@ -144,8 +144,19 @@ class TestExitCodes:
             main(["definitely-not-a-command", "--x", "[[1]]"])
         assert exc.value.code == 1
 
-    def test_domain_error(self):
+    def test_domain_error(self, capsys):
         assert main(["volume", "--x", "[[1,-1]]", "--u", "[1]"]) == 2
+        # check-deconv with a w outside cone(X)
+        assert main(["check-deconv", "--x", "[[1,0,1],[0,1,1]]",
+                     "--w", "[1,-1]"]) == 2
+        assert main(["check-deconv", "--x", "[[1,2]]",
+                     "--w", '["-1/3"]']) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("is outside cone(X)") == 2
+        code, out = run_cli("check-deconv", "--x", "[[1,0,1],[0,1,1]]",
+                            "--w", "[1,2]")
+        assert (code, out) == (0, "box deconvolution: pass\n")
 
     @pytest.mark.parametrize("argv", [
         ["tutte", "--x", "[[1,2],[3]]"],
