@@ -142,12 +142,14 @@ def _pivot(row):
 
 def hnf_insert(basis, v):
     """Row basis, in Hermite normal form, of the lattice spanned by the
-    rows of ``basis`` (itself in that form) and the integer vector v.
+    rows of ``basis`` (a tuple of tuples in that form) and the integer
+    vector v.
 
     The form: rows in increasing pivot column, each pivot positive, and the
     entries above a pivot reduced into [0, pivot).  It is canonical, so two
-    generating sets of one lattice give the same tuple of tuples.  Only
-    integer row operations of determinant +-1 are used.
+    generating sets of one lattice give the same tuple of tuples; when v
+    lies in the lattice, ``basis`` itself is returned.  Only integer row
+    operations of determinant +-1 are used.
     """
     rows = list(basis)
     pivots = [_pivot(r) for r in rows]
