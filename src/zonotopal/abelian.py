@@ -255,7 +255,7 @@ class FgGroup:
         return FgGroup(free, tuple(sorted(invariants)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GElement:
     group: FgGroup
     free: tuple

@@ -20,6 +20,12 @@ from .errors import RankDeficient
 from .linalg import span_contains
 
 
+# Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
+# BivarPoly uses these as its keys rather than tuples of its own, which
+# halves the memory a Tutte polynomial holds.
+_PAIRS = tuple(tuple((i, j) for j in range(32)) for i in range(16))
+
+
 class BivarPoly:
     """Integer polynomial in two variables (alpha, beta)."""
 
@@ -30,7 +36,10 @@ class BivarPoly:
         if terms:
             for (i, j), c in terms.items():
                 if c:
-                    self.terms[(int(i), int(j))] = int(c)
+                    i, j = int(i), int(j)
+                    key = (_PAIRS[i][j] if 0 <= i < 16 and 0 <= j < 32
+                           else (i, j))
+                    self.terms[key] = int(c)
 
     @staticmethod
     def monomial(i, j, c=1) -> "BivarPoly":
@@ -219,17 +228,18 @@ def _walk(x: GList):
         col = [0] * g.ncoords
         col[g.free_rank + j] = k
         relations = hnf_insert(relations, col)
-    t = len(g.invariants)
-    subset = []
+    return _visit(lifts, len(g.invariants), [], 0, relations)
 
-    def visit(start, lattice):
-        yield len(subset), len(lattice) - t, lattice, subset
-        for i in range(start, len(lifts)):
-            subset.append(i)
-            yield from visit(i + 1, hnf_insert(lattice, lifts[i]))
-            subset.pop()
 
-    return visit(0, relations)
+def _visit(lifts, t, subset, start, lattice):
+    # a module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, left for the cyclic collector after each call
+    yield len(subset), len(lattice) - t, lattice, subset
+    for i in range(start, len(lifts)):
+        subset.append(i)
+        yield from _visit(lifts, t, subset, i + 1,
+                          hnf_insert(lattice, lifts[i]))
+        subset.pop()
 
 
 def _tutte_sum(table, top: int) -> BivarPoly:

@@ -138,6 +138,14 @@ class TestTutte:
         t = arithmetic_tutte(zp_list)
         assert BivarPoly.from_json(t.to_json()) == t
 
+    def test_bivar_keys_of_any_degree(self):
+        # small exponent pairs are shared key objects, others are not
+        p = poly({(40, 2): 1, (1, 33): 2, (3, 4): 5})
+        q = poly({(1, 33): -2, (3, 4): 1})
+        assert (p + q).terms == {(40, 2): 1, (3, 4): 6}
+        assert BivarPoly.from_json(p.to_json()) == p
+        assert p.evaluate(1, 2) == 4 + 2 ** 34 + 80
+
 
 # ---------------------------------------------------------------------------
 # subset-sum oracle: rank_of and multiplicity for every subset
