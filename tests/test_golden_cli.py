@@ -3,8 +3,9 @@
 ``tests/golden/cli.txt`` holds one block per call: a line ``$ <argv as
 JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
 the README examples, every job printed by ``corpus --seed 1 --count 10``,
-one call of each subcommand that shares code with another, and calls of the
-per-vertex (character-indexed) code; each runs in text and in ``--json``
+one call of each subcommand that shares code with another, calls of the
+per-vertex (character-indexed) code, and ``check-delta`` calls that share
+the alcove polynomials of B_X across z; each runs in text and in ``--json``
 form.
 
 Print the transcript of the current code (to compare by hand, never to
@@ -62,6 +63,13 @@ PER_VERTEX = [
      "--cap", "0"],
 ]
 
+# check-delta on an n = 4 unimodular list, and with a short --w other than
+# the default
+DELTA = [
+    ["check-delta", "--x", "[[1,0,1,0],[0,1,1,1]]"],
+    ["check-delta", "--x", "[[1,0,1],[0,1,1]]", "--w", '["1/2","-1/3"]'],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -83,7 +91,8 @@ def corpus_jobs():
 
 def calls():
     out = []
-    for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX:
+    for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
+            + DELTA:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
