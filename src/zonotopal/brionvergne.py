@@ -8,18 +8,20 @@ asserted to be rational integers after cyclotomic cancellation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .abelian import GElement, GList
-from .errors import (InternalError, NonIntegerResult, NotInCone,
+from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
 from .geometry import (Cell, _interpolate, big_cells, bx_value,
                        hyperplane_normals, in_cone, lattice_points,
                        local_piece, pointed_certificate, require_pointed,
-                       short_regular, zonotope_hrep)
-from .matroid import is_unimodular
+                       require_short, short_regular, zonotope_hrep)
+from .matroid import is_coloop, is_unimodular
 from .periodic import PeriodicPoly, f_tilde, periodic_todd
 from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, ZLaurent, s_vars, t_vars
@@ -125,9 +127,18 @@ def _eval_count(ft: PeriodicPoly, piece: MPoly, u) -> int:
 
 
 def partition_of_unity(x: GList) -> PeriodicPoly:
-    """sum over interior zonotope lattice points of B_X(z) * f_tilde_z."""
+    """sum over interior zonotope lattice points of B_X(z) * f_tilde_z.
+
+    The sum is 1 for a coloop-free list, where B_X vanishes on the boundary
+    of the zonotope; a list with a coloop raises `HasColoop`.
+    """
     x.require_full_rank()
     require_pointed(x)
+    for i in range(len(x)):
+        if is_coloop(x, i):
+            raise HasColoop(f"x_{i} = {list(x.elems[i].free)} is a coloop; "
+                            f"the partition of unity needs a coloop-free "
+                            f"list")
     total = None
     for z in lattice_points(x, "interior"):
         b = bx_value(x, z)
@@ -184,19 +195,48 @@ def box_limit_value(x: GList, op: PeriodicPoly, point, w,
 # unimodular delta interpolation
 # ---------------------------------------------------------------------------
 
-def box_delta_check(x: GList, z, w=None) -> dict:
-    """Evaluate lim_w f_z(D_pw) B_X over the lattice support; expect delta_z."""
+def box_delta_check(x: GList, w=None) -> dict:
+    """lim_w f_z(D_pw) B_X over the lattice support, for every z in
+    (Z(X) - w) cap Lambda, as {z: {lambda: value}}; expect delta_z.
+
+    w must be short (`NotShort` otherwise) and affine regular
+    (`SingularGram` otherwise).  The alcove polynomial of B_X next to each
+    lambda does not depend on z, so it is built once for all z, over
+    processes when ZONOTOPAL_THREADS allows it.
+    """
     if not is_unimodular(x):
         raise NotUnimodular("box delta interpolation needs a unimodular list")
     require_pointed(x)
     if w is None:
         w = short_regular(x)
-    zel = x.group.element(tuple(z))
-    fz = f_tilde(x, zel)
+    else:
+        require_short(x, w)
+    support = lattice_points(x, "shifted", w=[_F0] * x.group.free_rank)
+    polys = _pmap(partial(_alcove_polynomial, x, w=w), support)
     out = {}
-    for lam in lattice_points(x, "shifted", w=[_F0] * x.group.free_rank):
-        out[lam] = box_limit_value(x, fz, lam, w)
+    for z in lattice_points(x, "shifted", w=w):
+        fz = f_tilde(x, x.group.element(z))
+        out[z] = {lam: apply_periodic(fz, poly, lam)
+                  for lam, poly in zip(support, polys)}
     return out
+
+
+def thread_count() -> int:
+    try:
+        return max(1, int(os.environ.get("ZONOTOPAL_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
+def _pmap(fn, items):
+    """Map, parallel over processes when ZONOTOPAL_THREADS allows it."""
+    n = thread_count()
+    items = list(items)
+    if n <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(n, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def box_interpolant(x: GList, values: dict) -> MPoly:

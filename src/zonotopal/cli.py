@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -16,6 +15,7 @@ from .abelian import FgGroup, GList
 from .brionvergne import (box_deconvolution_check, box_delta_check, bv_count,
                           continuity_check, partition_of_unity, wall_jump_check,
                           walls)
+from .brionvergne import thread_count  # noqa: F401  (re-exported)
 from .corpus import CorpusLimits, corpus
 from .errors import DomainError, InternalError
 from .geometry import (big_cells, bx_value, lattice_points, quasi_fit,
@@ -92,24 +92,6 @@ def _emit(args, payload: dict, text: str):
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ZONOTOPAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map, parallel over processes when ZONOTOPAL_THREADS allows it."""
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +266,10 @@ def _cmd_check_unity(args):
 
 def _cmd_check_delta(args):
     x = _parse_x(args)
-    w = _parse_vec(args, "w", x) if args.w else short_regular(x)
-    points = lattice_points(x, "shifted", w=w)
-    results = _pmap(_DeltaJob(x, w), points)
+    w = _parse_vec(args, "w", x) if args.w else None
+    table = box_delta_check(x, w)
     bad = None
-    for z, res in zip(points, results):
+    for z, res in table.items():
         for lam, val in res.items():
             expect = Cyclotomic.one() if lam == z else Cyclotomic.zero()
             if val != expect:
@@ -296,20 +277,9 @@ def _cmd_check_delta(args):
                 break
         if bad:
             break
-    report = {"identity": "f_z(D)B_X = delta_z", "points": len(points),
+    report = {"identity": "f_z(D)B_X = delta_z", "points": len(table),
               "status": "fail" if bad else "pass", "counterexample": bad}
     _emit(args, report, f"delta interpolation: {report['status']}")
-
-
-class _DeltaJob:
-    """Picklable per-z worker for check-delta."""
-
-    def __init__(self, x, w):
-        self.x = x
-        self.w = w
-
-    def __call__(self, z):
-        return box_delta_check(self.x, z, self.w)
 
 
 def _cmd_check_deconv(args):

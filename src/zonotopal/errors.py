@@ -27,6 +27,14 @@ class NotUnimodular(DomainError):
     pass
 
 
+class NotShort(DomainError):
+    pass
+
+
+class HasColoop(DomainError):
+    pass
+
+
 class TorsionUnsupported(DomainError):
     pass
 

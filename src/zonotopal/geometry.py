@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import linalg
 from .abelian import GList
 from .errors import (DegenerateSample, InsufficientPoints, InternalError,
-                     InterpolationSingular, NotPointed, SamplesRequired)
+                     InterpolationSingular, NotPointed, NotShort,
+                     SamplesRequired)
 from .matroid import corank_one_flats
 from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, t_vars
@@ -266,18 +267,19 @@ def lattice_points(x: GList, mode="interior", w=None) -> list:
 # ---------------------------------------------------------------------------
 
 def _enumerate_vertices(A, b, dim):
-    """Basic feasible solutions of A y <= b (a list of vertex tuples)."""
+    """Basic feasible solutions of A y <= b (a list of vertex tuples).
+
+    One elimination of [A_S | b_S] per row subset S gives both the rank
+    and the vertex: S defines one when its pivots are the first ``dim``
+    columns, neither too few (rank < dim) nor one in the last column
+    (inconsistent).
+    """
     verts = {}
-    idx = range(len(A))
-    for comb in itertools.combinations(idx, dim):
-        sub = [A[i] for i in comb]
-        rhs = [b[i] for i in comb]
-        sol = linalg.solve(sub, rhs)
-        if sol is None:
+    for comb in itertools.combinations(range(len(A)), dim):
+        red, pivots = linalg.rref([[*A[i], b[i]] for i in comb])
+        if len(pivots) < dim or dim in pivots:
             continue
-        if linalg.rank(sub) < dim:
-            continue
-        pt = tuple(sol)
+        pt = tuple(row[dim] for row in red)
         ok = all(sum((a * p for a, p in zip(row, pt)), _F0) <= beta
                  for row, beta in zip(A, b))
         if ok:
@@ -627,6 +629,20 @@ def short_regular(x: GList, in_cone_of=None):
         if ok and (base is None or in_cone(x, cand)):
             return tuple(cand)
     raise InternalError("no short regular vector found")
+
+
+def require_short(x: GList, w):
+    """Raise `NotShort` unless |eta.w| < 1 for every admissible normal eta.
+
+    eta.w = 0 passes here; the directional limits reject it as not affine
+    regular.
+    """
+    for eta in hyperplane_normals(x):
+        val = sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w))
+        if abs(val) >= 1:
+            raise NotShort(f"w = [{', '.join(map(str, w))}] is not short: "
+                           f"eta.w = {val} for the hyperplane normal "
+                           f"{list(eta)}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from zonotopal.brionvergne import (apply_periodic, box_deconvolution_check,
                                    box_delta_check, box_interpolant, bv_count,
                                    continuity_check, partition_of_unity,
                                    wall_jump, wall_jump_check, walls)
-from zonotopal.errors import NotUnimodular
+from zonotopal.errors import NotShort, NotUnimodular
 from zonotopal.geometry import (big_cells, in_cone, lattice_points,
                                 local_piece, short_regular, vpf_count)
 from zonotopal.periodic import (PeriodicPoly, f_tilde, pper_basis,
@@ -85,22 +85,34 @@ class TestPartitionOfUnity:
 
 class TestBoxDelta:
     def test_two_ones(self, x11):
-        res = box_delta_check(x11, [1])
+        res = box_delta_check(x11)[(1,)]
         assert res[(1,)].is_one()
         assert not res[(0,)] and not res[(2,)]
 
     def test_2d_identity_plus_diagonal(self):
         x = GList.from_rows([[1, 0, 1], [0, 1, 1]])
         w = short_regular(x)
+        table = box_delta_check(x, w)
         for z in lattice_points(x, "shifted", w=w):
-            res = box_delta_check(x, z, w)
-            for lam, val in res.items():
+            for lam, val in table[z].items():
                 expect = Cyclotomic.one() if lam == z else Cyclotomic.zero()
                 assert val == expect
 
+    def test_one_row_per_z(self):
+        x = GList.from_rows([[1, 0, 1], [0, 1, 1]])
+        w = (F(1, 2), F(-1, 3))
+        table = box_delta_check(x, w)
+        assert list(table) == lattice_points(x, "shifted", w=w)
+        support = lattice_points(x, "shifted", w=[0, 0])
+        assert all(list(row) == support for row in table.values())
+
     def test_non_unimodular_rejected(self, zp_list):
         with pytest.raises(NotUnimodular):
-            box_delta_check(zp_list, [0, 0])
+            box_delta_check(zp_list)
+
+    def test_long_w_rejected(self, x11):
+        with pytest.raises(NotShort):
+            box_delta_check(x11, [1])
 
 
 class TestBoxInterpolant:

@@ -157,6 +157,20 @@ class TestExitCodes:
         code, out = run_cli("check-deconv", "--x", "[[1,0,1],[0,1,1]]",
                             "--w", "[1,2]")
         assert (code, out) == (0, "box deconvolution: pass\n")
+        # check-delta with a w that is not short: |eta.w| >= 1
+        for x, w in (("[[1,1]]", "[1]"), ("[[1,1]]", "[-1]"),
+                     ("[[1,0,1],[0,1,1]]", "[1,-1]"),
+                     ("[[1,0,1],[0,1,1]]", '["1/2","-1/2"]')):
+            assert main(["check-delta", "--x", x, "--w", w]) == 2
+        # check-unity on a list with a coloop
+        for x in ("[[1]]", "[[1,1,0],[0,0,1]]"):
+            assert main(["check-unity", "--x", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("is not short") == 4
+        assert err.count("is a coloop") == 2
+        code, out = run_cli("check-delta", "--x", "[[1,1]]", "--w", '["1/2"]')
+        assert (code, out) == (0, "delta interpolation: pass\n")
 
     @pytest.mark.parametrize("argv", [
         ["tutte", "--x", "[[1,2],[3]]"],
