@@ -8,7 +8,7 @@ from zonotopal.brionvergne import (apply_periodic, box_deconvolution_check,
                                    box_delta_check, box_interpolant, bv_count,
                                    continuity_check, partition_of_unity,
                                    wall_jump, wall_jump_check, walls)
-from zonotopal.errors import NotShort, NotUnimodular
+from zonotopal.errors import NotUnimodular
 from zonotopal.geometry import (big_cells, in_cone, lattice_points,
                                 local_piece, short_regular, vpf_count)
 from zonotopal.periodic import (PeriodicPoly, f_tilde, pper_basis,
@@ -109,10 +109,6 @@ class TestBoxDelta:
     def test_non_unimodular_rejected(self, zp_list):
         with pytest.raises(NotUnimodular):
             box_delta_check(zp_list)
-
-    def test_long_w_rejected(self, x11):
-        with pytest.raises(NotShort):
-            box_delta_check(x11, [1])
 
 
 class TestBoxInterpolant:

@@ -4,9 +4,8 @@
 JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
 the README examples, every job printed by ``corpus --seed 1 --count 10``,
 one call of each subcommand that shares code with another, calls of the
-per-vertex (character-indexed) code, and ``check-delta`` calls that share
-the alcove polynomials of B_X across z; each runs in text and in ``--json``
-form.
+per-vertex (character-indexed) code, and ``check-delta`` on a larger list
+and with a given ``--w``; each runs in text and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
