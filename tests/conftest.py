@@ -1,7 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from zonotopal.abelian import GList
 from zonotopal.corpus import CorpusLimits, corpus
+
+# With CI set, every property test draws the same examples on every run, so
+# a workflow result does not depend on one run's random draw.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,21 +1,102 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonotopal.abelian import GList
 from zonotopal.errors import NotPointed, SamplesRequired
-from zonotopal.geometry import (big_cells, bx_by_alternating_sum,
-                                bx_value, in_cone, is_pointed, lattice_points,
-                                local_piece, polytope_volume, quasi_fit,
-                                short_regular, tx_value, vpf_count,
+from zonotopal.geometry import (_affine_dim, _enumerate_vertices, _triangulate,
+                                big_cells, bx_by_alternating_sum,
+                                bx_value, fm_feasible, in_cone, is_pointed,
+                                lattice_points, local_piece, polytope_volume,
+                                quasi_fit, short_regular, tx_value, vpf_count,
                                 zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
 from zonotopal.polyspace import d_basis
 from zonotopal import linalg
 
 F = Fraction
+
+
+def enumerate_vertices_oracle(A, b, dim):
+    """Vertices of {y : A y <= b}: one Fraction elimination of [A_S | b_S]
+    per dim-row subset S.
+
+    S defines a candidate when its pivots are the first ``dim`` columns,
+    neither too few (rank < dim) nor one in the last column (inconsistent);
+    the candidate is kept when it satisfies every row.  The reference for
+    `geometry._enumerate_vertices`.
+    """
+    verts = {}
+    for comb in itertools.combinations(range(len(A)), dim):
+        red, pivots = linalg.rref([[*A[i], b[i]] for i in comb])
+        if len(pivots) < dim or dim in pivots:
+            continue
+        pt = tuple(row[dim] for row in red)
+        ok = all(sum((a * p for a, p in zip(row, pt)), F(0)) <= beta
+                 for row, beta in zip(A, b))
+        if ok:
+            verts[pt] = True
+    return sorted(verts)
+
+
+def polytope_volume_oracle(A, b, dim):
+    """Volume of {y : A y <= b} from the oracle's vertices and the star
+    triangulation of `geometry`."""
+    if dim == 0:
+        feasible = fm_feasible([(row, beta, False)
+                                for row, beta in zip(A, b)], 0)
+        return F(int(feasible is not None))
+    verts = enumerate_vertices_oracle(A, b, dim)
+    if not verts or _affine_dim(verts) < dim:
+        return F(0)
+    total = F(0)
+    for simplex in _triangulate(verts, A, b, frozenset(), dim):
+        apex = simplex[0]
+        mat = [[p[i] - apex[i] for i in range(dim)] for p in simplex[1:]]
+        total += abs(linalg.det(mat))
+    return total / math.factorial(dim)
+
+
+_WIDTHS = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(3)]
+
+
+@st.composite
+def small_polytopes(draw):
+    """(A, b, dim): a box with rational bounds, cut by a few random rows
+    that pass near its centre.
+
+    A negative width makes the box empty and a zero width flat.  A row that
+    is the sum of two others is tight only where both are, so it makes
+    non-simple vertices.  Rational multiples of rows keep A and b rational.
+    """
+    dim = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    rhs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    slack = st.fractions(min_value=-1, max_value=3, max_denominator=4)
+    A, b, mid = [], [], []
+    for k in range(dim):
+        lo, width = draw(rhs), draw(st.sampled_from(_WIDTHS))
+        unit = [F(int(i == k)) for i in range(dim)]
+        A += [unit, [-v for v in unit]]
+        b += [lo + width, -lo]
+        mid.append(lo + width / 2)
+    for _ in range(draw(st.integers(0, 3))):
+        row = [F(draw(st.integers(-3, 3))) for _ in range(dim)]
+        A.append(row)
+        b.append(sum((a * m for a, m in zip(row, mid)), F(0)) + draw(slack))
+    for _ in range(draw(st.integers(0, 2)) if A else 0):
+        i = draw(st.integers(0, len(A) - 1))
+        j = draw(st.integers(0, len(A) - 1))
+        A.append([p + q for p, q in zip(A[i], A[j])])
+        b.append(b[i] + b[j])
+    for i in range(len(A)):
+        f = draw(st.sampled_from([F(1), F(1), F(1, 3), F(5, 2)]))
+        A[i] = [v * f for v in A[i]]
+        b[i] *= f
+    return A, b, dim
 
 
 class TestPointed:
@@ -78,6 +159,14 @@ class TestVolume:
              [F(1), F(1)]]
         b = [F(1), F(0), F(1), F(0), F(5)]
         assert polytope_volume(A, b, 2) == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_polytopes())
+    def test_vertices_and_volume_match_oracle(self, poly):
+        A, b, dim = poly
+        assert _enumerate_vertices(A, b, dim) \
+            == enumerate_vertices_oracle(A, b, dim)
+        assert polytope_volume(A, b, dim) == polytope_volume_oracle(A, b, dim)
 
 
 class TestSplineValues:
