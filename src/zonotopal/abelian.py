@@ -215,13 +215,6 @@ class FgGroup:
     def ncoords(self) -> int:
         return self.free_rank + len(self.invariants)
 
-    @property
-    def torsion_order(self) -> int:
-        n = 1
-        for k in self.invariants:
-            n *= k
-        return n
-
     def element(self, free=(), tors=()) -> "GElement":
         return GElement(self, tuple(free), tuple(tors))
 
@@ -236,7 +229,13 @@ class FgGroup:
 
     @staticmethod
     def parse(s: str) -> "FgGroup":
-        """Parse "Z^d" / "Z^d + Z/k1 + Z/k2" (whitespace optional)."""
+        """Parse "Z^d" / "Z^d + Z/k1 + Z/k2" (whitespace optional).
+
+        The cyclic parts may come in any order and need not divide each
+        other: they are brought to invariant-factor form by Smith normal
+        form, so "Z/2 + Z/3" is Z/6 and "Z/4 + Z/6" is Z/2 + Z/12.  Element
+        residues are given in that form.
+        """
         s = s.replace(" ", "")
         free = 0
         invariants = []
@@ -252,7 +251,12 @@ class FgGroup:
                 invariants.append(int(m.group(1)))
                 continue
             raise ValueError(f"cannot parse group component {part!r}")
-        return FgGroup(free, tuple(sorted(invariants)))
+        if any(k < 2 for k in invariants):
+            raise ValueError(f"cyclic orders must be >= 2, got "
+                             f"{tuple(invariants)}")
+        diag = [[k if i == j else 0 for j in range(len(invariants))]
+                for i, k in enumerate(invariants)]
+        return FgGroup(free, tuple(k for k in snf_diagonal(diag) if k > 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,6 +317,17 @@ class GList:
                 raise ValueError(f"{e} is an element of "
                                  f"{e.group.spec_string()}, not of "
                                  f"{group.spec_string()}")
+        self._memo = {}
+
+    def memo(self, key: str, build):
+        """build(self), computed on the first call for ``key`` and kept for
+        the list's lifetime.  The list does not change after __init__, so a
+        kept value stays valid; a build that raises keeps nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
 
     # -- constructors ------------------------------------------------------
 
@@ -362,11 +377,6 @@ class GList:
     def free_columns(self):
         """Free parts as integer tuples, in list order."""
         return [e.free for e in self.elems]
-
-    def free_matrix(self):
-        """d x N integer matrix of free parts (rows = coordinates)."""
-        return [[e.free[i] for e in self.elems]
-                for i in range(self.group.free_rank)]
 
     def torsion_indices(self):
         return [i for i, e in enumerate(self.elems) if e.is_torsion()]

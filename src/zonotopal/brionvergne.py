@@ -17,7 +17,7 @@ from . import linalg
 from .abelian import GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
-from .geometry import (Cell, _interpolate, big_cells, bx_value,
+from .geometry import (Cell, _interpolate, big_cells, bx_value, fiber,
                        hyperplane_normals, in_cone, lattice_points,
                        local_piece, pointed_certificate, require_pointed,
                        require_short, short_regular, zonotope_hrep)
@@ -173,7 +173,10 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     for eta in normals:
         val = sum(Fraction(e) * c for e, c in zip(eta, p0))
         frac = val - math.floor(val)
-        assert frac != 0
+        if frac == 0:
+            raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
+                                f"lies on the affine hyperplane eta.y = {val} "
+                                f"of the normal {list(eta)}")
         room = min(frac, 1 - frac) / sum(abs(e) for e in eta)
         delta = room if delta is None else min(delta, room)
     delta = delta / (deg + 2)
@@ -212,6 +215,7 @@ def box_delta_check(x: GList, w=None) -> dict:
     else:
         require_short(x, w)
     support = lattice_points(x, "shifted", w=[_F0] * x.group.free_rank)
+    fiber(x)    # built here, worker processes receive it with x
     polys = _pmap(partial(_alcove_polynomial, x, w=w), support)
     out = {}
     for z in lattice_points(x, "shifted", w=w):

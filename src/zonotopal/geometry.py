@@ -1,7 +1,8 @@
 """Zonotopes, chambers, exact fiber-polytope volumes, and counting.
 
-Everything is rational: volumes come from exact vertex enumeration plus a
-recursive star triangulation; lattice points from bounding-box filters;
+Everything is rational: volumes come from an integer vertex enumeration
+plus a recursive star triangulation, spline values from the per-list
+`Fiber`; lattice points from bounding-box filters;
 local pieces and quasipolynomials from exact interpolation at deterministic
 sample points.
 """
@@ -17,7 +18,7 @@ from . import linalg
 from .abelian import GList
 from .errors import (DegenerateSample, InsufficientPoints, InternalError,
                      InterpolationSingular, NotPointed, NotShort,
-                     SamplesRequired)
+                     SamplesRequired, TorsionUnsupported)
 from .matroid import corank_one_flats
 from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, t_vars
@@ -188,15 +189,19 @@ class Hyperplane:
     mult: int              # m(H) = |X \ H|
 
 
-def hyperplanes(x: GList) -> list:
+def hyperplanes(x: GList) -> tuple:
     """The admissible hyperplanes, one per normal, sorted by normal.
 
     For d = 1 the single "hyperplane" {0} has normal (1,).  A list that
-    does not span has none.
+    does not span has none.  Built once per list and kept on it.
     """
+    return x.memo("hyperplanes", _hyperplanes)
+
+
+def _hyperplanes(x: GList) -> tuple:
     d = x.group.free_rank
     if d == 0:
-        return []
+        return ()
     if d == 1:
         normals = [(1,)]
     else:
@@ -207,8 +212,9 @@ def hyperplanes(x: GList) -> list:
             null = linalg.nullspace(cols, ncols=d)
             if len(null) == 1:
                 normals.add(linalg.primitive(null[0]))
-    return [Hyperplane(eta, sum(1 for e in x.elems if _dot_int(eta, e.free)))
-            for eta in sorted(normals)]
+    return tuple(Hyperplane(eta, sum(1 for e in x.elems
+                                     if _dot_int(eta, e.free)))
+                 for eta in sorted(normals))
 
 
 def hyperplane_normals(x: GList) -> list:
@@ -266,24 +272,76 @@ def lattice_points(x: GList, mode="interior", w=None) -> list:
 # exact polytope volume
 # ---------------------------------------------------------------------------
 
-def _enumerate_vertices(A, b, dim):
-    """Basic feasible solutions of A y <= b (a list of vertex tuples).
+def _integer_rows(A, b):
+    """[A | b] with each row scaled by the positive integer that clears the
+    denominators of its A part."""
+    out_a, out_b = [], []
+    for row, beta in zip(A, b):
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        out_a.append([int(v * den) for v in row])
+        out_b.append(beta * den)
+    return out_a, out_b
 
-    One elimination of [A_S | b_S] per row subset S gives both the rank
-    and the vertex: S defines one when its pivots are the first ``dim``
-    columns, neither too few (rank < dim) nor one in the last column
-    (inconsistent).
+
+def _adjugate(m):
+    """(adj, det) of a square integer matrix with adj m = det I and det > 0
+    (the sign of det moved into adj), or None when m is singular.
+
+    Fraction-free Gauss-Jordan on [m | I]: every division is exact, and the
+    last pivot is +-det(m) with the right block its adjugate times the sign.
     """
-    verts = {}
-    for comb in itertools.combinations(range(len(A)), dim):
-        red, pivots = linalg.rref([[*A[i], b[i]] for i in comb])
-        if len(pivots) < dim or dim in pivots:
-            continue
-        pt = tuple(row[dim] for row in red)
-        ok = all(sum((a * p for a, p in zip(row, pt)), _F0) <= beta
-                 for row, beta in zip(A, b))
-        if ok:
-            verts[pt] = True
+    n = len(m)
+    rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        p = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * c) // prev
+                           for a, c in zip(rows[i], rows[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * v for v in r[n:]] for r in rows], sign * prev
+
+
+def _subset_adjugates(A, dim) -> tuple:
+    """(S, adj A_S, |det A_S|) for every nonsingular dim-row subset S of the
+    integer matrix A, as `_adjugate` gives them."""
+    out = []
+    for rows in itertools.combinations(range(len(A)), dim):
+        inv = _adjugate([A[i] for i in rows])
+        if inv is not None:
+            out.append((rows, *inv))
+    return tuple(out)
+
+
+def _enumerate_vertices(A, b, dim, subsets=None):
+    """Vertices of {y : A y <= b} (a sorted list of tuples).
+
+    ``subsets`` is `_subset_adjugates(A, dim)` for an integer A, passed by a
+    caller that keeps A and varies b; without it each row of [A | b] is
+    first scaled so that A is integer.  With b = c / D for integers c and
+    D > 0, each nonsingular subset S gives the candidate vertex
+    y = adj c_S / (det D), and y satisfies every row iff A adj c_S <= det c
+    holds in integers.
+    """
+    if subsets is None:
+        A, b = _integer_rows(A, b)
+        subsets = _subset_adjugates(A, dim)
+    den = math.lcm(*(Fraction(beta).denominator for beta in b))
+    c = [int(beta * den) for beta in b]
+    verts = set()
+    for rows, adj, det in subsets:
+        c_s = [c[i] for i in rows]
+        v = [sum(a * ci for a, ci in zip(arow, c_s)) for arow in adj]
+        if all(sum(a * vk for a, vk in zip(row, v)) <= det * ci
+               for row, ci in zip(A, c)):
+            verts.add(tuple(Fraction(vk, det * den) for vk in v))
     return sorted(verts)
 
 
@@ -327,13 +385,12 @@ def _triangulate(points, A, b, tight_rows, dim):
             yield (apex,) + simplex
 
 
-def polytope_volume(A, b, dim) -> Fraction:
-    """Exact volume of {y : A y <= b} in R^dim (0 if lower-dimensional)."""
-    if dim == 0:
-        return _F1 if fm_feasible(
-            [(row, beta, False) for row, beta in zip(A, b)], 0) is not None \
-            else _F0
-    verts = _enumerate_vertices(A, b, dim)
+def polytope_volume(A, b, dim, subsets=None) -> Fraction:
+    """Exact volume of {y : A y <= b} in R^dim (0 if lower-dimensional).
+
+    A and b may be rational; ``subsets`` is as for `_enumerate_vertices`.
+    """
+    verts = _enumerate_vertices(A, b, dim, subsets)
     if not verts or _affine_dim(verts) < dim:
         return _F0
     fact = math.factorial(dim)
@@ -349,68 +406,87 @@ def polytope_volume(A, b, dim) -> Fraction:
 # splines: T_X and B_X values
 # ---------------------------------------------------------------------------
 
-def _fiber_data(x: GList, u):
-    """Kernel basis K, particular solution w0, and the volume scale factor.
+@dataclass(frozen=True)
+class Fiber:
+    """The fiber polytope of X over u, {w >= 0 : X w = u}, and its box
+    truncation {0 <= w <= 1 : X w = u}, as polytopes Q(u) in the
+    coordinates t of w = w0(u) + K^T t.
 
-    The fiber of X over u is {K t + w0 : K t + w0 >= 0}; the (N-d)-volume of
-    its image divided by sqrt(det X X^T) equals vol(Q) * |scale| with
-    scale = det(K^T K) / det[K | X^T], rational by the compatibility identity.
+    The rows of K are a kernel basis of X scaled to primitive integer rows,
+    so the facet matrices -K^T (for T_X) and [-K^T; K^T] (for B_X) are
+    integer, and only the right-hand sides w0 and 1 - w0 depend on u.  The
+    adjugate and |det| of every nonsingular m-row subset of each facet
+    matrix are kept, m = N - d, so a vertex of Q(u) costs integer products.
+
+    T_X(u) is the (N-d)-volume of the fiber divided by sqrt(det X X^T), and
+    t -> K^T t scales volume by sqrt(det K K^T).  The rows of K and of X are
+    orthogonal, so det[K^T | X^T]^2 = det(K K^T) det(X X^T) and
+    T_X(u) = vol(Q(u)) * scale with the rational
+    scale = det(K K^T) / |det[K^T | X^T]|.  This holds for any kernel basis,
+    the integer one included: scaling a row of K by c != 0 scales
+    vol(Q(u)) by 1/|c| and scale by |c|.  B_X takes the same scale.
     """
+
+    dim: int             # m = N - d
+    basis: tuple         # pivot columns of X, a basis
+    basis_adj: tuple     # (adj, det) of X restricted to ``basis``
+    scale: Fraction
+    t_facets: tuple
+    t_subsets: tuple
+    b_facets: tuple
+    b_subsets: tuple
+
+    def particular(self, u) -> list:
+        """w0 with X w0 = u, zero off the basis columns."""
+        adj, det = self.basis_adj
+        w0 = [_F0] * len(self.t_facets)
+        for col, arow in zip(self.basis, adj):
+            w0[col] = sum(a * Fraction(v) for a, v in zip(arow, u)) / det
+        return w0
+
+
+def fiber(x: GList) -> Fiber:
+    """The `Fiber` of a pointed, torsion-free, full-rank list, built once per
+    list and kept on it."""
+    return x.memo("fiber", _fiber)
+
+
+def _fiber(x: GList) -> Fiber:
+    require_pointed(x)
     if x.group.invariants:
-        raise ValueError("spline values require a torsion-free group")
+        raise TorsionUnsupported("spline values require a torsion-free group")
     x.require_full_rank()
     d, n = x.group.free_rank, len(x)
-    cols = [[Fraction(v) for v in e.free] for e in x.elems]
-    xmat = [[cols[j][i] for j in range(n)] for i in range(d)]
-    w0 = linalg.solve(xmat, [Fraction(v) for v in u])
-    if w0 is None:
-        return None
-    kern = linalg.nullspace(xmat, ncols=n)   # rows: kernel basis vectors
+    xmat = [[Fraction(e.free[i]) for e in x.elems] for i in range(d)]
+    pivots = linalg.rref(xmat)[1]
+    basis_adj = _adjugate([[x.elems[j].free[i] for j in pivots]
+                           for i in range(d)])
+    kern = [linalg.primitive(v) for v in linalg.nullspace(xmat, ncols=n)]
     m = len(kern)                            # = n - d
-    if m == 0:
-        # zero-dimensional fiber: the density is 1/|det X|
-        return [], w0, 1 / abs(linalg.det(xmat))
-    ktk = [[sum(kern[i][k] * kern[j][k] for k in range(n))
-            for j in range(m)] for i in range(m)]
-    big = [[kern[i][k] for i in range(m)] + [cols[k][i] for i in range(d)]
-           for k in range(n)]
+    ktk = [[Fraction(_dot_int(a, b)) for b in kern] for a in kern]
+    big = [[Fraction(v) for v in (*(k[j] for k in kern), *x.elems[j].free)]
+           for j in range(n)]
     scale = linalg.det(ktk) / abs(linalg.det(big))
-    return kern, w0, scale
+    t_facets = tuple(tuple(-k[j] for k in kern) for j in range(n))
+    b_facets = t_facets + tuple(tuple(-v for v in row) for row in t_facets)
+    return Fiber(m, tuple(pivots), basis_adj, scale,
+                 t_facets, _subset_adjugates(t_facets, m),
+                 b_facets, _subset_adjugates(b_facets, m))
 
 
 def tx_value(x: GList, u) -> Fraction:
     """Exact multivariate spline value: normalized fiber volume over u."""
-    require_pointed(x)
-    data = _fiber_data(x, u)
-    if data is None:
-        return _F0
-    kern, w0, scale = data
-    n = len(x)
-    m = len(kern)
-    if m == 0:
-        # N = d: T is 1/|det| times the indicator of cone(X)
-        return scale if all(v >= 0 for v in w0) else _F0
-    # fiber polytope {t : -K t <= w0}
-    A = [[-kern[i][k] for i in range(m)] for k in range(n)]
-    b = list(w0)
-    return polytope_volume(A, b, m) * scale
+    fib = fiber(x)
+    return polytope_volume(fib.t_facets, fib.particular(u), fib.dim,
+                           fib.t_subsets) * fib.scale
 
 
 def bx_value(x: GList, u) -> Fraction:
     """Exact box spline value: volume of the box-truncated fiber."""
-    require_pointed(x)
-    data = _fiber_data(x, u)
-    if data is None:
-        return _F0
-    kern, w0, scale = data
-    n = len(x)
-    m = len(kern)
-    if m == 0:
-        return scale if all(0 <= v <= 1 for v in w0) else _F0
-    A = [[-kern[i][k] for i in range(m)] for k in range(n)] \
-        + [[kern[i][k] for i in range(m)] for k in range(n)]
-    b = list(w0) + [1 - v for v in w0]
-    return polytope_volume(A, b, m) * scale
+    fib = fiber(x)
+    w0 = fib.particular(u)
+    return polytope_volume(fib.b_facets, w0 + [1 - v for v in w0], fib.dim,
+                           fib.b_subsets) * fib.scale
 
 
 def limit_value(x: GList, point, w, spline=None) -> Fraction:
@@ -437,7 +513,11 @@ def limit_value(x: GList, point, w, spline=None) -> Fraction:
         else:
             k = math.ceil(c) - 1
         t = (k - c) / s
-        assert t > 0
+        if t <= 0:
+            raise InternalError(f"step {t} to the hyperplane eta.y = {k} of "
+                                f"the normal {list(eta)} from "
+                                f"[{', '.join(map(str, pt))}] towards "
+                                f"[{', '.join(map(str, wq))}] is not positive")
         t_min = t if t_min is None else min(t_min, t)
     delta = t_min / 2
     nodes = [delta * Fraction(k + 1, deg + 2) for k in range(deg + 1)]
@@ -545,7 +625,11 @@ def big_cells(x: GList, samples=None) -> list:
     cells = []
     for r1, r2 in zip(rays, rays[1:]):
         mid = tuple(Fraction(a + b) for a, b in zip(r1, r2))
-        assert strongly_regular(x, mid)
+        if not strongly_regular(x, mid):
+            raise InternalError(f"the sum [{', '.join(map(str, mid))}] of "
+                                f"the adjacent rays {list(r1)} and "
+                                f"{list(r2)} lies on an admissible "
+                                f"hyperplane")
         # interior of cone(r1, r2): eta1 . y > 0 and eta2 . y > 0
         eta1 = (Fraction(-r1[1]), Fraction(r1[0]))
         if sum(a * b for a, b in zip(eta1, r2)) < 0:

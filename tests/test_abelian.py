@@ -244,6 +244,15 @@ class TestGroupParsing:
         with pytest.raises(ValueError):
             FgGroup(1, (0,))
 
+    def test_parse_normalizes_by_snf(self):
+        assert FgGroup.parse("Z/2 + Z/3") == FgGroup(0, (6,))
+        assert FgGroup.parse("Z + Z/3 + Z/2") == FgGroup(1, (6,))
+        assert FgGroup.parse("Z/4 + Z/6") == FgGroup(0, (2, 12))
+        assert FgGroup.parse("Z/4 + Z/2") == FgGroup(0, (2, 4))
+        for spec in ("Z + Z/0", "Z/1"):
+            with pytest.raises(ValueError):
+                FgGroup.parse(spec)
+
     def test_mismatched_elements_raise_value_error(self):
         # ValueError, not assert, so the checks also hold under python -O
         g = FgGroup(2, (2,))

@@ -110,6 +110,26 @@ class TestBoxDelta:
         with pytest.raises(NotUnimodular):
             box_delta_check(zp_list)
 
+    def test_per_list_objects_built_once(self, monkeypatch):
+        from zonotopal import geometry
+        builds = []
+
+        def counted(name):
+            build = getattr(geometry, name)
+
+            def wrapper(x):
+                builds.append(name)
+                return build(x)
+            return wrapper
+
+        for name in ("_hyperplanes", "_fiber"):
+            monkeypatch.setattr(geometry, name, counted(name))
+        monkeypatch.setenv("ZONOTOPAL_THREADS", "1")
+        x = GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]])
+        table = box_delta_check(x)
+        assert len(table) == 5
+        assert sorted(builds) == ["_fiber", "_hyperplanes"]
+
 
 class TestBoxInterpolant:
     def test_delta_data(self, x11):

@@ -60,6 +60,13 @@ class TestCommands:
             status = payload.get("status")
             assert status == "pass"
 
+    def test_group_spellings_agree(self):
+        # Z/2 + Z/3 is Z/6, so each spelling takes one residue row
+        x = "[[1,0,1],[1,2,5]]"
+        outs = {run_cli("arith-tutte", "--x", x, "--group", g)
+                for g in ("Z + Z/2 + Z/3", "Z + Z/3 + Z/2", "Z + Z/6")}
+        assert outs == {(0, "2ab + 2b^2 + 4a + 4\n")}
+
     def test_check_delta(self):
         code, out = run_cli("check-delta", "--x", "[[1,1]]", "--json")
         assert code == 0
@@ -165,10 +172,16 @@ class TestExitCodes:
         # check-unity on a list with a coloop
         for x in ("[[1]]", "[[1,1,0],[0,0,1]]"):
             assert main(["check-unity", "--x", x]) == 2
+        # spline values on a list over a group with torsion
+        tors = ["--x", "[[1,1],[0,1]]", "--group", "Z+Z/2"]
+        for argv in (["box", *tors, "--u", "[1]"],
+                     ["volume", *tors, "--u", "[1]"], ["check-unity", *tors]):
+            assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("is not short") == 4
         assert err.count("is a coloop") == 2
+        assert err.count("require a torsion-free group") == 3
         code, out = run_cli("check-delta", "--x", "[[1,1]]", "--w", '["1/2"]')
         assert (code, out) == (0, "delta interpolation: pass\n")
 

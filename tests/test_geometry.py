@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from zonotopal.abelian import GList
 from zonotopal.errors import NotPointed, SamplesRequired
-from zonotopal.geometry import (_affine_dim, _enumerate_vertices, _triangulate,
-                                big_cells, bx_by_alternating_sum,
+from zonotopal.geometry import (_adjugate, _affine_dim, _enumerate_vertices,
+                                _triangulate, big_cells, bx_by_alternating_sum,
                                 bx_value, fm_feasible, in_cone, is_pointed,
                                 lattice_points, local_piece, polytope_volume,
                                 quasi_fit, short_regular, tx_value, vpf_count,
@@ -159,6 +159,23 @@ class TestVolume:
              [F(1), F(1)]]
         b = [F(1), F(0), F(1), F(0), F(5)]
         assert polytope_volume(A, b, 2) == 1
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_adjugate(self, m):
+        n = len(m)
+        det = linalg.det([[F(v) for v in row] for row in m])
+        got = _adjugate(m)
+        if not det:
+            assert got is None
+            return
+        adj, d = got
+        assert d == abs(det)
+        assert [[sum(adj[i][k] * m[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] \
+            == [[d * int(i == j) for j in range(n)] for i in range(n)]
 
     @settings(max_examples=120, deadline=None)
     @given(small_polytopes())
