@@ -1,8 +1,8 @@
 """Operator application and the headline counting identities.
 
-Directional limits are implemented by interpolating a fresh alcove-local
-polynomial from exact spline values next to the evaluation point; counts are
-asserted to be rational integers after cyclotomic cancellation.
+Directional limits apply the operator to the exact polynomial of the spline
+on the alcove next to the evaluation point; counts are asserted to be
+rational integers after cyclotomic cancellation.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from . import linalg
 from .abelian import GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
-from .geometry import (Cell, _interpolate, big_cells, bx_value, fiber,
-                       hyperplane_normals, in_cone, lattice_points,
-                       local_piece, pointed_certificate, require_pointed,
-                       require_short, short_regular, zonotope_hrep)
+from .geometry import (Cell, big_cells, bx_value, fiber, hyperplane_normals,
+                       in_cone, lattice_points, local_piece, piece_at,
+                       pointed_certificate, require_pointed, require_short,
+                       require_value, short_regular, tx_value, zonotope_hrep)
 from .matroid import is_coloop, is_unimodular
 from .periodic import PeriodicPoly, f_tilde, periodic_todd
-from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, ZLaurent, s_vars, t_vars
 from .toric import evaluate, evaluate_point, vertices
 
@@ -139,13 +138,12 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
             raise HasColoop(f"x_{i} = {list(x.elems[i].free)} is a coloop; "
                             f"the partition of unity needs a coloop-free "
                             f"list")
-    total = None
-    for z in lattice_points(x, "interior"):
-        b = bx_value(x, z)
-        term = f_tilde(x, x.group.element(z)).scale(b)
-        total = term if total is None else total + term
-    if total is None:
-        return PeriodicPoly(s_vars(x.group.free_rank), [])
+    points = lattice_points(x, "interior")
+    values = [bx_value(x, z) for z in points]
+    total = PeriodicPoly(s_vars(x.group.free_rank), [])
+    for b, fz in zip(values, f_tilde(x, tuple(x.group.element(z)
+                                                for z in points))):
+        total = total + fz.scale(b)
     return total
 
 
@@ -154,9 +152,8 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
 # ---------------------------------------------------------------------------
 
 def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
-    """Polynomial agreeing with the spline on the alcove towards w."""
-    d = x.group.free_rank
-    deg = len(x) - d
+    """Polynomial agreeing with the spline (B_X, or T_X for `tx_value`) on
+    the alcove towards w, checked against the spline at one point of it."""
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
     bound = max(abs(sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)))
@@ -168,23 +165,15 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
                                f"to the hyperplane normal {list(eta)}")
     p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
                for v, c in zip(point, w))
-    # exact interior slack of the alcove at p0
-    delta = None
     for eta in normals:
         val = sum(Fraction(e) * c for e, c in zip(eta, p0))
-        frac = val - math.floor(val)
-        if frac == 0:
+        if val.denominator == 1:
             raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
                                 f"lies on the affine hyperplane eta.y = {val} "
                                 f"of the normal {list(eta)}")
-        room = min(frac, 1 - frac) / sum(abs(e) for e in eta)
-        delta = room if delta is None else min(delta, room)
-    delta = delta / (deg + 2)
-    # principal-lattice nodes: p0 + delta * (i1..id), sum i <= deg
-    nodes = [tuple(p + delta * k for p, k in zip(p0, e))
-             for j in range(deg + 1) for e in _monomials(t_vars(d), j)]
-    return _interpolate(nodes, [spline(x, nd) for nd in nodes], deg,
-                        t_vars(d))
+    poly = piece_at(x, p0, box=spline is not tx_value)
+    require_value(poly, p0, spline(x, p0))
+    return poly
 
 
 def box_limit_value(x: GList, op: PeriodicPoly, point, w,
@@ -217,12 +206,11 @@ def box_delta_check(x: GList, w=None) -> dict:
     support = lattice_points(x, "shifted", w=[_F0] * x.group.free_rank)
     fiber(x)    # built here, worker processes receive it with x
     polys = _pmap(partial(_alcove_polynomial, x, w=w), support)
-    out = {}
-    for z in lattice_points(x, "shifted", w=w):
-        fz = f_tilde(x, x.group.element(z))
-        out[z] = {lam: apply_periodic(fz, poly, lam)
-                  for lam, poly in zip(support, polys)}
-    return out
+    zs = lattice_points(x, "shifted", w=w)
+    fzs = f_tilde(x, tuple(x.group.element(z) for z in zs))
+    return {z: {lam: apply_periodic(fz, poly, lam)
+                for lam, poly in zip(support, polys)}
+            for z, fz in zip(zs, fzs)}
 
 
 def thread_count() -> int:
@@ -248,15 +236,16 @@ def box_interpolant(x: GList, values: dict) -> MPoly:
     on the interior zonotope lattice points: sum values(z) * f_z."""
     if not is_unimodular(x):
         raise NotUnimodular("interpolation needs a unimodular list")
+    coeffs = {z: Fraction(values.get(tuple(z), 0))
+              for z in lattice_points(x, "interior")}
+    zs = [z for z, c in coeffs.items() if c]
     combo = MPoly(s_vars(x.group.free_rank))
-    for z in lattice_points(x, "interior"):
-        c = Fraction(values.get(tuple(z), 0))
-        if not c:
-            continue
-        fz = f_tilde(x, x.group.element(z))
-        assert len(fz.terms) <= 1
+    for z, fz in zip(zs, f_tilde(x, tuple(x.group.element(z) for z in zs))):
+        if len(fz.terms) > 1:
+            raise InternalError(f"f_z at z = {list(z)} of a unimodular list "
+                                f"has {len(fz.terms)} vertex components")
         if fz.terms:
-            combo = combo + fz.terms[0][1] * c
+            combo = combo + fz.terms[0][1] * coeffs[z]
     return combo
 
 

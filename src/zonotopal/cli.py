@@ -7,6 +7,7 @@ unpointed list, ...), 3 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -365,7 +366,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it."""
     parser = _Parser(prog="zonotopal",
                      description="exact zonotopal algebra calculator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -69,7 +69,3 @@ class InternalError(Exception):
 
 class NonIntegerResult(InternalError):
     pass
-
-
-class InterpolationSingular(InternalError):
-    pass

@@ -2,9 +2,10 @@
 
 Everything is rational: volumes come from an integer vertex enumeration
 plus a recursive star triangulation, spline values from the per-list
-`Fiber`; lattice points from bounding-box filters;
-local pieces and quasipolynomials from exact interpolation at deterministic
-sample points.
+`Fiber`; lattice points from bounding-box filters.  The polynomial piece of
+T_X on a chamber, or of B_X on an alcove, comes from one triangulation of
+the fiber at a sample point, whose vertices are affine in u; quasipolynomials
+are fitted to exact counts.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from fractions import Fraction
 from . import linalg
 from .abelian import GList
 from .errors import (DegenerateSample, InsufficientPoints, InternalError,
-                     InterpolationSingular, NotPointed, NotShort,
-                     SamplesRequired, TorsionUnsupported)
+                     NotPointed, NotShort, SamplesRequired,
+                     TorsionUnsupported)
 from .matroid import corank_one_flats
-from .polyspace import _monomials
 from .scalar import Cyclotomic, MPoly, t_vars
 
 _F0 = Fraction(0)
@@ -320,8 +320,10 @@ def _subset_adjugates(A, dim) -> tuple:
     return tuple(out)
 
 
-def _enumerate_vertices(A, b, dim, subsets=None):
-    """Vertices of {y : A y <= b} (a sorted list of tuples).
+def _enumerate_vertices(A, b, dim, subsets=None) -> dict:
+    """The vertices of {y : A y <= b} (tuples), each mapped to one row
+    subset that defines it, as (S, adj A_S, |det A_S|): the first in
+    ``subsets``.
 
     ``subsets`` is `_subset_adjugates(A, dim)` for an integer A, passed by a
     caller that keeps A and varies b; without it each row of [A | b] is
@@ -335,14 +337,15 @@ def _enumerate_vertices(A, b, dim, subsets=None):
         subsets = _subset_adjugates(A, dim)
     den = math.lcm(*(Fraction(beta).denominator for beta in b))
     c = [int(beta * den) for beta in b]
-    verts = set()
+    verts = {}
     for rows, adj, det in subsets:
         c_s = [c[i] for i in rows]
         v = [sum(a * ci for a, ci in zip(arow, c_s)) for arow in adj]
         if all(sum(a * vk for a, vk in zip(row, v)) <= det * ci
                for row, ci in zip(A, c)):
-            verts.add(tuple(Fraction(vk, det * den) for vk in v))
-    return sorted(verts)
+            verts.setdefault(tuple(Fraction(vk, det * den) for vk in v),
+                             (rows, adj, det))
+    return verts
 
 
 def _affine_dim(points) -> int:
@@ -390,7 +393,7 @@ def polytope_volume(A, b, dim, subsets=None) -> Fraction:
 
     A and b may be rational; ``subsets`` is as for `_enumerate_vertices`.
     """
-    verts = _enumerate_vertices(A, b, dim, subsets)
+    verts = sorted(_enumerate_vertices(A, b, dim, subsets))
     if not verts or _affine_dim(verts) < dim:
         return _F0
     fact = math.factorial(dim)
@@ -443,6 +446,17 @@ class Fiber:
         for col, arow in zip(self.basis, adj):
             w0[col] = sum(a * Fraction(v) for a, v in zip(arow, u)) / det
         return w0
+
+    def rhs_forms(self, box=False) -> list:
+        """The right-hand sides of the facet rows as affine forms
+        (c, l_1, ..., l_d), meaning c + l.u: w0(u), then 1 - w0(u) for B_X."""
+        adj, det = self.basis_adj
+        w0 = [(_F0,) * (len(adj) + 1)] * len(self.t_facets)
+        for col, arow in zip(self.basis, adj):
+            w0[col] = (_F0, *(Fraction(a, det) for a in arow))
+        if not box:
+            return w0
+        return w0 + [(_F1, *(-v for v in form[1:])) for form in w0]
 
 
 def fiber(x: GList) -> Fiber:
@@ -730,80 +744,100 @@ def require_short(x: GList, w):
 
 
 # ---------------------------------------------------------------------------
-# local pieces and quasipolynomial fitting
+# exact local pieces and quasipolynomial fitting
 # ---------------------------------------------------------------------------
 
-def _cell_sample_points(cell: Cell, d: int, count: int, salt: int = 0):
-    """Deterministic rational points strictly inside the cell."""
-    if d == 1:
-        s = cell.sample
-        return [tuple(v * Fraction(k + 1 + salt, 3) for v in s)
-                for k in range(count)]
-    if cell.rays:
-        r1, r2 = cell.rays[0], cell.rays[1]
-        pts = []
-        k = 0
-        for i in itertools.count(1):
-            for j in range(1, i + 1):
-                a, b = Fraction(i + salt), Fraction(j) / (j + 1)
-                pt = tuple(a * Fraction(u) + (a * b) * Fraction(v)
-                           for u, v in zip(r1, r2))
-                pts.append(pt)
-                k += 1
-                if k == count:
-                    return pts
-    # fallback: scalings of the sample plus small perturbations
-    s = cell.sample
-    pts = []
-    for k in range(count):
-        f = Fraction(k + 1 + salt)
-        pts.append(tuple(v * f + v * Fraction(k, 97) for v in s))
-    return pts
+def piece_at(x: GList, u0, box=False) -> MPoly:
+    """The polynomial equal to T_X (B_X with ``box``) on the open region
+    that contains u0: its chamber for T_X, its alcove for B_X.
+
+    u0 must lie off every admissible hyperplane, and for B_X off every
+    affine one {eta.y = k}, k an integer.  Then the face lattice of
+    Q(u) = {t : A t <= b(u)} is the same for every u in the region, and b(u)
+    is affine in u (see `Fiber.rhs_forms`).  So the vertices and the
+    triangulation found at u0 serve the whole region: the vertex defined by
+    the rows S is u -> adj_S b_S(u) / det_S, and each simplex contributes
+    det[v_i(u) - v_0(u)] / m!, a degree-m polynomial with the sign it has
+    at u0.
+    """
+    fib = fiber(x)
+    d, m = x.group.free_rank, fib.dim
+    if box:
+        facets, subsets = fib.b_facets, fib.b_subsets
+    else:
+        facets, subsets = fib.t_facets, fib.t_subsets
+    forms = fib.rhs_forms(box)
+    pt = [Fraction(v) for v in u0]
+    b0 = [f[0] + sum(l * v for l, v in zip(f[1:], pt)) for f in forms]
+    verts = _enumerate_vertices(facets, b0, m, subsets)
+    maps = {}
+    for vert, (rows, adj, det) in verts.items():
+        maps[vert] = [tuple(sum(a * forms[i][k] for a, i in zip(arow, rows))
+                            / det for k in range(d + 1)) for arow in adj]
+    total = {}
+    points = sorted(verts)
+    if points and _affine_dim(points) == m:
+        for simplex in _triangulate(points, facets, b0, frozenset(), m):
+            apex = simplex[0]
+            at_u0 = linalg.det([[p[i] - apex[i] for i in range(m)]
+                                for p in simplex[1:]])
+            if not at_u0:
+                raise InternalError(f"a simplex of the fiber over "
+                                    f"[{', '.join(map(str, pt))}] is flat")
+            base = maps[apex]
+            rows = [[tuple(a - b for a, b in zip(fa, fb))
+                     for fa, fb in zip(maps[p], base)] for p in simplex[1:]]
+            sign = 1 if at_u0 > 0 else -1
+            for e, c in _form_det(rows, d).items():
+                total[e] = total.get(e, _F0) + sign * c
+    factor = fib.scale / math.factorial(m)
+    return MPoly(t_vars(d), {e: c * factor for e, c in total.items()})
 
 
-def _interpolate(points, values, degree, vars):
-    """The unique polynomial of total degree <= degree through the data."""
-    all_monos = []
-    for k in range(degree + 1):
-        all_monos.extend(_monomials(vars, k))
-    mat = []
-    for p in points:
-        row = []
-        for e in all_monos:
-            v = _F1
-            for c, k in zip(p, e):
-                v *= Fraction(c) ** k
-            row.append(v)
-        mat.append(row)
-    sol = linalg.solve(mat, [Fraction(v) for v in values])
-    if sol is None or len(points) < len(all_monos):
-        raise InterpolationSingular("interpolation system not solvable")
-    # uniqueness check: matrix must have full column rank
-    if linalg.rank(mat) < len(all_monos):
-        raise InterpolationSingular("interpolation nodes are degenerate")
-    return MPoly(vars, dict(zip(all_monos, sol)))
+def _form_det(rows, d) -> dict:
+    """The determinant of a square matrix of affine forms (c, l_1..l_d), as
+    a polynomial {exponent: coefficient} in d variables; Laplace expansion
+    along the rows, each minor computed once."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    minors = {(): {(0,) * d: _F1}}
+
+    def minor(cols):
+        if cols in minors:
+            return minors[cols]
+        form_row = rows[len(rows) - len(cols)]
+        acc = {}
+        for j, col in enumerate(cols):
+            form = form_row[col]
+            if not any(form):
+                continue
+            sub = minor(cols[:j] + cols[j + 1:])
+            sign = -1 if j % 2 else 1
+            for e, c in sub.items():
+                for k, coef in enumerate(form):
+                    if coef:
+                        ek = e if k == 0 else \
+                            tuple(a + b for a, b in zip(e, units[k - 1]))
+                        acc[ek] = acc.get(ek, _F0) + sign * c * coef
+        minors[cols] = acc
+        return acc
+
+    return minor(tuple(range(len(rows))))
+
+
+def require_value(piece: MPoly, u, value):
+    """Raise `InternalError` unless the piece takes ``value`` at u."""
+    got = piece.evaluate([Fraction(v) for v in u]).to_rational()
+    if got != value:
+        raise InternalError(f"the piece {piece} takes {got} at "
+                            f"[{', '.join(map(str, u))}], the spline {value}")
 
 
 def local_piece(x: GList, cell: Cell) -> MPoly:
-    """Homogeneous degree-(N-d) polynomial agreeing with T_X on the cell."""
-    d = x.group.free_rank
-    deg = len(x) - d
-    vars = t_vars(d)
-    need = len(list(itertools.chain.from_iterable(
-        _monomials(vars, k) for k in range(deg + 1))))
-    for salt in range(4):
-        pts = _cell_sample_points(cell, d, need, salt)
-        vals = [tx_value(x, p) for p in pts]
-        try:
-            poly = _interpolate(pts, vals, deg, vars)
-        except InterpolationSingular:
-            continue
-        hom = poly.homogeneous_slice(deg)
-        if poly == hom or not (poly - hom):
-            return hom
-        # homogeneity must hold for a correct piece
-        raise InternalError(f"local piece not homogeneous: {poly}")
-    raise InterpolationSingular("no usable sample set found")
+    """Homogeneous degree-(N-d) polynomial agreeing with T_X on the cell,
+    checked against `tx_value` at the cell's sample."""
+    piece = piece_at(x, cell.sample)
+    require_value(piece, cell.sample, tx_value(x, cell.sample))
+    return piece
 
 
 def quasi_fit(x: GList, cell: Cell, extra: int = 4):

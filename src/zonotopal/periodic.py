@@ -190,6 +190,10 @@ def dm_basis(x: GList) -> list:
 # periodic Todd operators and their projections
 # ---------------------------------------------------------------------------
 
+def _todd_cap(x: GList, cap: int | None) -> int:
+    return max(len(x) - x.group.free_rank + 1, 0) if cap is None else cap
+
+
 def periodic_todd(x: GList, z: GElement, cap: int | None = None
                   ) -> PeriodicSeries:
     """sum_phi e_phi e_phi(-z) e^{-p_z} prod_x p_x / (1 - e_phi(-x) e^{-p_x}).
@@ -197,10 +201,8 @@ def periodic_todd(x: GList, z: GElement, cap: int | None = None
     Torsion elements use the marker variable s0 as their linear form when the
     vertex moves them (e_phi(x) != 1) and contribute a factor 1 otherwise.
     """
-    d = x.group.free_rank
     n = len(x)
-    if cap is None:
-        cap = max(n - d + 1, 0)
+    cap = _todd_cap(x, cap)
     vars = _pper_vars(x)
     s0_form = None
     if "s0" in vars:
@@ -226,9 +228,10 @@ def periodic_todd(x: GList, z: GElement, cap: int | None = None
     return PeriodicSeries(vars, out)
 
 
-def f_tilde(x: GList, z: GElement, cap: int | None = None) -> PeriodicPoly:
+def f_tilde(x: GList, z, cap: int | None = None):
     """Projection of the periodic Todd operator into Pper(X).
 
+    ``z`` is a group element, or a tuple of them; the return mirrors it.
     Each vertex component is projected by psi_X of the full list; the result
     is checked divisible by the prefactor p_{X \\ X_phi} (hard failure
     otherwise: it would indicate a truncation-cap bug).
@@ -237,19 +240,39 @@ def f_tilde(x: GList, z: GElement, cap: int | None = None) -> PeriodicPoly:
         raise TorsionUnsupported(
             "the Todd projection is defined over lattices")
     x.require_full_rank()
-    todd = periodic_todd(x, z, cap)
+    if isinstance(z, tuple):
+        return _f_tilde_many(x, z, cap)
+    return _f_tilde_many(x, (z,), cap)[0]
+
+
+def _f_tilde_many(x: GList, zs: tuple, cap) -> tuple:
+    """f_tilde at each z of zs.  The Todd series at z is the one at 0 times
+    e_phi(-z) e^{-p_z} at each vertex, so the series at 0, psi_X and the
+    vertices are built once for all of zs."""
+    if not zs:
+        return ()
+    cap = _todd_cap(x, cap)
+    todd = periodic_todd(x, x.group.zero(), cap)
     vars = todd.vars
     psi = PsiProjector(x, vars)
-    terms = []
-    for v in vertices(x):
-        proj = psi(todd.component(v.character))
-        if proj:
-            rem = proj
-            for i in range(len(x)):
-                if i not in v.x_phi:
-                    rem = divide_by_linear(rem, p_linear(x.elems[i], vars))
-            terms.append((v.character, proj))
-    return PeriodicPoly(vars, terms)
+    verts = [(v.character, todd.component(v.character),
+              [p_linear(x.elems[i], vars) for i in range(len(x))
+               if i not in v.x_phi]) for v in vertices(x)]
+    out = []
+    for z in zs:
+        pz = p_linear(z, vars)
+        shift = exp_series(-pz, cap) if pz \
+            else TruncatedSeries.constant(vars, 1, cap)
+        terms = []
+        for char, series, prefactor in verts:
+            proj = psi(series * (shift * evaluate(char, -z)))
+            if proj:
+                rem = proj
+                for form in prefactor:
+                    rem = divide_by_linear(rem, form)
+                terms.append((char, proj))
+        out.append(PeriodicPoly(vars, terms))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def cocircuit_gens(x: GList, degree: int, vars=None) -> list:
 class PsiProjector:
     """Degreewise projection Sym(U) = P(X) + J(X) -> P(X).
 
-    Per degree d the decomposition is solved once as a rational linear
+    Per degree the decomposition is factored once as a rational linear
     system; cyclotomic inputs are split into power-basis components so the
     elimination stays over Q.
     """
@@ -159,14 +159,19 @@ class PsiProjector:
         self._solvers = {}
 
     def _solver(self, degree):
+        """(monomials, P columns, G): the P part of one solution of
+        [P | J] y = b is G b for every b.  [P | J] spans the degree slice, so
+        one elimination against the identity gives G."""
         if degree in self._solvers:
             return self._solvers[degree]
         monos = _monomials(self.vars, degree)
         pcols = self.pspan.by_degree(degree)
-        jcols = cocircuit_gens(self.x, degree, self.vars)
-        cols = pcols + jcols
+        cols = pcols + cocircuit_gens(self.x, degree, self.vars)
         mat = [[c.coefficient(e).to_rational() for c in cols] for e in monos]
-        self._solvers[degree] = (monos, len(pcols), cols, mat)
+        inv = linalg.solve(mat, linalg.identity(len(monos)))
+        if inv is None:
+            raise InternalError(f"P(X) + J(X) does not span degree {degree}")
+        self._solvers[degree] = (monos, pcols, inv[:len(pcols)])
         return self._solvers[degree]
 
     def project_poly(self, f: MPoly) -> MPoly:
@@ -174,22 +179,22 @@ class PsiProjector:
         for deg, slice_ in f.slices().items():
             if deg > self.top:
                 continue
-            monos, npcols, cols, mat = self._solver(deg)
+            monos, pcols, g = self._solver(deg)
             rhs_cyc = [slice_.coefficient(e) for e in monos]
             order = math.lcm(*(c.order for c in rhs_cyc))
             proj = MPoly(self.vars)
             for j in range(euler_phi(order)):
-                comp = [c.embed(order).coeffs[j] for c in rhs_cyc]
-                if not any(comp):
+                comp = [(i, c.embed(order).coeffs[j])
+                        for i, c in enumerate(rhs_cyc)]
+                comp = [(i, v) for i, v in comp if v]
+                if not comp:
                     continue
-                sol = linalg.solve(mat, comp)
-                if sol is None:
-                    raise InternalError("psi decomposition inconsistent")
                 unit = Cyclotomic.root_of_unity(order, j) if j \
                     else Cyclotomic.one()
-                for k in range(npcols):
-                    if sol[k]:
-                        proj = proj + cols[k] * (unit * sol[k])
+                for col, grow in zip(pcols, g):
+                    coef = sum(grow[i] * v for i, v in comp)
+                    if coef:
+                        proj = proj + col * (unit * coef)
             out = out + proj
         return out
 

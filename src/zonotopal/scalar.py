@@ -774,15 +774,22 @@ class TruncatedSeries:
     def vars(self):
         return self.body.vars
 
+    def _same_cap(self, other):
+        """Sums need one cap: a mismatch is a truncation bug upstream."""
+        if self.cap != other.cap:
+            from .errors import InternalError
+            raise InternalError(f"adding series with caps {self.cap} and "
+                                f"{other.cap}")
+
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
-            assert self.cap == other.cap
+            self._same_cap(other)
             return TruncatedSeries(self.body + other.body, self.cap)
         return TruncatedSeries(self.body + other, self.cap)
 
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
-            assert self.cap == other.cap
+            self._same_cap(other)
             return TruncatedSeries(self.body - other.body, self.cap)
         return TruncatedSeries(self.body - other, self.cap)
 
@@ -820,7 +827,8 @@ class TruncatedSeries:
 
 def exp_series(p: MPoly, cap: int) -> TruncatedSeries:
     """exp of a polynomial with zero constant term, truncated at cap."""
-    assert not p.constant_term()
+    if p.constant_term():
+        raise ValueError(f"exp_series needs a zero constant term, got {p}")
     acc = MPoly.constant(p.vars, 1)
     pw = MPoly.constant(p.vars, 1)
     fact = 1

@@ -130,6 +130,23 @@ class TestBoxDelta:
         assert len(table) == 5
         assert sorted(builds) == ["_fiber", "_hyperplanes"]
 
+    def test_one_todd_pass_for_all_z(self, monkeypatch):
+        from zonotopal import periodic
+        builds = []
+        for name in ("periodic_todd", "PsiProjector"):
+            build = getattr(periodic, name)
+
+            def wrapper(*args, name=name, build=build):
+                builds.append(name)
+                return build(*args)
+            monkeypatch.setattr(periodic, name, wrapper)
+        monkeypatch.setenv("ZONOTOPAL_THREADS", "1")
+        x = GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]])
+        assert len(box_delta_check(x)) == 5
+        assert partition_of_unity(x) == PeriodicPoly.one(x)
+        assert sorted(builds) == ["PsiProjector", "PsiProjector",
+                                  "periodic_todd", "periodic_todd"]
+
 
 class TestBoxInterpolant:
     def test_delta_data(self, x11):
@@ -143,6 +160,20 @@ class TestBoxInterpolant:
     def test_constant_five(self, x11):
         p = box_interpolant(x11, {(1,): 5})
         assert p == MPoly.constant(("s1",), 5)
+
+    def test_second_vertex_component_is_internal_error(self, x11,
+                                                       monkeypatch):
+        # unimodular lists have one vertex, so f_z has one component; the
+        # check is a typed error, so it also holds under python -O
+        from zonotopal import brionvergne
+        from zonotopal.errors import InternalError
+        two = f_tilde(x11, x11.group.element((1,))) \
+            + PeriodicPoly.single(("s1",), Character((F(1, 2),), ()),
+                                  MPoly.constant(("s1",), 1))
+        monkeypatch.setattr(brionvergne, "f_tilde",
+                            lambda x, zs: tuple(two for _ in zs))
+        with pytest.raises(InternalError, match="2 vertex components"):
+            box_interpolant(x11, {(1,): 1})
 
     def test_reproduces_arbitrary_data(self):
         x = GList.from_rows([[1, 0, 1], [0, 1, 1]])

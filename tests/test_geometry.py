@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotopal.abelian import GList
+from zonotopal.brionvergne import _alcove_polynomial
 from zonotopal.errors import NotPointed, SamplesRequired
 from zonotopal.geometry import (_adjugate, _affine_dim, _enumerate_vertices,
                                 _triangulate, big_cells, bx_by_alternating_sum,
-                                bx_value, fm_feasible, in_cone, is_pointed,
-                                lattice_points, local_piece, polytope_volume,
-                                quasi_fit, short_regular, tx_value, vpf_count,
+                                bx_value, fm_feasible, hyperplane_normals,
+                                in_cone, is_pointed, lattice_points,
+                                local_piece, polytope_volume, quasi_fit,
+                                short_regular, tx_value, vpf_count,
                                 zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
-from zonotopal.polyspace import d_basis
+from zonotopal.polyspace import _monomials, d_basis
+from zonotopal.scalar import MPoly, t_vars
 from zonotopal import linalg
 
 F = Fraction
@@ -59,6 +62,82 @@ def polytope_volume_oracle(A, b, dim):
         mat = [[p[i] - apex[i] for i in range(dim)] for p in simplex[1:]]
         total += abs(linalg.det(mat))
     return total / math.factorial(dim)
+
+
+def cell_sample_points(cell, d, count, salt=0):
+    """Deterministic rational points strictly inside the cell."""
+    if d == 1:
+        return [tuple(v * F(k + 1 + salt, 3) for v in cell.sample)
+                for k in range(count)]
+    r1, r2 = cell.rays
+    pts = []
+    for i in itertools.count(1):
+        for j in range(1, i + 1):
+            a, b = F(i + salt), F(j) / (j + 1)
+            pts.append(tuple(a * F(u) + (a * b) * F(v)
+                             for u, v in zip(r1, r2)))
+            if len(pts) == count:
+                return pts
+
+
+def interpolate(points, values, degree, vars):
+    """The unique polynomial of total degree <= degree through the data, or
+    None when the points do not determine it."""
+    monos = [e for k in range(degree + 1) for e in _monomials(vars, k)]
+    mat = [[math.prod((F(c) ** k for c, k in zip(p, e)), start=F(1))
+            for e in monos] for p in points]
+    red, pivots = linalg.rref([row + [F(v)] for row, v in zip(mat, values)])
+    if len(pivots) < len(monos) or len(monos) in pivots:
+        return None
+    return MPoly(vars, {e: red[r][-1] for r, e in enumerate(monos)})
+
+
+def local_piece_oracle(x, cell):
+    """T_X on a big cell (d <= 2), interpolated from `tx_value` at points
+    inside it: the reference for `geometry.local_piece`."""
+    d = x.group.free_rank
+    deg, vars = len(x) - d, t_vars(d)
+    need = sum(len(_monomials(vars, k)) for k in range(deg + 1))
+    for salt in range(4):
+        pts = cell_sample_points(cell, d, need, salt)
+        poly = interpolate(pts, [tx_value(x, p) for p in pts], deg, vars)
+        if poly is not None:
+            assert poly == poly.homogeneous_slice(deg)
+            return poly
+    raise AssertionError(f"no sample set determines the piece on {cell}")
+
+
+def alcove_room(x, p0):
+    """r > 0 such that every point within r of p0 in the max norm lies in
+    the alcove of p0."""
+    room = []
+    for eta in hyperplane_normals(x):
+        val = sum(F(e) * c for e, c in zip(eta, p0))
+        frac = val - math.floor(val)
+        assert frac
+        room.append(min(frac, 1 - frac) / sum(abs(e) for e in eta))
+    return min(room) / 2
+
+
+def alcove_polynomial_oracle(x, point, w):
+    """B_X on the alcove towards w, interpolated from `bx_value` at the
+    principal-lattice nodes p0 + delta * i, sum i <= N - d, around the
+    alcove sample p0 that `_alcove_polynomial` takes."""
+    d = x.group.free_rank
+    deg, vars = len(x) - d, t_vars(d)
+    p0 = alcove_sample(x, point, w)
+    delta = alcove_room(x, p0) / (deg + 1)
+    nodes = [tuple(p + delta * k for p, k in zip(p0, e))
+             for j in range(deg + 1) for e in _monomials(vars, j)]
+    return interpolate(nodes, [bx_value(x, nd) for nd in nodes], deg, vars)
+
+
+def alcove_sample(x, point, w):
+    """point + 2 eps0 w, the alcove sample of `_alcove_polynomial`."""
+    bound = max(abs(sum(F(e) * F(c) for e, c in zip(eta, w)))
+                for eta in hyperplane_normals(x))
+    eps0 = F(1, 4 * (int(bound) + 1))
+    return tuple(F(v) + 2 * eps0 * F(c) for v, c in zip(point, w))
 
 
 _WIDTHS = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(3)]
@@ -181,7 +260,7 @@ class TestVolume:
     @given(small_polytopes())
     def test_vertices_and_volume_match_oracle(self, poly):
         A, b, dim = poly
-        assert _enumerate_vertices(A, b, dim) \
+        assert sorted(_enumerate_vertices(A, b, dim)) \
             == enumerate_vertices_oracle(A, b, dim)
         assert polytope_volume(A, b, dim) == polytope_volume_oracle(A, b, dim)
 
@@ -309,6 +388,58 @@ class TestLocalPieces:
                 assert linalg.span_contains(rows, vec)
                 assert piece not in seen
                 seen.append(piece)
+
+
+@pytest.fixture(scope="module")
+def piece_corpus(geometry_corpus, zp_list, x124):
+    """The geometry corpus and lists whose fibres have dimension 1 to 3:
+    most corpus lists are bases, with a point for a fibre."""
+    return list(geometry_corpus) + [
+        zp_list, x124, GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]]),
+        GList.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])]
+
+
+class TestExactPieces:
+    def test_local_pieces_match_interpolation(self, piece_corpus):
+        for x in piece_corpus:
+            for cell in big_cells(x):
+                assert local_piece(x, cell) == local_piece_oracle(x, cell)
+
+    def test_alcove_polynomials_match_interpolation(self, piece_corpus):
+        for x in piece_corpus:
+            w = short_regular(x)
+            support = lattice_points(x, "shifted", w=[0] * x.group.free_rank)
+            for lam in support:
+                assert _alcove_polynomial(x, lam, w) \
+                    == alcove_polynomial_oracle(x, lam, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_piece_is_tx_inside_its_cell(self, piece_corpus, data):
+        x = data.draw(st.sampled_from(piece_corpus))
+        cell = data.draw(st.sampled_from(big_cells(x)))
+        a, b = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        if x.group.free_rank == 1:
+            u = (a * cell.rays[0][0],)
+        else:
+            r1, r2 = cell.rays
+            u = tuple(a * p + b * q for p, q in zip(r1, r2))
+        got = local_piece(x, cell).evaluate([F(v) for v in u])
+        assert got.to_rational() == tx_value(x, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_piece_is_bx_inside_its_alcove(self, piece_corpus, data):
+        x = data.draw(st.sampled_from(piece_corpus))
+        w = short_regular(x)
+        support = lattice_points(x, "shifted", w=[0] * x.group.free_rank)
+        lam = data.draw(st.sampled_from(support))
+        p0 = alcove_sample(x, lam, w)
+        room = alcove_room(x, p0)
+        step = st.fractions(min_value=-1, max_value=1, max_denominator=50)
+        u = [p + room * data.draw(step) for p in p0]
+        got = _alcove_polynomial(x, lam, w).evaluate(u)
+        assert got.to_rational() == bx_value(x, u)
 
 
 class TestQuasiFit:

@@ -213,6 +213,17 @@ class TestFTilde:
         for x, z in ((x124, (1,)), (x124, (3,)), (x12, (2,))):
             assert pper_membership(x, f_tilde(x, x.group.element(z)))
 
+    def test_tuple_of_z_matches_one_at_a_time(self, x124, x12, zp_list):
+        for x in (x124, x12, zp_list):
+            d = x.group.free_rank
+            zs = tuple(x.group.element(z) for z in
+                       [(0,) * d, (-1,) * d, (3,) * d]
+                       + lattice_points(x, "shifted", w=short_regular(x)))
+            assert f_tilde(x, zs) == tuple(f_tilde(x, z) for z in zs)
+            assert f_tilde(x, zs[:2], 4) \
+                == tuple(f_tilde(x, z, 4) for z in zs[:2])
+            assert f_tilde(x, ()) == ()
+
     def test_basis_property(self, x124):
         # f_z over Z(X, w) spans Pper; over interior points spans internal
         w = short_regular(x124)

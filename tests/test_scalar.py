@@ -7,7 +7,7 @@ from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, ZLaurent,
                               bernoulli, cyclotomic_polynomial,
                               divide_by_linear, exp_series, rat_parse,
                               rat_str, residue, todd_factor)
-from zonotopal.errors import NonMember
+from zonotopal.errors import InternalError, NonMember
 
 SV = ("s1",)
 
@@ -165,6 +165,18 @@ class TestSeries:
         s = TruncatedSeries(lin(), 3)
         assert (s + s).cap == 3
         assert (s * TruncatedSeries(lin(), 2)).cap == 2
+
+    def test_sum_of_different_caps_raises(self):
+        # a typed error, so the check holds under python -O too
+        a, b = TruncatedSeries(lin(), 3), TruncatedSeries(lin(), 2)
+        with pytest.raises(InternalError, match="caps 3 and 2"):
+            a + b
+        with pytest.raises(InternalError, match="caps 2 and 3"):
+            b - a
+
+    def test_exp_of_nonzero_constant_raises(self):
+        with pytest.raises(ValueError, match="zero constant term"):
+            exp_series(lin() + MPoly.constant(SV, 1), 3)
 
     def test_inverse_of_unit(self):
         s = TruncatedSeries.constant(SV, 2, 3) + lin()
