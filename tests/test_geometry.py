@@ -399,6 +399,12 @@ def piece_corpus(geometry_corpus, zp_list, x124):
         GList.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])]
 
 
+@pytest.fixture(scope="module")
+def d3_list():
+    return GList.from_rows([[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1],
+                            [0, 0, 1, 0, 1, 1]])
+
+
 class TestExactPieces:
     def test_local_pieces_match_interpolation(self, piece_corpus):
         for x in piece_corpus:
@@ -440,6 +446,28 @@ class TestExactPieces:
         u = [p + room * data.draw(step) for p in p0]
         got = _alcove_polynomial(x, lam, w).evaluate(u)
         assert got.to_rational() == bx_value(x, u)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_d3_pieces_match_splines(self, d3_list, data):
+        # a chamber given by its sample, and alcoves, with a 3-dim fibre
+        x = d3_list
+        step = st.fractions(min_value=-1, max_value=1, max_denominator=50)
+        sample = (F(37, 10), F(23, 10), F(17, 10))
+        cell = big_cells(x, samples=[sample])[0]
+        room = min(abs(sum(e * v for e, v in zip(eta, sample)))
+                   / sum(map(abs, eta)) for eta in hyperplane_normals(x)) / 2
+        k = data.draw(st.integers(1, 5))
+        u = [k * (v + room * data.draw(step)) for v in sample]
+        assert local_piece(x, cell).evaluate(u).to_rational() \
+            == tx_value(x, u)
+        w = short_regular(x)
+        lam = data.draw(st.sampled_from(
+            lattice_points(x, "shifted", w=[0, 0, 0])))
+        p0 = alcove_sample(x, lam, w)
+        u = [p + alcove_room(x, p0) * data.draw(step) for p in p0]
+        assert _alcove_polynomial(x, lam, w).evaluate(u).to_rational() \
+            == bx_value(x, u)
 
 
 class TestQuasiFit:
