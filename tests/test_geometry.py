@@ -279,7 +279,7 @@ class TestSplineValues:
         cells = big_cells(zp_list)
         mid = cells[1]
         piece = local_piece(zp_list, mid)
-        # interpolated from other points; must agree at a fresh point
+        # the piece of the middle cell agrees with T_X at a point inside it
         assert piece.evaluate([F(1), F(1)]).to_rational() \
             == tx_value(zp_list, [1, 1])
 
