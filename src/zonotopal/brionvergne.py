@@ -1,7 +1,8 @@
 """Operator application and the headline counting identities.
 
 Directional limits apply the operator to the exact polynomial of the spline
-on the alcove next to the evaluation point; counts are asserted to be
+on the alcove next to the evaluation point; the quasi-polynomial of a chamber
+applies f~_z to the exact piece of T_X there.  Counts are checked to be
 rational integers after cyclotomic cancellation.
 """
 
@@ -20,11 +21,11 @@ from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
 from .geometry import (Cell, big_cells, bx_value, fiber, hyperplane_normals,
                        in_cone, lattice_points, local_piece, piece_at,
                        pointed_certificate, require_pointed, require_short,
-                       require_value, short_regular, tx_value, zonotope_hrep)
+                       require_value, short_regular, zonotope_hrep)
 from .matroid import is_coloop, is_unimodular
-from .periodic import PeriodicPoly, f_tilde, periodic_todd
+from .periodic import PeriodicPoly, QuasiFunction, f_tilde, periodic_todd
 from .scalar import Cyclotomic, MPoly, ZLaurent, s_vars, t_vars
-from .toric import evaluate, evaluate_point, vertices
+from .toric import evaluate, vertices
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -36,12 +37,13 @@ _F1 = Fraction(1)
 
 def apply_periodic(p: PeriodicPoly, f: MPoly, point) -> Cyclotomic:
     """(sum_phi e_phi q_phi)(D) f evaluated at a lattice point."""
-    total = Cyclotomic.zero()
-    pt = [Fraction(v) for v in point]
-    for char, q in p.terms:
-        g = q.apply_diff(f)
-        total = total + evaluate_point(char, point) * g.evaluate(pt)
-    return total
+    return _applied(p, f).evaluate_at(point)
+
+
+def _applied(p: PeriodicPoly, f: MPoly) -> QuasiFunction:
+    """(sum_phi e_phi q_phi)(D) f as sum_phi e_phi (q_phi(D) f)."""
+    return QuasiFunction(f.vars, [(char, q.apply_diff(f))
+                                  for char, q in p.terms])
 
 
 def cell_toward(cells, u, w):
@@ -115,6 +117,18 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     return _eval_count(ft, pieces[id(cell)], u)
 
 
+def chamber_quasipolynomial(x: GList, z: GElement,
+                            cell: Cell) -> QuasiFunction:
+    """The quasi-polynomial f~_z(D) T_X of the chamber Omega of ``cell``:
+    sum_phi e_phi (q_phi(D) piece) for f~_z = sum_phi e_phi q_phi and the
+    local piece of T_X on Omega (the improved Brion-Vergne formula).
+
+    For z = 0 it equals `vpf_count` at every lattice point of
+    (Omega - Z(X)), the u whose translate u + Z(X) meets Omega.
+    """
+    return _applied(f_tilde(x, z), local_piece(x, cell))
+
+
 def _eval_count(ft: PeriodicPoly, piece: MPoly, u) -> int:
     val = apply_periodic(ft, piece, u)
     if not val.is_rational():
@@ -152,8 +166,8 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
 # ---------------------------------------------------------------------------
 
 def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
-    """Polynomial agreeing with the spline (B_X, or T_X for `tx_value`) on
-    the alcove towards w, checked against the spline at one point of it."""
+    """Polynomial agreeing with B_X on the alcove towards w, checked against
+    ``spline`` (`bx_value`) at one point of it."""
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
     bound = max(abs(sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)))
@@ -171,16 +185,14 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
             raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
                                 f"lies on the affine hyperplane eta.y = {val} "
                                 f"of the normal {list(eta)}")
-    poly = piece_at(x, p0, box=spline is not tx_value)
+    poly = piece_at(x, p0, box=True)
     require_value(poly, p0, spline(x, p0))
     return poly
 
 
-def box_limit_value(x: GList, op: PeriodicPoly, point, w,
-                    spline=bx_value) -> Cyclotomic:
-    """lim_w op(D_pw) B_X (point."""
-    poly = _alcove_polynomial(x, point, w, spline)
-    return apply_periodic(op, poly, point)
+def box_limit_value(x: GList, op: PeriodicPoly, point, w) -> Cyclotomic:
+    """lim_w op(D_pw) B_X (point)."""
+    return apply_periodic(op, _alcove_polynomial(x, point, w), point)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +317,10 @@ def walls(x: GList, cells=None, pieces=None) -> list:
                 continue
             v = sum(Fraction(e) * Fraction(s)
                     for e, s in zip(eta, c.sample))
-            assert v != 0
+            if not v:
+                raise InternalError(f"the sample {list(c.sample)} of a "
+                                    f"chamber lies on its wall ray "
+                                    f"{list(ray)}")
             side[1 if v > 0 else -1] = c
         pos = side.get(1)
         neg = side.get(-1)
@@ -452,7 +467,10 @@ def wall_v12(x: GList, wall: Wall) -> MPoly:
             a = Fraction(free[0], rho[0])
         else:
             a = Fraction(free[1], rho[1])
-        assert a == int(a) and a != 0
+        if a.denominator != 1 or not a:
+            raise InternalError(f"x_{i} = {list(free)} is not a nonzero "
+                                f"integer multiple of the wall ray "
+                                f"{list(rho)}")
         coeffs.append(int(a))
     sub = _GL.from_columns([[c] for c in coeffs], FgGroup(1))
     piece = local_piece(sub, big_cells(sub)[0])

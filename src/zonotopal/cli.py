@@ -14,13 +14,13 @@ from fractions import Fraction
 
 from .abelian import FgGroup, GList
 from .brionvergne import (box_deconvolution_check, box_delta_check, bv_count,
-                          continuity_check, partition_of_unity, wall_jump_check,
-                          walls)
+                          chamber_quasipolynomial, continuity_check,
+                          partition_of_unity, wall_jump_check, walls)
 from .brionvergne import thread_count  # noqa: F401  (re-exported)
 from .corpus import CorpusLimits, corpus
-from .errors import DomainError, InternalError
-from .geometry import (big_cells, bx_value, lattice_points, quasi_fit,
-                       short_regular, tx_value, zonotope_hrep)
+from .errors import DomainError, InternalError, NotInCone
+from .geometry import (big_cells, bx_value, lattice_points, short_regular,
+                       tx_value, zonotope_hrep)
 from .matroid import arithmetic_tutte, tutte
 from .periodic import (PeriodicPoly, dm_basis, f_tilde, hilbert, l_map,
                        periodic_todd, pper_basis, pper_internal_basis)
@@ -194,16 +194,18 @@ def _cmd_box(args):
 
 
 def _cmd_quasipoly(args):
+    """The quasi-polynomial count (z = 0) of the chamber whose closure holds
+    --u, or of the first chamber."""
     x = _parse_x(args)
     cells = big_cells(x)
     cell = cells[0]
     if args.u:
         u = _parse_vec(args, "u", x)
-        for c in cells:
-            if c.hrep is not None and c.hrep.contains(u):
-                cell = c
-                break
-    q = quasi_fit(x, cell)
+        cell = next((c for c in cells if c.hrep.contains(u)), None)
+        if cell is None:
+            raise NotInCone(f"u = [{', '.join(map(str, u))}] is outside "
+                            f"cone(X)")
+    q = chamber_quasipolynomial(x, x.group.zero(), cell)
     _emit(args, {"cell": cell.to_json(), "quasipolynomial": q.to_json()},
           f"cell {cell.to_json()['sample']}: {q!r}")
 

@@ -59,10 +59,6 @@ class DegenerateSample(DomainError):
     pass
 
 
-class InsufficientPoints(DomainError):
-    pass
-
-
 class InternalError(Exception):
     """An invariant the implementation guarantees has failed."""
 

@@ -4,8 +4,7 @@ Everything is rational: volumes come from an integer vertex enumeration
 plus a recursive star triangulation, spline values from the per-list
 `Fiber`; lattice points from bounding-box filters.  The polynomial piece of
 T_X on a chamber, or of B_X on an alcove, comes from one triangulation of
-the fiber at a sample point, whose vertices are affine in u; quasipolynomials
-are fitted to exact counts.
+the fiber at a sample point, whose vertices are affine in u.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from fractions import Fraction
 
 from . import linalg
 from .abelian import GList
-from .errors import (DegenerateSample, InsufficientPoints, InternalError,
-                     NotPointed, NotShort, SamplesRequired,
-                     TorsionUnsupported)
+from .errors import (DegenerateSample, InternalError, NotPointed, NotShort,
+                     SamplesRequired, TorsionUnsupported)
 from .matroid import corank_one_flats
-from .scalar import Cyclotomic, MPoly, t_vars
+from .scalar import MPoly, t_vars
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -503,50 +501,6 @@ def bx_value(x: GList, u) -> Fraction:
                            fib.b_subsets) * fib.scale
 
 
-def limit_value(x: GList, point, w, spline=None) -> Fraction:
-    """lim towards w of a spline at an affine-singular point, exactly.
-
-    The spline restricted to the open segment (point, point + delta*w] inside
-    one alcove is a univariate polynomial of degree <= N - d; it is
-    interpolated from exact values and extrapolated back to the endpoint.
-    """
-    spline = spline or bx_value
-    d = x.group.free_rank
-    deg = len(x) - d
-    pt = [Fraction(v) for v in point]
-    wq = [Fraction(v) for v in w]
-    # first positive crossing of an affine admissible hyperplane
-    t_min = None
-    for eta in hyperplane_normals(x):
-        s = sum(Fraction(e) * c for e, c in zip(eta, wq))
-        if s == 0:
-            raise ValueError("direction is not affine regular")
-        c = sum(Fraction(e) * v for e, v in zip(eta, pt))
-        if s > 0:
-            k = math.floor(c) + 1
-        else:
-            k = math.ceil(c) - 1
-        t = (k - c) / s
-        if t <= 0:
-            raise InternalError(f"step {t} to the hyperplane eta.y = {k} of "
-                                f"the normal {list(eta)} from "
-                                f"[{', '.join(map(str, pt))}] towards "
-                                f"[{', '.join(map(str, wq))}] is not positive")
-        t_min = t if t_min is None else min(t_min, t)
-    delta = t_min / 2
-    nodes = [delta * Fraction(k + 1, deg + 2) for k in range(deg + 1)]
-    vals = [spline(x, [p + t * ww for p, ww in zip(pt, wq)]) for t in nodes]
-    # Lagrange extrapolation to t = 0
-    total = Fraction(0)
-    for i, (ti, vi) in enumerate(zip(nodes, vals)):
-        term = vi
-        for j, tj in enumerate(nodes):
-            if i != j:
-                term *= (0 - tj) / (ti - tj)
-        total += term
-    return total
-
-
 def bx_by_alternating_sum(x: GList, u) -> Fraction:
     """Independent cross-check: B_X(u) = sum (-1)^|A| T_X(u - sum A)."""
     n = len(x)
@@ -744,7 +698,7 @@ def require_short(x: GList, w):
 
 
 # ---------------------------------------------------------------------------
-# exact local pieces and quasipolynomial fitting
+# exact local pieces
 # ---------------------------------------------------------------------------
 
 def piece_at(x: GList, u0, box=False) -> MPoly:
@@ -838,66 +792,3 @@ def local_piece(x: GList, cell: Cell) -> MPoly:
     piece = piece_at(x, cell.sample)
     require_value(piece, cell.sample, tx_value(x, cell.sample))
     return piece
-
-
-def quasi_fit(x: GList, cell: Cell, extra: int = 4):
-    """The DM(X) member matching vpf_count on (Omega - Z(X)) cap Lambda."""
-    from .periodic import dm_basis
-
-    d = x.group.free_rank
-    basis = dm_basis(x)
-    need = len(basis) + extra
-    pts = _quasi_region_points(x, cell, need)
-    if len(pts) < len(basis):
-        raise InsufficientPoints(
-            f"only {len(pts)} sample points for dim {len(basis)}")
-    rows = []
-    rhs = []
-    for p in pts:
-        rows.append([b.evaluate_at(p) for b in basis])
-        rhs.append(Cyclotomic.from_rational(
-            vpf_count(x, p) if in_cone(x, p) else 0))
-    if linalg.rank(rows) < len(basis):
-        raise InsufficientPoints("sample points do not determine the fit")
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise InsufficientPoints("inconsistent fit (region too small?)")
-    combo = None
-    for c, b in zip(sol, basis):
-        scaled = b.scale(c)
-        combo = scaled if combo is None else combo + scaled
-    return combo
-
-
-def _quasi_region_points(x: GList, cell: Cell, count):
-    """Lattice points of (Omega - Z(X)): u with (u + Z) meeting Omega."""
-    d = x.group.free_rank
-    zono = zonotope_hrep(x)
-    lo, hi = _zonotope_box(x)
-    out = []
-    radius = 1
-    while len(out) < count and radius <= 40:
-        out = []
-        for point in itertools.product(range(-radius, radius + 1), repeat=d):
-            if _region_contains(x, cell, zono, point):
-                out.append(point)
-            if len(out) >= count:
-                break
-        radius *= 2
-    return out[:count]
-
-
-def _region_contains(x, cell, zono, u) -> bool:
-    """(u + Z(X)) cap Omega nonempty (Omega open)."""
-    d = len(u)
-    cons = []
-    for row, beta in zip(zono.A, zono.b):
-        shifted = beta + sum(r * Fraction(v) for r, v in zip(row, u))
-        cons.append((row, shifted, False))
-    if cell.hrep is not None:
-        for row, beta in zip(cell.hrep.A, cell.hrep.b):
-            cons.append((row, beta, True))
-    else:
-        return zono.contains([Fraction(cell.sample[i]) - u[i]
-                              for i in range(d)])
-    return fm_feasible(cons, d) is not None

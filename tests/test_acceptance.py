@@ -12,12 +12,12 @@ import pytest
 
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract
-from zonotopal.brionvergne import (box_delta_check, box_interpolant,
-                                   box_limit_value, bv_count,
+from zonotopal.brionvergne import (_alcove_polynomial, box_delta_check,
+                                   box_interpolant, box_limit_value, bv_count,
                                    continuity_check, partition_of_unity,
                                    wall_jump, wall_jump_check, walls)
 from zonotopal.geometry import (big_cells, bx_value, in_cone, lattice_points,
-                                limit_value, local_piece, short_regular,
+                                local_piece, piece_at, short_regular,
                                 tx_value, vpf_count)
 from zonotopal.matroid import (arithmetic_tutte, bases, is_coloop, tutte)
 from zonotopal.periodic import (PeriodicPoly, dm_basis, f_tilde, hilbert,
@@ -315,6 +315,9 @@ def test_criterion_10():
 
 @criterion(11, "semidiscrete convolution T = B * i at lattice points")
 def test_criterion_11(geometry_corpus, x124):
+    # each spline is read at u as the value of its piece on the alcove
+    # (B_X) or chamber (T_X) towards w
+    from test_geometry import alcove_sample
     from zonotopal.geometry import zonotope_hrep
     for x in list(geometry_corpus) + [x124]:
         d = x.group.free_rank
@@ -330,10 +333,11 @@ def test_criterion_11(geometry_corpus, x124):
                 diff = [F(a - b) for a, b in zip(u, z)]
                 if not h.contains(diff):
                     continue
-                b = limit_value(x, diff, w)
+                b = _alcove_polynomial(x, diff, w).evaluate(diff)
                 if b:
-                    total += b * vpf_count(x, z)
-            assert total == limit_value(x, u, w, spline=tx_value)
+                    total += b.to_rational() * vpf_count(x, z)
+            t = piece_at(x, alcove_sample(x, u, w)).evaluate(u)
+            assert total == t.to_rational()
         assert checked
 
 

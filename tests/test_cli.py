@@ -158,9 +158,12 @@ class TestExitCodes:
                      "--w", "[1,-1]"]) == 2
         assert main(["check-deconv", "--x", "[[1,2]]",
                      "--w", '["-1/3"]']) == 2
+        # quasipoly with a u in no chamber
+        assert main(["quasipoly", "--x", "[[1,0,1],[0,1,1]]",
+                     "--u", "[-5,1]"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.count("is outside cone(X)") == 2
+        assert err.count("is outside cone(X)") == 3
         code, out = run_cli("check-deconv", "--x", "[[1,0,1],[0,1,1]]",
                             "--w", "[1,2]")
         assert (code, out) == (0, "box deconvolution: pass\n")

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonotopal.abelian import GList
-from zonotopal.brionvergne import _alcove_polynomial
+from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
 from zonotopal.errors import NotPointed, SamplesRequired
 from zonotopal.geometry import (_adjugate, _affine_dim, _enumerate_vertices,
                                 _triangulate, big_cells, bx_by_alternating_sum,
                                 bx_value, fm_feasible, hyperplane_normals,
                                 in_cone, is_pointed, lattice_points,
-                                local_piece, polytope_volume, quasi_fit,
+                                local_piece, piece_at, polytope_volume,
                                 short_regular, tx_value, vpf_count,
                                 zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
+from zonotopal.periodic import dm_basis
 from zonotopal.polyspace import _monomials, d_basis
-from zonotopal.scalar import MPoly, t_vars
+from zonotopal.scalar import Cyclotomic, MPoly, t_vars
 from zonotopal import linalg
 
 F = Fraction
@@ -140,6 +141,83 @@ def alcove_sample(x, point, w):
     return tuple(F(v) + 2 * eps0 * F(c) for v, c in zip(point, w))
 
 
+def region_contains(x, cell, u):
+    """Does u + Z(X) meet the open chamber Omega of ``cell``, that is, does
+    u lie in (Omega - Z(X))?"""
+    zono = zonotope_hrep(x)
+    cons = [(row, beta + sum(r * F(v) for r, v in zip(row, u)), False)
+            for row, beta in zip(zono.A, zono.b)]
+    cons += [(row, beta, True) for row, beta in zip(cell.hrep.A, cell.hrep.b)]
+    return fm_feasible(cons, len(u)) is not None
+
+
+def region_points(x, cell, count):
+    """Up to ``count`` lattice points of (Omega - Z(X)), from the smallest
+    box around 0 (radius 1, 2, 4, ..., 32) that holds that many."""
+    d = x.group.free_rank
+    out = []
+    radius = 1
+    while len(out) < count and radius <= 40:
+        out = []
+        for point in itertools.product(range(-radius, radius + 1), repeat=d):
+            if region_contains(x, cell, point):
+                out.append(point)
+            if len(out) >= count:
+                break
+        radius *= 2
+    return out[:count]
+
+
+def quasi_fit_oracle(x, cell):
+    """The DM(X) member that equals `vpf_count` at dim DM(X) + 4 lattice
+    points of (Omega - Z(X)), or None when those points do not determine
+    it: the reference for `brionvergne.chamber_quasipolynomial`."""
+    basis = dm_basis(x)
+    pts = region_points(x, cell, len(basis) + 4)
+    rows = [[b.evaluate_at(p) for b in basis] for p in pts]
+    if len(pts) < len(basis) or linalg.rank(rows) < len(basis):
+        return None
+    sol = linalg.solve(rows, [Cyclotomic.from_rational(vpf_count(x, p))
+                              for p in pts])
+    assert sol is not None, f"the counts on {cell} fit no DM(X) member"
+    combo = basis[0].scale(sol[0])
+    for c, b in zip(sol[1:], basis[1:]):
+        combo = combo + b.scale(c)
+    return combo
+
+
+def limit_value_oracle(x, point, w, spline=bx_value):
+    """lim towards w of the spline (B_X, or T_X for `tx_value`) at point.
+
+    On the open segment (point, point + delta w] inside one alcove the
+    spline is a univariate polynomial of degree <= N - d: it is
+    interpolated from exact values and extrapolated back to the endpoint.
+    """
+    deg = len(x) - x.group.free_rank
+    pt = [F(v) for v in point]
+    wq = [F(v) for v in w]
+    # first positive crossing of an affine admissible hyperplane
+    t_min = None
+    for eta in hyperplane_normals(x):
+        s = sum(F(e) * c for e, c in zip(eta, wq))
+        assert s, f"w is orthogonal to the normal {eta}"
+        c = sum(F(e) * v for e, v in zip(eta, pt))
+        k = math.floor(c) + 1 if s > 0 else math.ceil(c) - 1
+        t = (k - c) / s
+        t_min = t if t_min is None else min(t_min, t)
+    delta = t_min / 2
+    nodes = [delta * F(k + 1, deg + 2) for k in range(deg + 1)]
+    vals = [spline(x, [p + t * v for p, v in zip(pt, wq)]) for t in nodes]
+    # Lagrange extrapolation to t = 0
+    total = F(0)
+    for i, (ti, vi) in enumerate(zip(nodes, vals)):
+        for j, tj in enumerate(nodes):
+            if i != j:
+                vi *= -tj / (ti - tj)
+        total += vi
+    return total
+
+
 _WIDTHS = [F(-1, 2), F(0), F(1, 2), F(1), F(3, 2), F(2), F(7, 3), F(3)]
 
 
@@ -176,6 +254,13 @@ def small_polytopes(draw):
         A[i] = [v * f for v in A[i]]
         b[i] *= f
     return A, b, dim
+
+
+@pytest.fixture(scope="module")
+def wide_fibres():
+    """Two d = 2 lists whose fibres have dimension 2 and 3."""
+    return [GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]]),
+            GList.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])]
 
 
 class TestPointed:
@@ -283,12 +368,12 @@ class TestSplineValues:
         assert piece.evaluate([F(1), F(1)]).to_rational() \
             == tx_value(zp_list, [1, 1])
 
-    def test_alternating_sum_crosscheck(self, geometry_corpus):
+    def test_alternating_sum_crosscheck(self, geometry_corpus, wide_fibres):
         # the pointwise identity is asserted at affine-regular points (both
         # sides are continuous there); wall values depend on one-sided limits
         from zonotopal.geometry import hyperplane_normals
         rng = random.Random(17)
-        for x in geometry_corpus[:4]:
+        for x in list(geometry_corpus[:4]) + wide_fibres:
             d = x.group.free_rank
             normals = hyperplane_normals(x)
             done = 0
@@ -373,8 +458,9 @@ class TestLocalPieces:
         from zonotopal.scalar import MPoly
         assert piece == MPoly.linear_form(("t1",), (1,))
 
-    def test_pieces_in_d_span_and_distinct(self, zp_list, geometry_corpus):
-        for x in [zp_list] + list(geometry_corpus[:3]):
+    def test_pieces_in_d_span_and_distinct(self, zp_list, geometry_corpus,
+                                           wide_fibres):
+        for x in [zp_list] + list(geometry_corpus[:3]) + wide_fibres:
             if x.group.free_rank > 2:
                 continue
             db = d_basis(x)
@@ -391,12 +477,10 @@ class TestLocalPieces:
 
 
 @pytest.fixture(scope="module")
-def piece_corpus(geometry_corpus, zp_list, x124):
+def piece_corpus(geometry_corpus, zp_list, x124, wide_fibres):
     """The geometry corpus and lists whose fibres have dimension 1 to 3:
     most corpus lists are bases, with a point for a fibre."""
-    return list(geometry_corpus) + [
-        zp_list, x124, GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]]),
-        GList.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])]
+    return list(geometry_corpus) + [zp_list, x124] + wide_fibres
 
 
 @pytest.fixture(scope="module")
@@ -470,20 +554,25 @@ class TestExactPieces:
             == bx_value(x, u)
 
 
+def quasi(x, cell):
+    """The quasi-polynomial count of the chamber, z = 0."""
+    return chamber_quasipolynomial(x, x.group.zero(), cell)
+
+
 class TestQuasiFit:
     def test_two_ones(self, x11):
-        q = quasi_fit(x11, big_cells(x11)[0])
+        q = quasi(x11, big_cells(x11)[0])
         assert [q.evaluate_at((u,)).to_rational() for u in range(5)] \
             == [1, 2, 3, 4, 5]
 
     def test_one_two(self, x12):
-        q = quasi_fit(x12, big_cells(x12)[0])
+        q = quasi(x12, big_cells(x12)[0])
         for u in range(8):
             expect = F(u, 2) + F(3, 4) + F((-1) ** u, 4)
             assert q.evaluate_at((u,)).to_rational() == expect
 
     def test_124_branch(self, x124):
-        q = quasi_fit(x124, big_cells(x124)[0])
+        q = quasi(x124, big_cells(x124)[0])
         for u in (0, 4, 8, 12):
             assert q.evaluate_at((u,)).to_rational() \
                 == F(u * u, 16) + F(u, 2) + 1
@@ -491,7 +580,7 @@ class TestQuasiFit:
     def test_components_in_d_of_sublists(self, zp_list):
         from zonotopal.toric import vertices
         cells = big_cells(zp_list)
-        q = quasi_fit(zp_list, cells[1])
+        q = quasi(zp_list, cells[1])
         verts = {v.character: v for v in vertices(zp_list)}
         for char, poly in q.terms:
             v = verts[char]
@@ -507,23 +596,64 @@ class TestQuasiFit:
         for x in geometry_corpus[:3]:
             d = x.group.free_rank
             cells = big_cells(x)
-            q = quasi_fit(x, cells[0])
+            q = quasi(x, cells[0])
             # every lattice point of (Omega - Z) in a radius-6 box
-            from zonotopal.geometry import (_region_contains, zonotope_hrep)
-            zono = zonotope_hrep(x)
             for pt in itertools.product(range(-6, 7), repeat=d):
-                if not _region_contains(x, cells[0], zono, pt):
+                if not region_contains(x, cells[0], pt):
                     continue
                 expect = vpf_count(x, pt) if in_cone(x, pt) else 0
                 assert q.evaluate_at(pt) == expect
+
+
+class TestChamberQuasipolynomial:
+    def test_matches_fit_oracle(self, piece_corpus):
+        # the fit fails where its sample points do not determine it; the
+        # closed form covers those chambers too
+        fitted = unfitted = 0
+        for x in piece_corpus:
+            for cell in big_cells(x):
+                fit = quasi_fit_oracle(x, cell)
+                if fit is None:
+                    unfitted += 1
+                    continue
+                fitted += 1
+                assert quasi(x, cell) == fit
+        assert fitted > unfitted > 0
+
+    def test_matches_counts_on_region(self, piece_corpus):
+        # every lattice point of (Omega - Z(X)) in [-4, 8)^d, every chamber
+        for x in piece_corpus:
+            d = x.group.free_rank
+            counts = {}
+            for cell in big_cells(x):
+                q = quasi(x, cell)
+                for pt in itertools.product(range(-4, 8), repeat=d):
+                    if not region_contains(x, cell, pt):
+                        continue
+                    if pt not in counts:
+                        counts[pt] = vpf_count(x, pt)
+                    assert q.evaluate_at(pt) == counts[pt], (x, cell, pt)
+
+    def test_piece_limits_match_extrapolation(self, piece_corpus):
+        # directional limits of B_X and T_X at lattice points: the value of
+        # the piece on the alcove towards w, against Lagrange extrapolation
+        for x in piece_corpus:
+            d = x.group.free_rank
+            w = short_regular(x)
+            for u in itertools.product(range(-2, 5), repeat=d):
+                p0 = alcove_sample(x, u, w)
+                assert _alcove_polynomial(x, u, w).evaluate(u) \
+                    == limit_value_oracle(x, u, w)
+                assert piece_at(x, p0).evaluate(u) \
+                    == limit_value_oracle(x, u, w, spline=tx_value)
 
 
 class TestSemidiscreteConvolution:
     def test_identity(self, geometry_corpus, x124):
         # T_X(u) = sum_z B_X(u - z) i_X(z) at lattice u; both sides are read
         # with the same directional-limit convention since lattice points sit
-        # on the walls of B_X
-        from zonotopal.geometry import limit_value, tx_value as _tx
+        # on the walls of B_X: the value at u of the piece on the alcove
+        # (B_X) or the chamber (T_X) towards w
         for x in list(geometry_corpus[:4]) + [x124]:
             d = x.group.free_rank
             h = zonotope_hrep(x)
@@ -538,7 +668,8 @@ class TestSemidiscreteConvolution:
                     diff = [F(a - b) for a, b in zip(u, z)]
                     if not h.contains(diff):
                         continue
-                    b = limit_value(x, diff, w)
+                    b = _alcove_polynomial(x, diff, w).evaluate(diff)
                     if b:
-                        total += b * vpf_count(x, z)
-                assert total == limit_value(x, u, w, spline=_tx)
+                        total += b.to_rational() * vpf_count(x, z)
+                t = piece_at(x, alcove_sample(x, u, w)).evaluate(u)
+                assert total == t.to_rational()

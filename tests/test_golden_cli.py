@@ -4,8 +4,9 @@
 JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
 the README examples, every job printed by ``corpus --seed 1 --count 10``,
 one call of each subcommand that shares code with another, calls of the
-per-vertex (character-indexed) code, and ``check-delta`` on a larger list
-and with a given ``--w``; each runs in text and in ``--json`` form.
+per-vertex (character-indexed) code, ``check-delta`` on a larger list and
+with a given ``--w``, and ``quasipoly`` on chambers of d = 1 and d = 2
+lists; each runs in text and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -69,6 +70,15 @@ DELTA = [
     ["check-delta", "--x", "[[1,0,1],[0,1,1]]", "--w", '["1/2","-1/3"]'],
 ]
 
+# chamber quasi-polynomials: characters of order 2, 3 and 4, and the chamber
+# of [1,3] (a sample fit of DM(X) to counts found no unique solution there)
+QUASIPOLY = [
+    ["quasipoly", "--x", "[[1,2,4]]"],
+    ["quasipoly", "--x", ZP, "--u", "[1,2]"],
+    ["quasipoly", "--x", "[[1,0,1,1,2],[0,1,1,2,1]]", "--u", "[3,2]"],
+    ["quasipoly", "--x", "[[1,0,1,1,2],[0,1,1,2,1]]", "--u", "[1,3]"],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -91,7 +101,7 @@ def corpus_jobs():
 def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
-            + DELTA:
+            + DELTA + QUASIPOLY:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
