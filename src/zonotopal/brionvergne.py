@@ -117,16 +117,15 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     return _eval_count(ft, pieces[id(cell)], u)
 
 
-def chamber_quasipolynomial(x: GList, z: GElement,
-                            cell: Cell) -> QuasiFunction:
-    """The quasi-polynomial f~_z(D) T_X of the chamber Omega of ``cell``:
-    sum_phi e_phi (q_phi(D) piece) for f~_z = sum_phi e_phi q_phi and the
+def chamber_quasipolynomial(x: GList, cell: Cell) -> QuasiFunction:
+    """The quasi-polynomial f~_0(D) T_X of the chamber Omega of ``cell``:
+    sum_phi e_phi (q_phi(D) piece) for f~_0 = sum_phi e_phi q_phi and the
     local piece of T_X on Omega (the improved Brion-Vergne formula).
 
-    For z = 0 it equals `vpf_count` at every lattice point of
-    (Omega - Z(X)), the u whose translate u + Z(X) meets Omega.
+    It equals `vpf_count` at every lattice point of (Omega - Z(X)), the u
+    whose translate u + Z(X) meets Omega.
     """
-    return _applied(f_tilde(x, z), local_piece(x, cell))
+    return _applied(f_tilde(x, x.group.zero()), local_piece(x, cell))
 
 
 def _eval_count(ft: PeriodicPoly, piece: MPoly, u) -> int:

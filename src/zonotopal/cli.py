@@ -205,7 +205,7 @@ def _cmd_quasipoly(args):
         if cell is None:
             raise NotInCone(f"u = [{', '.join(map(str, u))}] is outside "
                             f"cone(X)")
-    q = chamber_quasipolynomial(x, x.group.zero(), cell)
+    q = chamber_quasipolynomial(x, cell)
     _emit(args, {"cell": cell.to_json(), "quasipolynomial": q.to_json()},
           f"cell {cell.to_json()['sample']}: {q!r}")
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from alcoves import alcove_sample
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract
 from zonotopal.brionvergne import (_alcove_polynomial, box_delta_check,
@@ -317,7 +318,6 @@ def test_criterion_10():
 def test_criterion_11(geometry_corpus, x124):
     # each spline is read at u as the value of its piece on the alcove
     # (B_X) or chamber (T_X) towards w
-    from test_geometry import alcove_sample
     from zonotopal.geometry import zonotope_hrep
     for x in list(geometry_corpus) + [x124]:
         d = x.group.free_rank

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alcoves import alcove_room, alcove_sample
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
 from zonotopal.errors import NotPointed, SamplesRequired
@@ -108,18 +109,6 @@ def local_piece_oracle(x, cell):
     raise AssertionError(f"no sample set determines the piece on {cell}")
 
 
-def alcove_room(x, p0):
-    """r > 0 such that every point within r of p0 in the max norm lies in
-    the alcove of p0."""
-    room = []
-    for eta in hyperplane_normals(x):
-        val = sum(F(e) * c for e, c in zip(eta, p0))
-        frac = val - math.floor(val)
-        assert frac
-        room.append(min(frac, 1 - frac) / sum(abs(e) for e in eta))
-    return min(room) / 2
-
-
 def alcove_polynomial_oracle(x, point, w):
     """B_X on the alcove towards w, interpolated from `bx_value` at the
     principal-lattice nodes p0 + delta * i, sum i <= N - d, around the
@@ -131,14 +120,6 @@ def alcove_polynomial_oracle(x, point, w):
     nodes = [tuple(p + delta * k for p, k in zip(p0, e))
              for j in range(deg + 1) for e in _monomials(vars, j)]
     return interpolate(nodes, [bx_value(x, nd) for nd in nodes], deg, vars)
-
-
-def alcove_sample(x, point, w):
-    """point + 2 eps0 w, the alcove sample of `_alcove_polynomial`."""
-    bound = max(abs(sum(F(e) * F(c) for e, c in zip(eta, w)))
-                for eta in hyperplane_normals(x))
-    eps0 = F(1, 4 * (int(bound) + 1))
-    return tuple(F(v) + 2 * eps0 * F(c) for v, c in zip(point, w))
 
 
 def region_contains(x, cell, u):
@@ -556,7 +537,7 @@ class TestExactPieces:
 
 def quasi(x, cell):
     """The quasi-polynomial count of the chamber, z = 0."""
-    return chamber_quasipolynomial(x, x.group.zero(), cell)
+    return chamber_quasipolynomial(x, cell)
 
 
 class TestQuasiFit:
@@ -636,16 +617,21 @@ class TestChamberQuasipolynomial:
 
     def test_piece_limits_match_extrapolation(self, piece_corpus):
         # directional limits of B_X and T_X at lattice points: the value of
-        # the piece on the alcove towards w, against Lagrange extrapolation
+        # the piece on the alcove towards w, against Lagrange extrapolation.
+        # The box holds every u at which criterion 11 and
+        # TestSemidiscreteConvolution read T_X; the lattice points of Z(X)
+        # (Z(X) shifted by 0) hold every u - z at which they read B_X.
         for x in piece_corpus:
             d = x.group.free_rank
             w = short_regular(x)
-            for u in itertools.product(range(-2, 5), repeat=d):
-                p0 = alcove_sample(x, u, w)
+            box = set(itertools.product(range(-2, 7), repeat=d))
+            zono = set(lattice_points(x, "shifted", w=[0] * d))
+            for u in sorted(box | zono):
                 assert _alcove_polynomial(x, u, w).evaluate(u) \
                     == limit_value_oracle(x, u, w)
-                assert piece_at(x, p0).evaluate(u) \
-                    == limit_value_oracle(x, u, w, spline=tx_value)
+                if u in box:
+                    assert piece_at(x, alcove_sample(x, u, w)).evaluate(u) \
+                        == limit_value_oracle(x, u, w, spline=tx_value)
 
 
 class TestSemidiscreteConvolution:
