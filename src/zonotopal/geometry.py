@@ -520,26 +520,42 @@ def bx_by_alternating_sum(x: GList, u) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def vpf_count(x: GList, u) -> int:
-    """|{w in Z^N_(>=0) : X w = u}| by bounded recursive enumeration."""
+    """|{w in Z^N_(>=0) : X w = u}| by bounded recursive enumeration.
+
+    An integer eta with eta . x_i > 0 for every column bounds how often each
+    column fits into what is left of u; the last column is solved by
+    divisibility.
+    """
     require_pointed(x)
     eta = pointed_certificate(x)
-    cols = [[Fraction(v) for v in e.free] for e in x.elems]
+    scale = math.lcm(*(e.denominator for e in eta))
+    eta = [int(e * scale) for e in eta]
+    cols = [e.free for e in x.elems]
+    target = [Fraction(v) for v in u]
+    if any(t.denominator != 1 for t in target):
+        return 0
+    target = [int(t) for t in target]
+    if not cols:
+        return int(not any(target))
     weights = [sum(e * c for e, c in zip(eta, col)) for col in cols]
+    return _vpf(cols, weights, eta, 0, target)
 
-    def rec(idx, target):
-        if idx == len(cols):
-            return 1 if not any(target) else 0
-        col, wgt = cols[idx], weights[idx]
-        budget = sum(e * t for e, t in zip(eta, target))
-        if budget < 0:
-            return 0
-        top = int(budget / wgt)
-        total = 0
-        for k in range(top + 1):
-            total += rec(idx + 1, [t - k * c for t, c in zip(target, col)])
-        return total
 
-    return rec(0, [Fraction(v) for v in u])
+def _vpf(cols, weights, eta, idx, target) -> int:
+    col = cols[idx]
+    if idx == len(cols) - 1:
+        j = next(i for i, c in enumerate(col) if c)
+        k, rem = divmod(target[j], col[j])
+        return int(rem == 0 and k >= 0
+                   and all(t == k * c for t, c in zip(target, col)))
+    budget = sum(e * t for e, t in zip(eta, target))
+    if budget < 0:
+        return 0
+    total = 0
+    for k in range(budget // weights[idx] + 1):
+        total += _vpf(cols, weights, eta, idx + 1,
+                      [t - k * c for t, c in zip(target, col)])
+    return total
 
 
 # ---------------------------------------------------------------------------

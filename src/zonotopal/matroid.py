@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
-from .errors import RankDeficient
-from .linalg import span_contains
+from .errors import InternalError, RankDeficient
+from .linalg import nullspace, span_contains
 
 
 # Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
@@ -139,17 +139,27 @@ def is_unimodular(x: GList) -> bool:
 
 
 def corank_one_flats(x: GList) -> list:
-    """Index sets of the closed rank-(r-1) flats of X (r = rank of X)."""
-    r = rank_of(x, range(len(x)))
+    """Index sets of the closed rank-(r-1) flats of X (r = rank of X).
+
+    Each independent (r-1)-subset spans a flat: the columns orthogonal to
+    every vector of the subset's orthogonal complement, found with one
+    elimination per subset.
+    """
+    n, d = len(x), x.group.free_rank
+    r = rank_of(x, range(n))
     if r == 0:
         return []
+    cols = [x.elems[i].free for i in range(n)]
     flats = set()
-    for comb in itertools.combinations(range(len(x)), r - 1):
-        if rank_of(x, comb) != r - 1:
+    for comb in itertools.combinations(range(n), r - 1):
+        normals = nullspace([[Fraction(v) for v in cols[i]] for i in comb],
+                            ncols=d)
+        if len(normals) != d - r + 1:
             continue
-        flat = frozenset(i for i in range(len(x))
-                         if rank_of(x, list(comb) + [i]) == r - 1)
-        flats.add(flat)
+        flats.add(frozenset(
+            i for i in range(n)
+            if not any(sum(a * b for a, b in zip(eta, cols[i]))
+                       for eta in normals)))
     return sorted(flats, key=sorted)
 
 
@@ -160,11 +170,13 @@ def cocircuits(x: GList) -> list:
     if r == 0:
         return []
     out = [tuple(sorted(set(range(n)) - f)) for f in corank_one_flats(x)]
-    # minimality sanity: removing a cocircuit drops the rank, any proper
-    # subset does not
+    # minimality sanity: removing a cocircuit drops the rank
     for c in out:
         rest = [i for i in range(n) if i not in c]
-        assert rank_of(x, rest) == r - 1
+        rest_rank = rank_of(x, rest)
+        if rest_rank != r - 1:
+            raise InternalError(f"removing cocircuit {c} leaves rank "
+                                f"{rest_rank}, not {r - 1}")
     return sorted(out)
 
 

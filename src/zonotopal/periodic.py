@@ -190,19 +190,18 @@ def dm_basis(x: GList) -> list:
 # periodic Todd operators and their projections
 # ---------------------------------------------------------------------------
 
-def _todd_cap(x: GList, cap: int | None) -> int:
-    return max(len(x) - x.group.free_rank + 1, 0) if cap is None else cap
-
-
-def periodic_todd(x: GList, z: GElement, cap: int | None = None
-                  ) -> PeriodicSeries:
+def periodic_todd(x: GList, z: GElement, cap: int | None = None,
+                  verts=None) -> PeriodicSeries:
     """sum_phi e_phi e_phi(-z) e^{-p_z} prod_x p_x / (1 - e_phi(-x) e^{-p_x}).
 
     Torsion elements use the marker variable s0 as their linear form when the
     vertex moves them (e_phi(x) != 1) and contribute a factor 1 otherwise.
+    The default cap is n - d + 1.  ``verts`` are the toric vertices of x when
+    the caller has them already.
     """
     n = len(x)
-    cap = _todd_cap(x, cap)
+    if cap is None:
+        cap = max(n - x.group.free_rank + 1, 0)
     vars = _pper_vars(x)
     s0_form = None
     if "s0" in vars:
@@ -210,7 +209,7 @@ def periodic_todd(x: GList, z: GElement, cap: int | None = None
         e0[vars.index("s0")] = 1
         s0_form = MPoly(vars, {tuple(e0): Cyclotomic.one()})
     out = []
-    for v in vertices(x):
+    for v in vertices(x) if verts is None else verts:
         shift = evaluate(v.character, -z)
         series = TruncatedSeries(MPoly.constant(vars, shift), cap)
         pz = p_linear(z, vars)
@@ -235,6 +234,10 @@ def f_tilde(x: GList, z, cap: int | None = None):
     Each vertex component is projected by psi_X of the full list; the result
     is checked divisible by the prefactor p_{X \\ X_phi} (hard failure
     otherwise: it would indicate a truncation-cap bug).
+
+    psi_X keeps no degree above its top degree n - d, so the Todd series is
+    truncated there; an explicit ``cap`` above it changes nothing, and one
+    below it is a ValueError.
     """
     if x.group.invariants:
         raise TorsionUnsupported(
@@ -251,20 +254,21 @@ def _f_tilde_many(x: GList, zs: tuple, cap) -> tuple:
     vertices are built once for all of zs."""
     if not zs:
         return ()
-    cap = _todd_cap(x, cap)
-    todd = periodic_todd(x, x.group.zero(), cap)
-    vars = todd.vars
+    vars = _pper_vars(x)
     psi = PsiProjector(x, vars)
-    verts = [(v.character, todd.component(v.character),
+    cap = psi.top if cap is None else min(cap, psi.top)
+    verts = vertices(x)
+    todd = periodic_todd(x, x.group.zero(), cap, verts)
+    parts = [(v.character, todd.component(v.character),
               [p_linear(x.elems[i], vars) for i in range(len(x))
-               if i not in v.x_phi]) for v in vertices(x)]
+               if i not in v.x_phi]) for v in verts]
     out = []
     for z in zs:
         pz = p_linear(z, vars)
         shift = exp_series(-pz, cap) if pz \
             else TruncatedSeries.constant(vars, 1, cap)
         terms = []
-        for char, series, prefactor in verts:
+        for char, series, prefactor in parts:
             proj = psi(series * (shift * evaluate(char, -z)))
             if proj:
                 rem = proj

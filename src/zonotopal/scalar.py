@@ -856,31 +856,42 @@ def bernoulli(k: int) -> Fraction:
 def todd_factor(linear: MPoly, c, cap: int) -> TruncatedSeries:
     """Truncation of p / (1 - c * exp(-p)) for a linear form p.
 
-    c = 1 uses the Bernoulli expansion (removable singularity); c != 1
-    multiplies p by the genuine series inverse of 1 - c*exp(-p), whose
-    constant term 1 - c is invertible.
+    The factor is a series in p alone: sum_k a_k p^k, where a_k are the
+    coefficients of t / (1 - c e^{-t}), Apostol-Bernoulli numbers in c
+    (Apostol, Pacific J. Math. 1951).  They are computed in the one-variable
+    ring and the sum is expanded from the powers of p, so no multivariate
+    series is inverted.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if linear and (linear.total_degree() != 1 or not linear.is_homogeneous()):
         raise ValueError("expected a homogeneous linear form")
-    c = _as_cyc(c)
+    coeffs = _todd_coefficients(_as_cyc(c), cap)
+    acc = MPoly.constant(linear.vars, coeffs[0])
+    pw = MPoly.constant(linear.vars, 1)
+    for a in coeffs[1:]:
+        pw = pw * linear
+        if not pw:
+            break
+        if a:
+            acc = acc + pw * a
+    return TruncatedSeries(acc, cap)
+
+
+def _todd_coefficients(c: Cyclotomic, cap: int) -> list:
+    """a_0..a_cap of t / (1 - c e^{-t}).
+
+    c = 1 gives (-1)^k B_k / k! (removable singularity); c != 1 multiplies
+    t by the series inverse of 1 - c e^{-t}, whose constant term 1 - c is
+    invertible.
+    """
     if c.is_one():
-        acc = MPoly.constant(linear.vars, 1)
-        pw = MPoly.constant(linear.vars, 1)
-        fact = 1
-        for k in range(1, cap + 1):
-            pw = pw.mul_capped(-linear, cap)
-            if not pw:
-                break
-            fact *= k
-            b = bernoulli(k)
-            if b:
-                acc = acc + pw * (b / fact)
-        return TruncatedSeries(acc, cap)
-    den = TruncatedSeries.constant(linear.vars, 1, cap) \
-        - exp_series(-linear, cap) * c
-    return TruncatedSeries(linear, cap) * den.inverse()
+        return [bernoulli(k) * Fraction((-1) ** k, math.factorial(k))
+                for k in range(cap + 1)]
+    t = MPoly.variable(("t",), 0)
+    den = TruncatedSeries.constant(t.vars, 1, cap) - exp_series(-t, cap) * c
+    series = (TruncatedSeries(t, cap) * den.inverse()).body
+    return [series.coefficient((k,)) for k in range(cap + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from zonotopal.geometry import (_adjugate, _affine_dim, _enumerate_vertices,
                                 _triangulate, big_cells, bx_by_alternating_sum,
                                 bx_value, fm_feasible, hyperplane_normals,
                                 in_cone, is_pointed, lattice_points,
-                                local_piece, piece_at, polytope_volume,
-                                short_regular, tx_value, vpf_count,
-                                zonotope_hrep)
+                                local_piece, piece_at, pointed_certificate,
+                                polytope_volume, short_regular, tx_value,
+                                vpf_count, zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
 from zonotopal.periodic import dm_basis
 from zonotopal.polyspace import _monomials, d_basis
@@ -383,7 +383,59 @@ class TestSplineValues:
             tx_value(GList.from_rows([[1, -1]]), [1])
 
 
+def vpf_count_oracle(x, u):
+    """|{w >= 0 : X w = u}| by a Fraction recursion over every column,
+    each bounded by the rational certificate eta.  The reference for
+    `geometry.vpf_count`."""
+    eta = pointed_certificate(x)
+    cols = [[F(v) for v in e.free] for e in x.elems]
+    weights = [sum(e * c for e, c in zip(eta, col)) for col in cols]
+
+    def rec(idx, target):
+        if idx == len(cols):
+            return 1 if not any(target) else 0
+        col, wgt = cols[idx], weights[idx]
+        budget = sum(e * t for e, t in zip(eta, target))
+        if budget < 0:
+            return 0
+        total = 0
+        for k in range(int(budget / wgt) + 1):
+            total += rec(idx + 1, [t - k * c for t, c in zip(target, col)])
+        return total
+
+    return rec(0, [F(v) for v in u])
+
+
+@st.composite
+def pointed_lists_and_points(draw):
+    """A pointed list (d = 1-3, n = 1-5, parallel columns and a dead
+    coordinate allowed) and a point u near its cone, sometimes
+    fractional."""
+    d = draw(st.integers(1, 3))
+    dead = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    n = draw(st.integers(1, 5))
+    cols = [[0 if i in dead else draw(st.integers(-1, 3)) for i in range(d)]
+            for _ in range(n)]
+    x = GList.from_columns(cols)
+    if not is_pointed(x):
+        x = GList.from_columns([[abs(v) for v in c] for c in cols])
+    u = [draw(st.integers(-2, 9)) for _ in range(d)]
+    if draw(st.integers(0, 9)) == 0:
+        u[0] = F(2 * u[0] + 1, 2)
+    return x, u
+
+
 class TestVpf:
+    @settings(max_examples=150, deadline=None)
+    @given(pointed_lists_and_points())
+    def test_matches_fraction_recursion(self, case):
+        x, u = case
+        if not is_pointed(x):
+            with pytest.raises(NotPointed):
+                vpf_count(x, u)
+            return
+        assert vpf_count(x, u) == vpf_count_oracle(x, u)
+
     def test_values(self, x124, x11):
         assert vpf_count(x124, [5]) == 4
         assert vpf_count(x11, [3]) == 4

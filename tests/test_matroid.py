@@ -1,13 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
                                rank_of)
-from zonotopal.errors import RankDeficient
+from zonotopal.errors import InternalError, RankDeficient
 from zonotopal.matroid import (BivarPoly, arithmetic_tutte, bases, cocircuits,
-                               external_activity, is_coloop, is_unimodular,
-                               tutte)
+                               corank_one_flats, external_activity, is_coloop,
+                               is_unimodular, tutte)
 
 
 def poly(terms):
@@ -51,6 +52,69 @@ class TestCocircuits:
         # complements of the 4 lines spanned by single columns
         assert cocircuits(zp_list) == [
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+    def test_rank_that_does_not_drop_is_internal_error(self, zp_list,
+                                                       monkeypatch):
+        # a typed error, so the check also runs under python -O
+        from zonotopal import matroid
+        monkeypatch.setattr(matroid, "corank_one_flats",
+                            lambda x: [frozenset()])
+        with pytest.raises(InternalError,
+                           match=r"cocircuit \(0, 1, 2, 3\) leaves rank 0"):
+            cocircuits(zp_list)
+
+
+def corank_one_flats_by_rank(x):
+    """Oracle: each independent (r-1)-subset closed by one rank computation
+    per column."""
+    r = rank_of(x, range(len(x)))
+    if r == 0:
+        return []
+    flats = set()
+    for comb in itertools.combinations(range(len(x)), r - 1):
+        if rank_of(x, comb) != r - 1:
+            continue
+        flats.add(frozenset(i for i in range(len(x))
+                            if rank_of(x, list(comb) + [i]) == r - 1))
+    return sorted(flats, key=sorted)
+
+
+@st.composite
+def flat_lists(draw):
+    """Lists with d = 1-3, possibly torsion, zero and parallel columns and
+    a rank below d."""
+    d = draw(st.integers(1, 3))
+    invariants = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    group = FgGroup(d, invariants)
+    entry = st.integers(-2, 2)
+    dead = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "parallel"]))
+        if kind == "parallel" and cols:
+            base = draw(st.sampled_from(cols))
+            k = draw(st.sampled_from([-2, -1, 1, 2]))
+            free = [k * v for v in base[:d]]
+        elif kind == "zero":
+            free = [0] * d
+        else:
+            free = [0 if i in dead else draw(entry) for i in range(d)]
+        tors = [draw(st.integers(0, m - 1)) for m in invariants]
+        cols.append(free + tors)
+    return GList.from_columns(cols, group)
+
+
+class TestCorankOneFlats:
+    @settings(max_examples=150, deadline=None)
+    @given(flat_lists())
+    def test_equal_rank_oracle(self, x):
+        assert corank_one_flats(x) == corank_one_flats_by_rank(x)
+
+    def test_fixed_lists(self, mixed_corpus, zp_list):
+        for x in list(mixed_corpus) + _special_lists() \
+                + _rank_deficient_lists() + _z2_z2z4_lists() + [zp_list]:
+            assert corank_one_flats(x) == corank_one_flats_by_rank(x), x
 
 
 class TestExternalActivity:

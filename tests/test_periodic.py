@@ -37,6 +37,22 @@ def _pper_span_equal(a, b):
     return linalg.span_equal([row(p) for p in a], [row(p) for p in b])
 
 
+# prefixes of (1,0),(0,1),(1,1),(1,2),(2,1),(1,3),(3,1): d = 2 lists of
+# n = 5-7 with four toric vertices, the shape of the benchmark's Todd lists
+_TODD_COLS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
+TODD_LISTS = [GList.from_rows([[c[0] for c in _TODD_COLS[:n]],
+                               [c[1] for c in _TODD_COLS[:n]]])
+              for n in (5, 6, 7)]
+
+
+def f_tilde_projected(x, z):
+    """Oracle: psi_X of each vertex component of the periodic Todd series
+    at z, taken at the series' own default cap n - d + 1."""
+    todd = periodic_todd(x, z)
+    psi = PsiProjector(x, todd.vars)
+    return PeriodicPoly(todd.vars, [(c, psi(s)) for c, s in todd.terms])
+
+
 def _make(x, items):
     """items: list of (character, poly) with polys over the right vars."""
     from zonotopal.periodic import _pper_vars
@@ -223,6 +239,48 @@ class TestFTilde:
             assert f_tilde(x, zs[:2], 4) \
                 == tuple(f_tilde(x, z, 4) for z in zs[:2])
             assert f_tilde(x, ()) == ()
+
+    def test_top_degree_cap_changes_nothing(self, geometry_corpus,
+                                            unity_corpus, zp_list):
+        for x in list(geometry_corpus) + list(unity_corpus) + [zp_list] \
+                + TODD_LISTS:
+            n, d = len(x), x.group.free_rank
+            zs = tuple(x.group.element(z) for z in
+                       [(0,) * d, (1,) * d, (-1,) + (2,) * (d - 1)])
+            fts = f_tilde(x, zs)
+            assert fts == f_tilde(x, zs, n - d + 1) \
+                == f_tilde(x, zs, n - d + 4)
+            if n <= 6:
+                assert fts[-1] == f_tilde_projected(x, zs[-1])
+
+    def test_cap_below_top_degree_is_value_error(self, x124, zp_list):
+        for x in (x124, zp_list):
+            top = len(x) - x.group.free_rank
+            with pytest.raises(ValueError, match="below top degree"):
+                f_tilde(x, x.group.zero(), top - 1)
+
+    def test_one_vertex_pass_and_series_at_top_degree(self, zp_list,
+                                                       monkeypatch):
+        # psi_X drops every degree above n - d, so the Todd series stops
+        # there, and the vertices are enumerated once per call
+        from zonotopal import periodic
+        calls, caps = [], []
+        build, todd = periodic.vertices, periodic.periodic_todd
+
+        def counted(x):
+            calls.append(x)
+            return build(x)
+
+        def todd_cap(x, z, cap, *rest):
+            caps.append(cap)
+            return todd(x, z, cap, *rest)
+        monkeypatch.setattr(periodic, "vertices", counted)
+        monkeypatch.setattr(periodic, "periodic_todd", todd_cap)
+        zs = tuple(zp_list.group.element(z) for z in [(0, 0), (1, 2)])
+        f_tilde(zp_list, zs)
+        f_tilde(zp_list, zs[0], 7)
+        assert len(calls) == 2
+        assert caps == [2, 2]
 
     def test_basis_property(self, x124):
         # f_z over Z(X, w) spans Pper; over interior points spans internal

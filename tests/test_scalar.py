@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, ZLaurent,
                               bernoulli, cyclotomic_polynomial,
                               divide_by_linear, exp_series, rat_parse,
-                              rat_str, residue, todd_factor)
+                              rat_str, residue, s_vars, todd_factor)
 from zonotopal.errors import InternalError, NonMember
 
 SV = ("s1",)
@@ -14,6 +16,43 @@ SV = ("s1",)
 
 def lin(c=1):
     return MPoly.linear_form(SV, (Fraction(c),))
+
+
+def todd_factor_multivariate(linear, c, cap):
+    """Oracle: p / (1 - c e^{-p}) with the series inverse taken in all the
+    variables of p (Bernoulli expansion for c = 1)."""
+    c = Cyclotomic.one() * c
+    if c.is_one():
+        acc = MPoly.constant(linear.vars, 1)
+        pw = MPoly.constant(linear.vars, 1)
+        for k in range(1, cap + 1):
+            pw = pw.mul_capped(-linear, cap)
+            if not pw:
+                break
+            acc = acc + pw * (bernoulli(k) / math.factorial(k))
+        return TruncatedSeries(acc, cap)
+    den = TruncatedSeries.constant(linear.vars, 1, cap) \
+        - exp_series(-linear, cap) * c
+    return TruncatedSeries(linear, cap) * den.inverse()
+
+
+# c = zeta_m^k for m <= 6 (1 included), and rationals c != 1
+TODD_CS = sorted({(m, k % m) for m in range(1, 7) for k in range(m)}) \
+    + [Fraction(2), Fraction(-1), Fraction(1, 3)]
+
+
+def todd_c(spec):
+    return Cyclotomic.root_of_unity(*spec) if isinstance(spec, tuple) \
+        else spec
+
+
+@st.composite
+def todd_forms(draw):
+    """A linear form (possibly zero) in 1-3 variables, with or without s0."""
+    vars = s_vars(draw(st.integers(1, 3)), with_s0=draw(st.booleans()))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(vars),
+                           max_size=len(vars)))
+    return MPoly.linear_form(vars, [Fraction(v) for v in coeffs])
 
 
 class TestCyclotomic:
@@ -158,6 +197,41 @@ class TestToddFactor:
         den = TruncatedSeries.constant(SV, 1, cap) \
             - exp_series(-lin(3), cap) * Cyclotomic.one() * c
         assert (factor * den).body == lin(3)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(todd_forms(), st.sampled_from(TODD_CS), st.integers(0, 7))
+    def test_matches_multivariate_inverse(self, linear, spec, cap):
+        c = todd_c(spec)
+        new = todd_factor(linear, c, cap)
+        old = todd_factor_multivariate(linear, c, cap)
+        assert new == old
+        # same value in the same field, so it also prints the same
+        assert repr(new) == repr(old)
+
+    @pytest.mark.parametrize("c", [Fraction(2), Fraction(-1), Fraction(1, 3),
+                                   Fraction(2, 7)])
+    def test_one_variable_coefficients_match_sympy(self, c):
+        cap = 7
+        t = sympy.Symbol("t")
+        expect = sympy.series(t / (1 - sympy.Rational(c.numerator,
+                                                      c.denominator)
+                                   * sympy.exp(-t)), t, 0, cap + 1).removeO()
+        body = todd_factor(lin(), c, cap).body
+        for k in range(cap + 1):
+            want = expect.coeff(t, k)
+            assert body.coefficient((k,)) == Fraction(int(want.p),
+                                                      int(want.q))
+
+    def test_bernoulli_coefficients_match_sympy(self):
+        # t / (1 - e^{-t}) = sum_k B_k(1) t^k / k!, B_k(x) the Bernoulli
+        # polynomial (B_1(1) = +1/2 in every convention)
+        cap = 12
+        body = todd_factor(lin(), 1, cap).body
+        for k in range(cap + 1):
+            want = sympy.bernoulli(k, 1) / sympy.factorial(k)
+            assert body.coefficient((k,)) == Fraction(int(want.p),
+                                                      int(want.q))
 
 
 class TestSeries:
