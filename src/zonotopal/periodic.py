@@ -4,6 +4,10 @@ A PeriodicPoly assigns a polynomial (in s-variables, plus a degree marker s0
 for torsion) to each vertex of the toric arrangement; a QuasiFunction does
 the same with t-polynomials and is evaluated on the lattice as
 sum_phi e_phi(lambda) f_phi(lambda).
+
+f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
+series only up to psi_X's top degree n - d; one vertex enumeration serves
+the series and the projection.
 """
 
 from __future__ import annotations

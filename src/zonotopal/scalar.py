@@ -4,6 +4,8 @@ Rationals are ``fractions.Fraction`` (already reduced, positive denominator).
 On top of them: cyclotomic numbers in the power basis of Q(zeta_n), sparse
 multivariate polynomials with cyclotomic coefficients, degree-capped power
 series, and a z-Laurent object whose residue feeds the wall-crossing formula.
+A Todd factor p / (1 - c e^{-p}) is a series in its linear form p alone: its
+coefficients are found in one variable and expanded in powers of p.
 
 All values are immutable; every operation returns a fresh object.
 """
