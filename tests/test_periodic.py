@@ -38,7 +38,7 @@ def _pper_span_equal(a, b):
 
 
 # prefixes of (1,0),(0,1),(1,1),(1,2),(2,1),(1,3),(3,1): d = 2 lists of
-# n = 5-7 with four toric vertices, the shape of the benchmark's Todd lists
+# n = 5-7, as in the todd benchmark, with 5, 12 and 24 toric vertices
 _TODD_COLS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
 TODD_LISTS = [GList.from_rows([[c[0] for c in _TODD_COLS[:n]],
                                [c[1] for c in _TODD_COLS[:n]]])
