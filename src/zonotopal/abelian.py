@@ -12,8 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RankDeficient
-from .linalg import rank as qrank
+from .errors import InternalError, RankDeficient
+from .linalg import adjugate, rank as qrank
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +497,9 @@ def contract(x: GList, i: int):
         cols.append(col)
     mat = [[col[r] for col in cols] for r in range(n)]
     u, d, _ = snf(mat)
-    uinv = _int_matrix_inverse(u)
+    uinv, det = adjugate(u) or (None, 0)
+    if det != 1:
+        raise InternalError(f"the SNF transform {u} is not unimodular")
     diag = [d[r][r] if r < min(len(d), len(d[0])) else 0 for r in range(n)]
     # coordinate r of y = U*lift(g) is taken modulo diag[r] (0 = free)
     keep = [(r, u[r], dr) for r, dr in enumerate(diag) if dr != 1]
@@ -513,12 +515,3 @@ def contract(x: GList, i: int):
     new_elems = [qm.apply(e) for j, e in enumerate(x.elems) if j != i]
     return GList(target, new_elems), qm
 
-
-def _int_matrix_inverse(u):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(u)
-    m = [[Fraction(u[i][j]) for j in range(n)] for i in range(n)]
-    from .linalg import solve
-    cols = solve(m, [[Fraction(int(i == j)) for j in range(n)]
-                     for i in range(n)])
-    return [[int(cols[i][j]) for j in range(n)] for i in range(n)]

@@ -24,7 +24,8 @@ from .geometry import (Cell, big_cells, bx_value, fiber, hyperplane_normals,
                        require_value, short_regular, zonotope_hrep)
 from .matroid import is_coloop, is_unimodular
 from .periodic import PeriodicPoly, QuasiFunction, f_tilde, periodic_todd
-from .scalar import Cyclotomic, MPoly, ZLaurent, s_vars, t_vars
+from .scalar import (Cyclotomic, MPoly, TruncatedSeries, exp_series, s_vars,
+                     t_vars)
 from .toric import evaluate, vertices
 
 _F0 = Fraction(0)
@@ -352,93 +353,45 @@ def continuity_check(x: GList, p: PeriodicPoly, window: int = 3,
 # wall crossing (Boysal-Vergne residue)
 # ---------------------------------------------------------------------------
 
-def wall_jump(x: GList, eta, v12: MPoly, out_vars=None) -> MPoly:
+def wall_jump(x: GList, eta, v12: MPoly) -> MPoly:
     """Residue form of the jump of T_X across the wall with normal eta.
 
-    Computes res_{z=0} (V12(D_s) e^{s.t + z eta(t)} / prod_{x not in H}
-    (x.s + eta(x) z))|_{s=0} exactly; eta must be oriented positively on the
-    cell whose piece is the minuend.
+    The jump is res_{z=0} (V12(D_s) e^{s.t + z eta(t)} / prod_{x not in H}
+    (x.s + eta(x) z))|_{s=0} (Boysal-Vergne); eta must be oriented
+    positively on the cell whose piece is the minuend.  With m columns off
+    the wall and H(s) = prod_{x not in H} 1 / (eta(x) + x.s), the product is
+    z^-m H(s/z), so the residue is
+
+        sum_k H_k(s) eta(t)^(m+k-1) / (m+k-1)! e^{s.t}
+
+    for the degree-k parts H_k of H.  V12 has degree r and s is set to 0
+    after it acts, so only s-degree <= r counts: H is capped at r, and the
+    terms of e^{s.t} of s-degree <= r are those of total degree <= 2r.
     """
     d = x.group.free_rank
-    sv = s_vars(d)
-    tv = out_vars or t_vars(d)
-    both = sv + tv
+    both = s_vars(d) + t_vars(d)
     etaq = [Fraction(e) for e in eta]
-    off = [i for i in range(len(x))
-           if sum(e * Fraction(c) for e, c in zip(etaq, x.elems[i].free)) != 0]
-    m = len(off)
     r = max(v12.total_degree(), 0)
-    # exp(sum s_i t_i) truncated to s-degree <= r
-    st = MPoly(both)
-    for i in range(d):
-        e = [0] * (2 * d)
-        e[i] = 1
-        e[d + i] = 1
-        st = st + MPoly(both, {tuple(e): Cyclotomic.one()})
-    exp_st = _exp_sdeg(st, r, d)
-    # exp(z * eta(t)) up to z^(m + r - 1)
+    h = TruncatedSeries.constant(both, 1, r)
+    m = 0
+    for el in x.elems:
+        ex = sum(e * Fraction(c) for e, c in zip(etaq, el.free))
+        if ex:
+            m += 1
+            xs = MPoly.linear_form(both, [Fraction(c) for c in el.free]
+                                   + [_F0] * d)
+            h = h * TruncatedSeries(xs + ex, r).inverse()
     eta_t = MPoly.linear_form(both, [_F0] * d + etaq)
-    zpows = ZLaurent(both, {0: MPoly.constant(both, 1)})
-    acc = MPoly.constant(both, 1)
-    fact = 1
-    for j in range(1, m + r):
-        acc = acc * eta_t
-        fact *= j
-        zpows = zpows + ZLaurent(both, {j: acc * Fraction(1, fact)})
-    total = ZLaurent(both, {0: exp_st}) * zpows
-    low = -(m + r)
-    for i in off:
-        xs = MPoly.linear_form(
-            both, [Fraction(c) for c in x.elems[i].free] + [_F0] * d)
-        ex = sum(e * Fraction(c) for e, c in zip(etaq, x.elems[i].free))
-        inv = ZLaurent(both, {})
-        pw = MPoly.constant(both, 1)
-        for k in range(r + 1):
-            inv = inv + ZLaurent(
-                both, {-1 - k: pw * (Fraction((-1) ** k) / ex ** (k + 1))})
-            pw = _truncate_sdeg(pw * xs, r, d)
-        total = total * inv
-        total = ZLaurent(both, {k: _truncate_sdeg(p, r, d)
-                                for k, p in total.terms.items()
-                                if k >= low})
-    # apply V12 as a differential operator in the s block, then set s = 0
-    result = ZLaurent(both, {})
-    for k, poly in total.terms.items():
-        applied = MPoly(both)
-        for e, c in v12.terms.items():
-            g = poly
-            for i, kk in enumerate(e):
-                for _ in range(kk):
-                    g = g.derivative(i)
-                    if not g:
-                        break
-            if g:
-                applied = applied + g * c
-        s0 = MPoly(both, {ee: cc for ee, cc in applied.terms.items()
-                          if not any(ee[:d])})
-        if s0:
-            result = result + ZLaurent(both, {k: s0})
-    res = result.residue()
-    # drop the (zero) s block of the exponents
-    return MPoly(tv, {e[d:]: c for e, c in res.terms.items()})
-
-
-def _truncate_sdeg(p: MPoly, r: int, d: int) -> MPoly:
-    return MPoly(p.vars, {e: c for e, c in p.terms.items()
-                          if sum(e[:d]) <= r})
-
-
-def _exp_sdeg(p: MPoly, r: int, d: int) -> MPoly:
-    acc = MPoly.constant(p.vars, 1)
-    pw = MPoly.constant(p.vars, 1)
-    fact = 1
-    for k in range(1, r + 1):
-        pw = _truncate_sdeg(pw * p, r, d)
-        if not pw:
-            break
-        fact *= k
-        acc = acc + pw * Fraction(1, fact)
-    return acc
+    eta_pows = exp_series(eta_t, max(m + r - 1, 0)).body.slices()
+    res = MPoly(both)
+    for k, hk in h.body.slices().items():
+        if m + k >= 1:
+            res = res + hk * eta_pows[m + k - 1]
+    st = sum((MPoly.variable(both, i) * MPoly.variable(both, d + i)
+              for i in range(d)), MPoly(both))
+    res = v12.apply_diff(res * exp_series(st, 2 * r).body)
+    return MPoly(t_vars(d), {e[d:]: c for e, c in res.terms.items()
+                             if not any(e[:d])})
 
 
 def wall_v12(x: GList, wall: Wall) -> MPoly:

@@ -47,7 +47,7 @@ def _exact(value, flag, length, integral=False) -> list:
                          f"got {json.dumps(value)}")
     try:
         out = [Fraction(str(v)) for v in value]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"--{flag} needs numbers, "
                          f"got {json.dumps(value)}") from None
     if not integral:
@@ -323,10 +323,13 @@ def _cmd_wall_jump(args):
 
 def _cmd_corpus(args):
     limits = CorpusLimits(require_pointed=True)
-    if args.d:
+    if args.d is not None:
         limits.max_dim = args.d
-    if args.n:
+    if args.n is not None:
         limits.max_len = args.n
+    if not 1 <= limits.max_dim <= limits.max_len:
+        raise ValueError(f"corpus needs --d >= 1 and --n >= --d, got --d "
+                         f"{limits.max_dim} and --n {limits.max_len}")
     lists = corpus(args.seed, limits, count=args.count)
     rotation = ("arith-tutte", "pper-basis", "zonotope", "tutte", "vertices")
     for k, x in enumerate(lists):

@@ -281,38 +281,12 @@ def _integer_rows(A, b):
     return out_a, out_b
 
 
-def _adjugate(m):
-    """(adj, det) of a square integer matrix with adj m = det I and det > 0
-    (the sign of det moved into adj), or None when m is singular.
-
-    Fraction-free Gauss-Jordan on [m | I]: every division is exact, and the
-    last pivot is +-det(m) with the right block its adjugate times the sign.
-    """
-    n = len(m)
-    rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            return None
-        rows[k], rows[piv] = rows[piv], rows[k]
-        p = rows[k][k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * a - f * c) // prev
-                           for a, c in zip(rows[i], rows[k])]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * v for v in r[n:]] for r in rows], sign * prev
-
-
 def _subset_adjugates(A, dim) -> tuple:
     """(S, adj A_S, |det A_S|) for every nonsingular dim-row subset S of the
-    integer matrix A, as `_adjugate` gives them."""
+    integer matrix A, as `linalg.adjugate` gives them."""
     out = []
     for rows in itertools.combinations(range(len(A)), dim):
-        inv = _adjugate([A[i] for i in rows])
+        inv = linalg.adjugate([A[i] for i in rows])
         if inv is not None:
             out.append((rows, *inv))
     return tuple(out)
@@ -471,8 +445,8 @@ def _fiber(x: GList) -> Fiber:
     d, n = x.group.free_rank, len(x)
     xmat = [[Fraction(e.free[i]) for e in x.elems] for i in range(d)]
     pivots = linalg.rref(xmat)[1]
-    basis_adj = _adjugate([[x.elems[j].free[i] for j in pivots]
-                           for i in range(d)])
+    basis_adj = linalg.adjugate([[x.elems[j].free[i] for j in pivots]
+                                 for i in range(d)])
     kern = [linalg.primitive(v) for v in linalg.nullspace(xmat, ncols=n)]
     m = len(kern)                            # = n - d
     ktk = [[Fraction(_dot_int(a, b)) for b in kern] for a in kern]

@@ -131,6 +131,32 @@ def det(m):
     return acc if sign > 0 else -acc
 
 
+def adjugate(m):
+    """(adj, det) of a square integer matrix with adj m = det I and det > 0
+    (the sign of det moved into adj), or None when m is singular.
+
+    Fraction-free Gauss-Jordan on [m | I]: every division is exact, and the
+    last pivot is +-det(m) with the right block its adjugate times the sign.
+    """
+    n = len(m)
+    rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        p = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * c) // prev
+                           for a, c in zip(rows[i], rows[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * v for v in r[n:]] for r in rows], sign * prev
+
+
 def primitive(vec) -> tuple:
     """Scale a nonzero rational vector to a primitive integer tuple whose
     first nonzero entry is positive."""

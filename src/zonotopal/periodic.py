@@ -12,6 +12,7 @@ the series and the projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,7 +300,8 @@ def pper_internal_basis(x: GList) -> list:
     vars = _pper_vars(x)
     basis = pper_basis(x)
     verts = vertices(x)
-    planes = [(hp, _restriction_classes(verts, hp.normal))
+    planes = [(_restriction_classes(verts, hp.normal),
+               _eta_power(hp.normal, hp.mult - 1, vars))
               for hp in hyperplanes(x)]
     by_degree = {}
     for b in basis:
@@ -308,16 +310,14 @@ def pper_internal_basis(x: GList) -> list:
     for deg in sorted(by_degree):
         elems = by_degree[deg]
         rows = []      # one row per (hyperplane, class, output monomial)
-        for hp, classes in planes:
-            order = hp.mult - 1
+        for classes, op in planes:
             for cls in classes:
                 cols = []
                 for b in elems:
                     total = MPoly(vars)
                     for char, poly in b.terms:
                         if char in cls:
-                            total = total + _eta_derivative(
-                                poly, hp.normal, order, vars)
+                            total = total + op.apply_diff(poly)
                     cols.append(total)
                 monos = sorted({e for c in cols for e in c.terms})
                 for e in monos:
@@ -358,19 +358,11 @@ def _restriction_classes(verts, eta):
     return list(groups.values())
 
 
-def _eta_derivative(poly: MPoly, eta, order: int, vars) -> MPoly:
-    """D_eta^order, ignoring s0 (a pure degree marker)."""
-    offset = 1 if vars and vars[0] == "s0" else 0
-    out = poly
-    for _ in range(order):
-        acc = MPoly(vars)
-        for i, e in enumerate(eta):
-            if e:
-                acc = acc + out.derivative(i + offset) * Fraction(e)
-        out = acc
-        if not out:
-            break
-    return out
+def _eta_power(eta, order: int, vars) -> MPoly:
+    """The operator D_eta^order as a polynomial; a leading s0 (a pure degree
+    marker) gets coefficient 0."""
+    form = MPoly.linear_form(vars, [0] * (len(vars) - len(eta)) + list(eta))
+    return math.prod([form] * order, start=MPoly.constant(vars, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ class GradedSpan:
         top = max((p.total_degree() for p in self.basis), default=-1)
         out = [0] * (top + 1)
         for p in self.basis:
-            assert p.is_homogeneous()
+            if not p.is_homogeneous():
+                raise ValueError("hilbert requires a homogeneous basis")
             out[max(p.total_degree(), 0)] += 1
         return out
 
@@ -128,7 +129,8 @@ def poly_sort_key(p: MPoly):
 
 def cocircuit_gens(x: GList, degree: int, vars=None) -> list:
     """Spanning set of the degree slice of the cocircuit ideal."""
-    assert degree >= 0
+    if degree < 0:
+        raise ValueError(f"cocircuit_gens needs a degree >= 0, got {degree}")
     vars = vars or s_vars(x.group.free_rank)
     out = []
     for c in cocircuits(x):

@@ -2,10 +2,9 @@
 
 Rationals are ``fractions.Fraction`` (already reduced, positive denominator).
 On top of them: cyclotomic numbers in the power basis of Q(zeta_n), sparse
-multivariate polynomials with cyclotomic coefficients, degree-capped power
-series, and a z-Laurent object whose residue feeds the wall-crossing formula.
-A Todd factor p / (1 - c e^{-p}) is a series in its linear form p alone: its
-coefficients are found in one variable and expanded in powers of p.
+multivariate polynomials with cyclotomic coefficients and degree-capped power
+series.  A Todd factor p / (1 - c e^{-p}) is a series in its linear form p
+alone: its coefficients are found in one variable and expanded in powers of p.
 
 All values are immutable; every operation returns a fresh object.
 """
@@ -895,69 +894,3 @@ def _todd_coefficients(c: Cyclotomic, cap: int) -> list:
     series = (TruncatedSeries(t, cap) * den.inverse()).body
     return [series.coefficient((k,)) for k in range(cap + 1)]
 
-
-# ---------------------------------------------------------------------------
-# z-Laurent objects
-# ---------------------------------------------------------------------------
-
-class ZLaurent:
-    """Finite Laurent object in an auxiliary variable z with MPoly coefficients.
-
-    Only finitely many exponents are stored; negative exponents are allowed
-    (bounded below by construction).  residue() extracts the z^(-1) part.
-    """
-
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, vars, terms=None):
-        self.vars = tuple(vars)
-        self.terms = {}
-        if terms:
-            for k, p in terms.items():
-                if p:
-                    assert p.vars == self.vars
-                    self.terms[int(k)] = p
-
-    @staticmethod
-    def monomial(vars, k, p) -> "ZLaurent":
-        return ZLaurent(vars, {k: p})
-
-    def __add__(self, other):
-        assert self.vars == other.vars
-        terms = dict(self.terms)
-        for k, p in other.terms.items():
-            cur = terms.get(k)
-            s = p if cur is None else cur + p
-            if s:
-                terms[k] = s
-            elif cur is not None:
-                del terms[k]
-        return ZLaurent(self.vars, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, ZLaurent):
-            assert self.vars == other.vars
-            terms = {}
-            for k1, p1 in self.terms.items():
-                for k2, p2 in other.terms.items():
-                    q = p1 * p2
-                    if not q:
-                        continue
-                    cur = terms.get(k1 + k2)
-                    terms[k1 + k2] = q if cur is None else cur + q
-            return ZLaurent(self.vars, terms)
-        return ZLaurent(self.vars, {k: p * other for k, p in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def residue(self) -> MPoly:
-        """Coefficient of z^(-1); the zero polynomial when absent."""
-        return self.terms.get(-1, MPoly(self.vars))
-
-    def __repr__(self):
-        bits = [f"({p!r})*z^{k}" for k, p in sorted(self.terms.items())]
-        return " + ".join(bits) if bits else "0"
-
-
-def residue(l: ZLaurent) -> MPoly:
-    return l.residue()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import FgGroup, GElement, GList, snf
-from .errors import RankDeficient
+from .errors import InternalError, RankDeficient
 from .matroid import bases
 from .scalar import Cyclotomic, rat_str
 
@@ -107,7 +107,9 @@ def _characters_killing(x: GList, basis) -> list:
     mat = [[col[r] for col in cols] for r in range(n)]
     u, d, _ = snf(mat)
     diag = [d[r][r] if r < min(len(d), len(d[0])) else 0 for r in range(n)]
-    assert all(diag), "basis does not have finite index"
+    if not all(diag):
+        raise InternalError(f"the basis {sorted(basis)} does not have "
+                            f"finite index")
     out = []
     for combo in itertools.product(*(range(di) for di in diag)):
         # character y -> sum_i combo[i]/diag[i] * y_i pulled back along U
@@ -123,7 +125,9 @@ def _characters_killing(x: GList, basis) -> list:
 
 
 def _all_torsion_characters(group: FgGroup) -> list:
-    assert group.free_rank == 0
+    if group.free_rank:
+        raise InternalError(f"{group.spec_string()} is not finite, so its "
+                            f"characters cannot be listed")
     out = []
     for combo in itertools.product(*(range(k) for k in group.invariants)):
         out.append(Character((), tuple(Fraction(c, k) for c, k

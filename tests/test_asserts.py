@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zonotopal"
 
-ASSERT_CEILING = {"scalar": 10, "polyspace": 2, "toric": 2}
+ASSERT_CEILING = {"scalar": 7}
 
 
 def assert_counts() -> dict:

@@ -2,18 +2,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from zonotopal.abelian import FgGroup, GList
 from zonotopal.brionvergne import (apply_periodic, box_deconvolution_check,
                                    box_delta_check, box_interpolant, bv_count,
                                    continuity_check, partition_of_unity,
-                                   wall_jump, wall_jump_check, walls)
+                                   wall_jump, wall_jump_check, wall_v12,
+                                   walls)
 from zonotopal.errors import NotUnimodular
 from zonotopal.geometry import (big_cells, in_cone, lattice_points,
                                 local_piece, short_regular, vpf_count)
 from zonotopal.periodic import (PeriodicPoly, f_tilde, pper_basis,
                                 pper_internal_basis)
-from zonotopal.scalar import Cyclotomic, MPoly
+from zonotopal.scalar import Cyclotomic, MPoly, t_vars
 from zonotopal.toric import Character
 
 F = Fraction
@@ -258,6 +260,61 @@ class TestWallCrossing:
                 jump, diff, leading_ok = wall_jump_check(x, wall)
                 assert jump == diff
                 assert leading_ok
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 1, 0], [0, 1, 1, 1]],               # V12 = t2 on one wall
+        [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]],   # V12 of degree 1 on all 3
+    ])
+    def test_parallel_columns_walls(self, rows):
+        # columns repeated on a wall ray give V12 of positive degree, so the
+        # residue needs the s-expansion up to that degree
+        x = GList.from_rows(rows)
+        degrees = []
+        for wall in walls(x):
+            jump, diff, leading_ok = wall_jump_check(x, wall)
+            assert jump == diff
+            assert leading_ok
+            degrees.append(wall_v12(x, wall).total_degree())
+        assert max(degrees) == 1
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 1], [0, 1, 1]], [[1, 2, -1], [1, 1, 2]], [[1, 1]], [[1, 2, 3]],
+    ])
+    def test_residue_matches_sympy(self, rows):
+        # res_{z=0} v(D_s) e^{s.t + z eta(t)} / prod (x.s + eta(x) z)|_{s=0}
+        # for the wall's own V12 and a fixed operator of degree 2
+        x = GList.from_rows(rows)
+        d = x.group.free_rank
+        t1, td = (MPoly.variable(t_vars(d), i) for i in (0, d - 1))
+        fixed = t1 * t1 - t1 * td * F(3, 2) + td * 2 + F(1, 3)
+        z, w = sympy.symbols("z w")     # w stands for eta(t) until the end
+        s = sympy.symbols(f"s1:{d + 1}")
+        t = sympy.symbols(f"t1:{d + 1}")
+        for wall in walls(x):
+            eta = wall.normal
+            den = 1
+            for el in x.elems:
+                ex = sum(e * c for e, c in zip(eta, el.free))
+                if ex:
+                    den *= sum(c * si for c, si in zip(el.free, s)) + ex * z
+            kernel = sympy.exp(sum(si * ti for si, ti in zip(s, t))
+                               + z * w) / den
+            for v in (wall_v12(x, wall), fixed):
+                applied = 0
+                for e, c in v.terms.items():
+                    term = kernel
+                    for si, k in zip(s, e):
+                        term = sympy.diff(term, si, k)
+                    applied += sympy.Rational(str(c.to_rational())) * term
+                # one fraction and one exponential: the residue runs faster
+                applied = sympy.powsimp(sympy.together(
+                    applied.subs({si: 0 for si in s})))
+                expect = sympy.expand(sympy.residue(applied, z, 0).subs(
+                    w, sum(e * ti for e, ti in zip(eta, t))))
+                got = sum(sympy.Rational(str(c.to_rational()))
+                          * sympy.prod(ti ** k for ti, k in zip(t, e))
+                          for e, c in wall_jump(x, eta, v).terms.items())
+                assert sympy.expand(got - expect) == 0, (wall.ray, v)
 
     def test_constant_jump_minimal_multiplicity(self):
         # m(H) = 1, V12 = 1: the jump is the bare constant c_X

@@ -206,6 +206,16 @@ class TestExitCodes:
         ["l-map", "--x", "[[1,2]]", "--p", _periodic_json([1], 0, [])],
         ["l-map", "--x", "[[1,2]]", "--p",
          _periodic_json([1], 10 ** 24 + 7, ["1"])],
+        # a zero denominator
+        ["count", "--x", "[[1,1]]", "--u", '["1/0"]'],
+        ["tutte", "--x", '[["1/0"]]'],
+        ["bv-count", "--x", "[[1,2,4]]", "--z", "[1]", "--u", "[6]",
+         "--w", '["1/0"]'],
+        # corpus needs 1 <= --d <= --n (defaults 3 and 7)
+        ["corpus", "--d", "0"],
+        ["corpus", "--n", "0"],
+        ["corpus", "--d", "-1"],
+        ["corpus", "--d", "3", "--n", "1"],
     ])
     def test_invalid_input_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
@@ -234,6 +244,14 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.strip() == "4"
+
+    def test_subprocess_usage_error_has_no_traceback(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "zonotopal.cli", "tutte",
+             "--x", '[["1/0"]]'], capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == 'usage error: --x needs numbers, got ["1/0"]\n'
 
 
 class TestThreads:

@@ -10,7 +10,7 @@ from alcoves import alcove_room, alcove_sample
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
 from zonotopal.errors import NotPointed, SamplesRequired
-from zonotopal.geometry import (_adjugate, _affine_dim, _enumerate_vertices,
+from zonotopal.geometry import (_affine_dim, _enumerate_vertices,
                                 _triangulate, big_cells, bx_by_alternating_sum,
                                 bx_value, fm_feasible, hyperplane_normals,
                                 in_cone, is_pointed, lattice_points,
@@ -312,7 +312,7 @@ class TestVolume:
     def test_adjugate(self, m):
         n = len(m)
         det = linalg.det([[F(v) for v in row] for row in m])
-        got = _adjugate(m)
+        got = linalg.adjugate(m)
         if not det:
             assert got is None
             return

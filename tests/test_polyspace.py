@@ -1,10 +1,12 @@
 
+import pytest
+
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, rank_of
 from zonotopal.matroid import tutte
-from zonotopal.polyspace import (PsiProjector, cocircuit_gens, d_basis,
-                                 internal_p_basis, p_basis, p_product, pair,
-                                 psi_project)
+from zonotopal.polyspace import (GradedSpan, PsiProjector, cocircuit_gens,
+                                 d_basis, internal_p_basis, p_basis,
+                                 p_product, pair, psi_project)
 from zonotopal.scalar import Cyclotomic, MPoly, exp_series, todd_factor
 
 SV2 = ("s1", "s2")
@@ -71,6 +73,10 @@ class TestCocircuitIdeal:
         gens = cocircuit_gens(x124, 3)
         assert len(gens) == 1
         assert gens[0] == MPoly(("s1",), {(3,): Cyclotomic.from_rational(8)})
+
+    def test_negative_degree_is_value_error(self, x11):
+        with pytest.raises(ValueError, match="degree >= 0"):
+            cocircuit_gens(x11, -1)
 
 
 class TestPsi:
@@ -161,6 +167,11 @@ class TestInternal:
 
 
 class TestHilbertIdentities:
+    def test_inhomogeneous_basis_is_value_error(self):
+        one_plus_s1 = MPoly(("s1",), {(0,): 1, (1,): 1})
+        with pytest.raises(ValueError, match="homogeneous"):
+            GradedSpan([one_plus_s1], ("s1",)).hilbert()
+
     def test_hilbert_vs_tutte(self, mixed_corpus):
         # q^(N-d) T(1, 1/q) for P(X); q^(N-d) T(0, 1/q) for internal
         done = 0

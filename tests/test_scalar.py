@@ -5,10 +5,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, ZLaurent,
-                              bernoulli, cyclotomic_polynomial,
-                              divide_by_linear, exp_series, rat_parse,
-                              rat_str, residue, s_vars, todd_factor)
+from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, bernoulli,
+                              cyclotomic_polynomial, divide_by_linear,
+                              exp_series, rat_parse, rat_str, s_vars,
+                              todd_factor)
 from zonotopal.errors import InternalError, NonMember
 
 SV = ("s1",)
@@ -262,36 +262,6 @@ class TestSeries:
         lhs = exp_series(a + b, 4)
         rhs = exp_series(a, 4) * exp_series(b, 4)
         assert lhs.body == rhs.body
-
-
-class TestResidue:
-    TV = ("t1", "t2")
-
-    def _t2(self):
-        return MPoly.variable(self.TV, 1)
-
-    def test_exponential_kernel(self):
-        # e^{t2 z} / z^2 -> t2
-        t2 = self._t2()
-        l = ZLaurent(self.TV, {-2: MPoly.constant(self.TV, 1),
-                               -1: t2,
-                               0: t2 * t2 * Fraction(1, 2)})
-        assert residue(l) == t2
-
-    def test_simple_pole(self):
-        l = ZLaurent(self.TV, {-1: MPoly.constant(self.TV, 1)})
-        assert residue(l) == MPoly.constant(self.TV, 1)
-
-    def test_no_pole(self):
-        l = ZLaurent(self.TV, {3: MPoly.constant(self.TV, 1)})
-        assert not residue(l)
-
-    def test_linear_and_vanishing(self):
-        t2 = self._t2()
-        a = ZLaurent(self.TV, {-1: t2, 0: t2})
-        b = ZLaurent(self.TV, {-1: t2 * t2})
-        assert residue(a + b) == residue(a) + residue(b)
-        assert not residue(ZLaurent(self.TV, {0: t2, 2: t2 * t2}))
 
 
 class TestPolynomials:

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from zonotopal.abelian import FgGroup, GList
+from zonotopal.errors import InternalError
 from zonotopal.matroid import arithmetic_tutte, tutte
-from zonotopal.toric import Character, evaluate, vertices
+from zonotopal.toric import (Character, _all_torsion_characters,
+                             _characters_killing, evaluate, vertices)
 
 
 class TestVertices:
@@ -23,6 +27,16 @@ class TestVertices:
         vs = vertices(x)
         assert [v.character.tors[0] for v in vs] == [
             Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+    def test_infinite_index_is_internal_error(self):
+        # one column of a rank-2 list spans a subgroup of infinite index
+        x = GList.from_rows([[1, 0], [0, 1]])
+        with pytest.raises(InternalError, match="finite index"):
+            _characters_killing(x, (0,))
+
+    def test_torsion_characters_need_a_finite_group(self):
+        with pytest.raises(InternalError, match="not finite"):
+            _all_torsion_characters(FgGroup(1, (2,)))
 
     def test_weighted_count(self, mixed_corpus):
         # sum over vertices of Tutte_{X_phi}(1,1) = M_X(1,1)
