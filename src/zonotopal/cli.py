@@ -330,6 +330,8 @@ def _cmd_corpus(args):
     if not 1 <= limits.max_dim <= limits.max_len:
         raise ValueError(f"corpus needs --d >= 1 and --n >= --d, got --d "
                          f"{limits.max_dim} and --n {limits.max_len}")
+    if args.count < 0:
+        raise ValueError(f"corpus needs --count >= 0, got {args.count}")
     lists = corpus(args.seed, limits, count=args.count)
     rotation = ("arith-tutte", "pper-basis", "zonotope", "tutte", "vertices")
     for k, x in enumerate(lists):
@@ -353,8 +355,8 @@ _COMMANDS = {
     "pper-basis": (_cmd_pper_basis, ()),
     "pper-internal": (_cmd_pper_internal, ()),
     "dm-basis": (_cmd_dm_basis, ()),
-    "todd": (_cmd_todd, ("z",)),
-    "f-tilde": (_cmd_f_tilde, ("z!",)),
+    "todd": (_cmd_todd, ("z", "cap")),
+    "f-tilde": (_cmd_f_tilde, ("z!", "cap")),
     "count": (_cmd_count, ("u!",)),
     "bv-count": (_cmd_bv_count, ("z!", "u!", "w")),
     "volume": (_cmd_volume, ("u!",)),
@@ -385,11 +387,10 @@ def build_parser() -> _Parser:
         p.add_argument("--group", default=None,
                        help='e.g. "Z^2" or "Z + Z/2"')
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cap", type=int, default=None)
         for extra in extras:
             flag = extra.rstrip("!")
             p.add_argument(f"--{flag}", required=extra.endswith("!"),
-                           default=None)
+                           default=None, type=int if flag == "cap" else str)
     cp = sub.add_parser("corpus")
     cp.add_argument("--seed", type=int, default=1)
     cp.add_argument("--count", type=int, default=50)

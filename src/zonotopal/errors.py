@@ -35,6 +35,10 @@ class HasColoop(DomainError):
     pass
 
 
+class NotABasis(DomainError):
+    pass
+
+
 class TorsionUnsupported(DomainError):
     pass
 

@@ -168,13 +168,6 @@ def primitive(vec) -> tuple:
     return tuple(v // g for v in ints)
 
 
-def span_contains(basis_rows, v) -> bool:
-    """Is v in the row span of basis_rows?"""
-    if not basis_rows:
-        return not any(v)
-    return rank(basis_rows) == rank(basis_rows + [v])
-
-
 def span_equal(rows_a, rows_b) -> bool:
     """Do two row lists span the same subspace?  (Canonical RREF compare.)"""
     a = [r for r in rows_a if any(r)]

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
-from .errors import InternalError, RankDeficient
-from .linalg import nullspace, span_contains
+from .errors import InternalError, NotABasis, RankDeficient
+from .linalg import identity, nullspace, solve
 
 
 # Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
@@ -185,18 +185,26 @@ def external_activity(x: GList, b) -> frozenset:
     basis elements that precede it in the list order.
 
     (Equivalently, x_j is the largest index in its fundamental circuit.)
+    One multi-column solve per basis writes every x_j outside B in B's
+    coordinates; x_j is active when its coordinates vanish on every basis
+    element after j.  b must be a basis of x (NotABasis otherwise): the
+    solve also inverts B, which fails for any other index set.
     """
-    b = sorted(b)
-    cols = {i: [Fraction(v) for v in x.elems[i].free] for i in b}
-    active = set()
-    for j in range(len(x)):
-        if j in cols:
-            continue
-        earlier = [cols[i] for i in b if i < j]
-        v = [Fraction(c) for c in x.elems[j].free]
-        if span_contains(earlier, v):
-            active.add(j)
-    return frozenset(active)
+    b = sorted(set(b))
+    n, d = len(x), x.group.free_rank
+    rest = [j for j in range(n) if j not in b]
+    coords = None
+    if len(b) == d and all(0 <= i < n for i in b):
+        free = [[Fraction(v) for v in e.free] for e in x.elems]
+        unit = identity(d)
+        coords = solve([[free[i][r] for i in b] for r in range(d)],
+                       [[free[j][r] for j in rest] + unit[r]
+                        for r in range(d)])
+    if coords is None:
+        raise NotABasis(f"{b} is not a basis of the list")
+    return frozenset(j for col, j in enumerate(rest)
+                     if not any(row[col] for i, row in zip(b, coords)
+                                if i > j))
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,14 @@ def cocircuit_gens(x: GList, degree: int, vars=None) -> list:
     if degree < 0:
         raise ValueError(f"cocircuit_gens needs a degree >= 0, got {degree}")
     vars = vars or s_vars(x.group.free_rank)
+    return _ideal_gens(x, cocircuits(x), degree, vars)
+
+
+def _ideal_gens(x: GList, cocs, degree: int, vars) -> list:
+    """p_C times every monomial of degree - |C|, over the cocircuits C in
+    cocs that fit."""
     out = []
-    for c in cocircuits(x):
+    for c in cocs:
         if len(c) > degree:
             continue
         pc = p_product(x, c, vars)
@@ -149,7 +155,8 @@ class PsiProjector:
 
     Per degree the decomposition is factored once as a rational linear
     system; cyclotomic inputs are split into power-basis components so the
-    elimination stays over Q.
+    elimination stays over Q.  The cocircuits are found once, when the
+    projector is built, and every degree's ideal generators come from them.
     """
 
     def __init__(self, x: GList, vars=None):
@@ -158,6 +165,7 @@ class PsiProjector:
         self.vars = vars or s_vars(x.group.free_rank)
         self.pspan = p_basis(x, self.vars)
         self.top = len(x) - rank_of(x, range(len(x)))
+        self._cocircuits = cocircuits(x)
         self._solvers = {}
 
     def _solver(self, degree):
@@ -168,7 +176,8 @@ class PsiProjector:
             return self._solvers[degree]
         monos = _monomials(self.vars, degree)
         pcols = self.pspan.by_degree(degree)
-        cols = pcols + cocircuit_gens(self.x, degree, self.vars)
+        cols = pcols + _ideal_gens(self.x, self._cocircuits, degree,
+                                   self.vars)
         mat = [[c.coefficient(e).to_rational() for c in cols] for e in monos]
         inv = linalg.solve(mat, linalg.identity(len(monos)))
         if inv is None:

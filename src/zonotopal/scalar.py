@@ -5,6 +5,10 @@ On top of them: cyclotomic numbers in the power basis of Q(zeta_n), sparse
 multivariate polynomials with cyclotomic coefficients and degree-capped power
 series.  A Todd factor p / (1 - c e^{-p}) is a series in its linear form p
 alone: its coefficients are found in one variable and expanded in powers of p.
+Two bounded tables serve it: the coefficients per (c, cap) and the powers of
+p per (p, cap).  They are keyed on the representation (a cyclotomic's order
+and coefficients), not the value, because equal values of different orders
+print differently.
 
 All values are immutable; every operation returns a fresh object.
 """
@@ -600,13 +604,19 @@ class MPoly:
     __rmul__ = __mul__
 
     def mul_capped(self, other, cap):
-        """Product, discarding total degree > cap when cap is not None."""
+        """Product, discarding total degree > cap when cap is not None.
+
+        The right operand's terms are sorted by degree once, so the inner
+        loop stops at the first term past the cap.
+        """
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
+                       key=lambda t: t[0])
         terms = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) > cap:
-                    continue
+            room = math.inf if cap is None else cap - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
                 e = tuple(a + b for a, b in zip(e1, e2))
                 cur = terms.get(e)
                 s = c1 * c2 if cur is None else cur + c1 * c2
@@ -859,38 +869,75 @@ def todd_factor(linear: MPoly, c, cap: int) -> TruncatedSeries:
 
     The factor is a series in p alone: sum_k a_k p^k, where a_k are the
     coefficients of t / (1 - c e^{-t}), Apostol-Bernoulli numbers in c
-    (Apostol, Pacific J. Math. 1951).  They are computed in the one-variable
-    ring and the sum is expanded from the powers of p, so no multivariate
-    series is inverted.
+    (Apostol, Pacific J. Math. 1951).  Both parts come from bounded tables:
+    a_0..a_cap from `_todd_coefficients`, computed once per (c, cap) in the
+    one-variable ring, and the powers of p from `_linear_powers`, once per
+    (p, cap).  So no multivariate series is inverted or multiplied here.
+
+    The tables are keyed on representations, not values: c as its
+    (order, coeffs) and p as its coefficients.  Equal values of different
+    orders (an order-2 and an order-1 -1) give the same numbers but print
+    different JSON, so each keeps its own entry and the factor's
+    coefficients keep c's order.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if linear and (linear.total_degree() != 1 or not linear.is_homogeneous()):
         raise ValueError("expected a homogeneous linear form")
-    coeffs = _todd_coefficients(_as_cyc(c), cap)
-    acc = MPoly.constant(linear.vars, coeffs[0])
-    pw = MPoly.constant(linear.vars, 1)
-    for a in coeffs[1:]:
-        pw = pw * linear
-        if not pw:
-            break
+    c = _as_cyc(c)
+    form = tuple((e.index(1), a.order, a.coeffs)
+                 for e, a in linear.terms.items())
+    terms = {}
+    for a, power in zip(_todd_coefficients(c.order, c.coeffs, cap),
+                        _linear_powers(len(linear.vars), form, cap)):
         if a:
-            acc = acc + pw * a
-    return TruncatedSeries(acc, cap)
+            for e, m in power:
+                terms[e] = m * a
+    body = MPoly.__new__(MPoly)
+    body.vars, body.terms = linear.vars, terms
+    return TruncatedSeries(body, cap)
 
 
-def _todd_coefficients(c: Cyclotomic, cap: int) -> list:
-    """a_0..a_cap of t / (1 - c e^{-t}).
+@lru_cache(maxsize=256)
+def _todd_coefficients(order: int, coeffs: tuple, cap: int) -> tuple:
+    """a_0..a_cap of t / (1 - c e^{-t}), c = Cyclotomic(order, coeffs).
 
     c = 1 gives (-1)^k B_k / k! (removable singularity); c != 1 multiplies
     t by the series inverse of 1 - c e^{-t}, whose constant term 1 - c is
     invertible.
     """
+    c = Cyclotomic(order, coeffs)
     if c.is_one():
-        return [bernoulli(k) * Fraction((-1) ** k, math.factorial(k))
-                for k in range(cap + 1)]
+        return tuple(_as_cyc(bernoulli(k) * Fraction((-1) ** k,
+                                                     math.factorial(k)))
+                     for k in range(cap + 1))
     t = MPoly.variable(("t",), 0)
     den = TruncatedSeries.constant(t.vars, 1, cap) - exp_series(-t, cap) * c
     series = (TruncatedSeries(t, cap) * den.inverse()).body
-    return [series.coefficient((k,)) for k in range(cap + 1)]
+    return tuple(series.coefficient((k,)) for k in range(cap + 1))
 
+
+@lru_cache(maxsize=256)
+def _linear_powers(nvars: int, form: tuple, cap: int) -> tuple:
+    """p^0..p^cap of p = sum alpha_i s_i, given as ((i, order, coeffs), ...)
+    over its nonzero alpha_i.
+
+    Row k lists (e, k!/e! alpha^e) over the exponents e with |e| = k, in the
+    order repeated multiplication by p first produces them.
+    """
+    alphas = [(i, Cyclotomic(order, coeffs)) for i, order, coeffs in form]
+    rows = [(((0,) * nvars, _CYC_ONE),)]
+    exps = [(0,) * nvars]
+    for k in range(1, cap + 1):
+        exps = list(dict.fromkeys(e1[:i] + (e1[i] + 1,) + e1[i + 1:]
+                                  for e1 in exps for i, _ in alphas))
+        row = []
+        for e in exps:
+            m = _as_cyc(math.factorial(k) // math.prod(
+                math.factorial(e[i]) for i, _ in alphas))
+            for i, alpha in alphas:
+                for _ in range(e[i]):
+                    m = m * alpha
+            row.append((e, m))
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from alcoves import alcove_sample
+from spans import span_contains
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract
 from zonotopal.brionvergne import (_alcove_polynomial, box_delta_check,
@@ -276,7 +277,7 @@ def test_criterion_08(geometry_corpus, zp_list):
         any_fail = False
         for p in basis + internal:
             rows = _pper_rows(internal + [p])
-            member = linalg.span_contains(rows[:len(internal)], rows[-1])
+            member = span_contains(rows[:len(internal)], rows[-1])
             verdict = continuity_check(x, p, wall_list=wall_list)
             assert verdict == member
             any_fail = any_fail or not verdict

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from spans import span_contains
 from zonotopal.abelian import FgGroup, GList
 from zonotopal.brionvergne import (apply_periodic, box_deconvolution_check,
                                    box_delta_check, box_interpolant, bv_count,
@@ -208,7 +209,6 @@ class TestContinuity:
 
     def test_classification_matches_kernel(self, geometry_corpus):
         # both directions of the characterization on a spanning set of Pper
-        from zonotopal import linalg
         for x in geometry_corpus[:5]:
             wl = walls(x)
             internal = pper_internal_basis(x)
@@ -230,7 +230,7 @@ class TestContinuity:
 
             int_rows = [row(p) for p in internal]
             for p in basis + internal:
-                member = linalg.span_contains(int_rows, row(p))
+                member = span_contains(int_rows, row(p))
                 assert continuity_check(x, p, wall_list=wl) == member
 
 

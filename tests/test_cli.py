@@ -216,12 +216,34 @@ class TestExitCodes:
         ["corpus", "--n", "0"],
         ["corpus", "--d", "-1"],
         ["corpus", "--d", "3", "--n", "1"],
+        ["corpus", "--count", "-1"],
     ])
     def test_invalid_input_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("command", ["pper-basis", "tutte", "vertices"])
+    def test_cap_only_where_read(self, command, capsys):
+        # only todd and f-tilde take --cap; elsewhere it is unrecognized
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--x", "[[1,2]]", "--cap", "-1"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --cap -1" in err
+        for command in ("todd", "f-tilde"):
+            assert main([command, "--x", "[[1,2]]", "--z", "[0]",
+                         "--cap", "1"]) == 0
+
+    def test_negative_corpus_count_has_no_traceback(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "zonotopal.cli", "corpus", "--count", "-1"],
+            capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "usage error: corpus needs --count >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["check-delta", "--x", "[[1,1]]", "--w", "[0]"],

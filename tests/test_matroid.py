@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spans import span_contains
 from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
                                rank_of)
-from zonotopal.errors import InternalError, RankDeficient
+from zonotopal.errors import InternalError, NotABasis, RankDeficient
 from zonotopal.matroid import (BivarPoly, arithmetic_tutte, bases, cocircuits,
                                corank_one_flats, external_activity, is_coloop,
                                is_unimodular, tutte)
@@ -132,27 +133,45 @@ class TestExternalActivity:
 
     def test_defining_condition_randomized(self):
         import random
-        from fractions import Fraction
-        from zonotopal.linalg import span_contains
         rng = random.Random(2)
+        for d, torsion in [(2, ()), (3, ()), (2, (2,)), (2, (3,))]:
+            self._check_defining_condition(rng, d, torsion)
+
+    @staticmethod
+    def _check_defining_condition(rng, d, torsion):
+        from fractions import Fraction
+        n = d + 3
         for _ in range(20):
-            cols = [[rng.randint(-2, 2), rng.randint(-2, 2)]
-                    for _ in range(5)]
-            x = GList.from_columns(cols, FgGroup(2))
+            cols = [[rng.randint(-2, 2) for _ in range(d)]
+                    + [rng.randrange(k) for k in torsion] for _ in range(n)]
+            x = GList.from_columns(cols, FgGroup(d, torsion))
             try:
                 bs = bases(x)
             except RankDeficient:
                 continue
             for b in bs:
                 act = external_activity(x, b)
-                for j in range(5):
+                for j in range(n):
                     if j in b:
                         continue
-                    earlier = [[Fraction(v) for v in cols[i]]
+                    earlier = [[Fraction(v) for v in cols[i][:d]]
                                for i in sorted(b) if i < j]
                     inside = span_contains(earlier,
-                                           [Fraction(v) for v in cols[j]])
+                                           [Fraction(v) for v in cols[j][:d]])
                     assert (j in act) == inside
+
+    @pytest.mark.parametrize("b", [[0], [0, 1, 2], [0, 2], [1, 1], [0, 5]])
+    def test_non_basis_rejected(self, b):
+        # columns 0 and 2 are parallel; 5 is out of range
+        x = GList.from_rows([[1, 0, 2, 1], [1, 1, 2, 0]])
+        with pytest.raises(NotABasis):
+            external_activity(x, b)
+
+    def test_non_basis_of_non_spanning_list_rejected(self):
+        # every column lies in the span of b, but b spans no full lattice
+        x = GList.from_rows([[1, 2, 3], [0, 0, 0]])
+        with pytest.raises(NotABasis):
+            external_activity(x, [0, 1])
 
 
 class TestTutte:

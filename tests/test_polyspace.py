@@ -100,6 +100,28 @@ class TestPsi:
         p = MPoly(("s1",), {(2,): Cyclotomic.one()})
         assert not psi_project(x11, p)
 
+    def test_cocircuits_found_once(self, zp_list, monkeypatch):
+        from zonotopal import matroid, polyspace
+        top = len(zp_list) - 2
+        polys = [MPoly(SV2, {(k, 0): Cyclotomic.one(), (0, k): Cyclotomic.one(),
+                             (k - 1, 1) if k else (0, 0): Cyclotomic.one()})
+                 for k in range(top + 1)]
+        # one projector per degree, so each builds its own solver
+        expect = [PsiProjector(zp_list)(p) for p in polys]
+        calls = []
+        original = matroid.cocircuits
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(matroid, "cocircuits", counted)
+        monkeypatch.setattr(polyspace, "cocircuits", counted)
+        psi = PsiProjector(zp_list)
+        assert psi.top == top
+        assert [psi(p) for p in polys] == expect
+        assert calls == [zp_list]
+
     def test_difference_annihilates_d(self, zp_list):
         psi = PsiProjector(zp_list)
         db = d_basis(zp_list)

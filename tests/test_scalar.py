@@ -209,6 +209,34 @@ class TestToddFactor:
         # same value in the same field, so it also prints the same
         assert repr(new) == repr(old)
 
+    @pytest.mark.parametrize("c", [
+        1, 2, -1, Fraction(1, 3), Cyclotomic(2, (Fraction(-1),)),
+        Cyclotomic.root_of_unity(3), Cyclotomic.root_of_unity(4),
+        Cyclotomic.root_of_unity(5, 2), Cyclotomic.root_of_unity(8, 3)])
+    def test_tables_match_multivariate_inverse(self, c):
+        # d = 1, 2, 3, a zero coefficient, and the s0 marker form
+        forms = [MPoly.linear_form(s_vars(d), [Fraction(v) for v in coeffs])
+                 for d, coeffs in ((1, (2,)), (2, (1, -1)), (3, (1, 0, -2)),
+                                   (3, (1, 2, -1)))]
+        forms.append(MPoly.variable(s_vars(2, with_s0=True), 0))
+        order = (Cyclotomic.one() * c).order
+        for linear in forms:
+            for cap in range(7):
+                new = todd_factor(linear, c, cap)
+                old = todd_factor_multivariate(linear, c, cap)
+                assert new == old
+                # c's representation carries over, so the JSON agrees too
+                assert new.body.to_json() == old.body.to_json()
+                assert all(a.order == order for a in new.body.terms.values())
+                assert todd_factor(linear, c, cap) == new
+
+    def test_tables_keep_equal_values_of_other_orders_apart(self):
+        minus_one = Cyclotomic(2, (Fraction(-1),))
+        assert minus_one == -1
+        for c, order in ((-1, 1), (minus_one, 2), (-1, 1)):
+            body = todd_factor(lin(), c, 3).body
+            assert {a.order for a in body.terms.values()} == {order}
+
     @pytest.mark.parametrize("c", [Fraction(2), Fraction(-1), Fraction(1, 3),
                                    Fraction(2, 7)])
     def test_one_variable_coefficients_match_sympy(self, c):
