@@ -8,18 +8,17 @@ rational integers after cyclotomic cancellation.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from . import linalg
 from .abelian import GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
-from .geometry import (Cell, big_cells, bx_value, fiber, hyperplane_normals,
-                       in_cone, lattice_points, local_piece, piece_at,
+from .geometry import (Cell, big_cells, bx_value, hyperplane_normals,
+                       in_cone, lattice_points, local_piece,
                        pointed_certificate, require_pointed, require_short,
                        require_value, short_regular, zonotope_hrep)
 from .matroid import is_coloop, is_unimodular
@@ -167,7 +166,13 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
 
 def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     """Polynomial agreeing with B_X on the alcove towards w, checked against
-    ``spline`` (`bx_value`) at one point of it."""
+    ``spline`` (`bx_value`) at one point of it.
+
+    B_X = sum_v c_v T_X(. - v) (`_box_shifts`), so the piece on the alcove
+    of p0 is sum_v c_v P_v(t - v), with P_v the T_X piece on the chamber of
+    p0 - v.  p0 is off every affine hyperplane and v is integral, so the
+    signs of eta.(p0 - v) name that chamber; its piece is kept on the list.
+    """
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
     bound = max(abs(sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)))
@@ -179,15 +184,49 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
                                f"to the hyperplane normal {list(eta)}")
     p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
                for v, c in zip(point, w))
-    for eta in normals:
-        val = sum(Fraction(e) * c for e, c in zip(eta, p0))
+    heights = [sum(Fraction(e) * c for e, c in zip(eta, p0))
+               for eta in normals]
+    for eta, val in zip(normals, heights):
         if val.denominator == 1:
             raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
                                 f"lies on the affine hyperplane eta.y = {val} "
                                 f"of the normal {list(eta)}")
-    poly = piece_at(x, p0, box=True)
+    store = x.memo("chamber_pieces", lambda _: {})
+    groups = {}
+    for v, c in x.memo("box_shifts", _box_shifts):
+        signs = tuple(h > sum(e * a for e, a in zip(eta, v))
+                      for h, eta in zip(heights, normals))
+        if signs not in store:
+            store[signs] = local_piece(
+                x, Cell(sample=tuple(p - a for p, a in zip(p0, v))))
+        groups.setdefault(signs, []).append((v, c))
+    terms = {}
+    for signs, shifts in groups.items():
+        for e, coeff in store[signs].terms.items():
+            # t^e translated by v: sum_{k <= e} binom(e, k) t^k (-v)^(e - k)
+            for k in itertools.product(*(range(ei + 1) for ei in e)):
+                power = sum(c * math.prod((-a) ** (ei - ki)
+                                          for a, ei, ki in zip(v, e, k))
+                            for v, c in shifts)
+                if power:
+                    terms[k] = terms.get(k, _F0) + coeff.to_rational() * (
+                        power * math.prod(map(math.comb, e, k)))
+    poly = MPoly(t_vars(len(p0)), terms)
     require_value(poly, p0, spline(x, p0))
     return poly
+
+
+def _box_shifts(x: GList) -> tuple:
+    """The pairs (v, c_v) of prod_i (1 - tau_{x_i}): v runs over the subset
+    sums x_S and c_v = sum_{x_S = v} (-1)^|S|, zeros dropped."""
+    sums = {(0,) * x.group.free_rank: 1}
+    for el in x.elems:
+        step = dict(sums)
+        for v, c in sums.items():
+            key = tuple(a + b for a, b in zip(v, el.free))
+            step[key] = step.get(key, 0) - c
+        sums = step
+    return tuple((v, c) for v, c in sorted(sums.items()) if c)
 
 
 def box_limit_value(x: GList, op: PeriodicPoly, point, w) -> Cyclotomic:
@@ -205,8 +244,7 @@ def box_delta_check(x: GList, w=None) -> dict:
 
     w must be short (`NotShort` otherwise) and affine regular
     (`SingularGram` otherwise).  The alcove polynomial of B_X next to each
-    lambda does not depend on z, so it is built once for all z, over
-    processes when ZONOTOPAL_THREADS allows it.
+    lambda does not depend on z, so it is built once for all z.
     """
     if not is_unimodular(x):
         raise NotUnimodular("box delta interpolation needs a unimodular list")
@@ -216,31 +254,12 @@ def box_delta_check(x: GList, w=None) -> dict:
     else:
         require_short(x, w)
     support = lattice_points(x, "shifted", w=[_F0] * x.group.free_rank)
-    fiber(x)    # built here, worker processes receive it with x
-    polys = _pmap(partial(_alcove_polynomial, x, w=w), support)
+    polys = [_alcove_polynomial(x, lam, w) for lam in support]
     zs = lattice_points(x, "shifted", w=w)
     fzs = f_tilde(x, tuple(x.group.element(z) for z in zs))
     return {z: {lam: apply_periodic(fz, poly, lam)
                 for lam, poly in zip(support, polys)}
             for z, fz in zip(zs, fzs)}
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ZONOTOPAL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map, parallel over processes when ZONOTOPAL_THREADS allows it."""
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def box_interpolant(x: GList, values: dict) -> MPoly:

@@ -1,7 +1,8 @@
 """Command-line front end: every computation, machine-readable output.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (rank-deficient input,
-unpointed list, ...), 3 internal assertion failure.
+unpointed list, ...), 3 internal error: a failed self-check or any other
+exception, reported in one line without a traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .abelian import FgGroup, GList
 from .brionvergne import (box_deconvolution_check, box_delta_check, bv_count,
                           chamber_quasipolynomial, continuity_check,
                           partition_of_unity, wall_jump_check, walls)
-from .brionvergne import thread_count  # noqa: F401  (re-exported)
 from .corpus import CorpusLimits, corpus
 from .errors import DomainError, InternalError, NotInCone
 from .geometry import (big_cells, bx_value, lattice_points, short_regular,
@@ -416,6 +416,11 @@ def main(argv=None) -> int:
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # an untyped failure is a bug: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 3
     return 0
 

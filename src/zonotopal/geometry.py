@@ -3,8 +3,9 @@
 Everything is rational: volumes come from an integer vertex enumeration
 plus a recursive star triangulation, spline values from the per-list
 `Fiber`; lattice points from bounding-box filters.  The polynomial piece of
-T_X on a chamber, or of B_X on an alcove, comes from one triangulation of
-the fiber at a sample point, whose vertices are affine in u.
+T_X on a chamber comes from one triangulation of the fiber at a sample
+point, whose vertices are affine in u; the pieces of B_X on its alcoves are
+sums of translates of these (`brionvergne`).
 """
 
 from __future__ import annotations
@@ -419,16 +420,14 @@ class Fiber:
             w0[col] = sum(a * Fraction(v) for a, v in zip(arow, u)) / det
         return w0
 
-    def rhs_forms(self, box=False) -> list:
-        """The right-hand sides of the facet rows as affine forms
-        (c, l_1, ..., l_d), meaning c + l.u: w0(u), then 1 - w0(u) for B_X."""
+    def rhs_forms(self) -> list:
+        """The right-hand sides w0(u) of the T_X facet rows as affine forms
+        (c, l_1, ..., l_d), meaning c + l.u."""
         adj, det = self.basis_adj
         w0 = [(_F0,) * (len(adj) + 1)] * len(self.t_facets)
         for col, arow in zip(self.basis, adj):
             w0[col] = (_F0, *(Fraction(a, det) for a in arow))
-        if not box:
-            return w0
-        return w0 + [(_F1, *(-v for v in form[1:])) for form in w0]
+        return w0
 
 
 def fiber(x: GList) -> Fiber:
@@ -473,20 +472,6 @@ def bx_value(x: GList, u) -> Fraction:
     w0 = fib.particular(u)
     return polytope_volume(fib.b_facets, w0 + [1 - v for v in w0], fib.dim,
                            fib.b_subsets) * fib.scale
-
-
-def bx_by_alternating_sum(x: GList, u) -> Fraction:
-    """Independent cross-check: B_X(u) = sum (-1)^|A| T_X(u - sum A)."""
-    n = len(x)
-    total = _F0
-    for size in range(n + 1):
-        for comb in itertools.combinations(range(n), size):
-            shift = [Fraction(v) for v in u]
-            for i in comb:
-                shift = [s - f for s, f in zip(shift, x.elems[i].free)]
-            t = tx_value(x, shift)
-            total += t if size % 2 == 0 else -t
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -691,26 +676,21 @@ def require_short(x: GList, w):
 # exact local pieces
 # ---------------------------------------------------------------------------
 
-def piece_at(x: GList, u0, box=False) -> MPoly:
-    """The polynomial equal to T_X (B_X with ``box``) on the open region
-    that contains u0: its chamber for T_X, its alcove for B_X.
+def piece_at(x: GList, u0) -> MPoly:
+    """The polynomial equal to T_X on the chamber that contains u0.
 
-    u0 must lie off every admissible hyperplane, and for B_X off every
-    affine one {eta.y = k}, k an integer.  Then the face lattice of
-    Q(u) = {t : A t <= b(u)} is the same for every u in the region, and b(u)
-    is affine in u (see `Fiber.rhs_forms`).  So the vertices and the
-    triangulation found at u0 serve the whole region: the vertex defined by
+    u0 must lie off every admissible hyperplane.  Then the face lattice of
+    Q(u) = {t : A t <= b(u)} is the same for every u in the chamber, and
+    b(u) is affine in u (see `Fiber.rhs_forms`).  So the vertices and the
+    triangulation found at u0 serve the whole chamber: the vertex defined by
     the rows S is u -> adj_S b_S(u) / det_S, and each simplex contributes
     det[v_i(u) - v_0(u)] / m!, a degree-m polynomial with the sign it has
-    at u0.
+    at u0.  Outside cone(X) the fiber is empty and the piece is 0.
     """
     fib = fiber(x)
     d, m = x.group.free_rank, fib.dim
-    if box:
-        facets, subsets = fib.b_facets, fib.b_subsets
-    else:
-        facets, subsets = fib.t_facets, fib.t_subsets
-    forms = fib.rhs_forms(box)
+    facets, subsets = fib.t_facets, fib.t_subsets
+    forms = fib.rhs_forms()
     pt = [Fraction(v) for v in u0]
     b0 = [f[0] + sum(l * v for l, v in zip(f[1:], pt)) for f in forms]
     verts = _enumerate_vertices(facets, b0, m, subsets)

@@ -168,19 +168,6 @@ def primitive(vec) -> tuple:
     return tuple(v // g for v in ints)
 
 
-def span_equal(rows_a, rows_b) -> bool:
-    """Do two row lists span the same subspace?  (Canonical RREF compare.)"""
-    a = [r for r in rows_a if any(r)]
-    b = [r for r in rows_b if any(r)]
-    if not a or not b:
-        return not a and not b
-    ra, _ = rref(a)
-    rb, _ = rref(b)
-    ra = [r for r in ra if any(r)]
-    rb = [r for r in rb if any(r)]
-    return ra == rb
-
-
 def intersect_spans(rows_a, rows_b):
     """Row-space intersection: vectors expressible in both spans."""
     if not rows_a or not rows_b:

@@ -218,10 +218,6 @@ class PsiProjector:
         return self.project_poly(f)
 
 
-def psi_project(x: GList, f) -> MPoly:
-    return PsiProjector(x)(f)
-
-
 # ---------------------------------------------------------------------------
 # D(X) and the pairing
 # ---------------------------------------------------------------------------

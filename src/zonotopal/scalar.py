@@ -32,10 +32,6 @@ def rat_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic fields
 # ---------------------------------------------------------------------------
@@ -346,17 +342,6 @@ class Cyclotomic:
 
     def __rtruediv__(self, other):
         return Cyclotomic._coerce(other) * self.inv()
-
-    def conj(self) -> "Cyclotomic":
-        """Complex conjugation: zeta_n -> zeta_n^(n-1)."""
-        if self.order == 1:
-            return self
-        n = self.order
-        out = Cyclotomic(n, (self.coeffs[0],) + (_F0,) * (euler_phi(n) - 1))
-        for j in range(1, euler_phi(n)):
-            if self.coeffs[j]:
-                out = out + self.coeffs[j] * Cyclotomic.root_of_unity(n, n - j)
-        return out
 
     def __eq__(self, other):
         other = Cyclotomic._coerce(other)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from alcoves import alcove_sample
-from spans import span_contains
+from spans import span_contains, span_equal
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract
 from zonotopal.brionvergne import (_alcove_polynomial, box_delta_check,
@@ -68,7 +68,7 @@ def _pper_rows(polys):
 
 def _pper_span_equal(a, b):
     rows = _pper_rows(list(a) + list(b))
-    return linalg.span_equal(rows[:len(a)], rows[len(a):])
+    return span_equal(rows[:len(a)], rows[len(a):])
 
 
 @criterion(1, "1-D fixtures (1,1) and (1,2): T, i, B exact values")

@@ -93,13 +93,19 @@ class TestBoxDelta:
         assert not res[(0,)] and not res[(2,)]
 
     def test_2d_identity_plus_diagonal(self):
-        x = GList.from_rows([[1, 0, 1], [0, 1, 1]])
-        w = short_regular(x)
-        table = box_delta_check(x, w)
-        for z in lattice_points(x, "shifted", w=w):
-            for lam, val in table[z].items():
-                expect = Cyclotomic.one() if lam == z else Cyclotomic.zero()
-                assert val == expect
+        # and the d = 3 unimodular list: 15 support points, 4 z
+        for rows, nz, nsupport in (
+                ([[1, 0, 1], [0, 1, 1]], 3, 7),
+                ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 4, 15)):
+            x = GList.from_rows(rows)
+            w = short_regular(x)
+            table = box_delta_check(x, w)
+            assert [len(row) for row in table.values()] == [nsupport] * nz
+            for z in lattice_points(x, "shifted", w=w):
+                for lam, val in table[z].items():
+                    expect = Cyclotomic.one() if lam == z \
+                        else Cyclotomic.zero()
+                    assert val == expect
 
     def test_one_row_per_z(self):
         x = GList.from_rows([[1, 0, 1], [0, 1, 1]])
@@ -127,10 +133,21 @@ class TestBoxDelta:
 
         for name in ("_hyperplanes", "_fiber"):
             monkeypatch.setattr(geometry, name, counted(name))
-        monkeypatch.setenv("ZONOTOPAL_THREADS", "1")
+        pieces = []
+        piece_at = geometry.piece_at
+        monkeypatch.setattr(geometry, "piece_at",
+                            lambda *args: pieces.append(args) or
+                            piece_at(*args))
         x = GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]])
         table = box_delta_check(x)
         assert len(table) == 5
+        assert sorted(builds) == ["_fiber", "_hyperplanes"]
+        assert pieces
+        # the chamber pieces are kept on the list: a second check builds
+        # none, and gives the same table
+        pieces.clear()
+        assert box_delta_check(x) == table
+        assert pieces == []
         assert sorted(builds) == ["_fiber", "_hyperplanes"]
 
     def test_one_todd_pass_for_all_z(self, monkeypatch):
@@ -143,7 +160,6 @@ class TestBoxDelta:
                 builds.append(name)
                 return build(*args)
             monkeypatch.setattr(periodic, name, wrapper)
-        monkeypatch.setenv("ZONOTOPAL_THREADS", "1")
         x = GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]])
         assert len(box_delta_check(x)) == 5
         assert partition_of_unity(x) == PeriodicPoly.one(x)

@@ -275,17 +275,13 @@ class TestExitCodes:
         assert out.stdout == ""
         assert out.stderr == 'usage error: --x needs numbers, got ["1/0"]\n'
 
+    def test_other_exception_is_internal_error(self, monkeypatch, capsys):
+        from zonotopal import cli
 
-class TestThreads:
-    def test_thread_env(self, monkeypatch):
-        from zonotopal.cli import thread_count
-        monkeypatch.setenv("ZONOTOPAL_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("ZONOTOPAL_THREADS", "junk")
-        assert thread_count() == 1
-
-    def test_parallel_delta(self, monkeypatch):
-        monkeypatch.setenv("ZONOTOPAL_THREADS", "2")
-        code, out = run_cli("check-delta", "--x", "[[1,1]]", "--json")
-        assert code == 0
-        assert json.loads(out)["status"] == "pass"
+        def boom(args):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._COMMANDS, "tutte", (boom, ()))
+        assert main(["tutte", "--x", "[[1,2]]"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"

@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alcoves import alcove_room, alcove_sample
+from alcoves import alcove_room, alcove_sample, bx_by_alternating_sum
 from spans import span_contains
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
 from zonotopal.errors import NotPointed, SamplesRequired
 from zonotopal.geometry import (_affine_dim, _enumerate_vertices,
-                                _triangulate, big_cells, bx_by_alternating_sum,
-                                bx_value, fm_feasible, hyperplane_normals,
-                                in_cone, is_pointed, lattice_points,
-                                local_piece, piece_at, pointed_certificate,
+                                _triangulate, big_cells, bx_value,
+                                fm_feasible, hyperplane_normals, in_cone,
+                                is_pointed, lattice_points, local_piece,
+                                piece_at, pointed_certificate,
                                 polytope_volume, short_regular, tx_value,
                                 vpf_count, zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte

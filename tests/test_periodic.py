@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spans import span_equal
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract
 from zonotopal.errors import TorsionPivot, TorsionUnsupported
@@ -34,7 +35,7 @@ def _pper_span_equal(a, b):
                            else Cyclotomic.zero())
         return out
 
-    return linalg.span_equal([row(p) for p in a], [row(p) for p in b])
+    return span_equal([row(p) for p in a], [row(p) for p in b])
 
 
 # prefixes of (1,0),(0,1),(1,1),(1,2),(2,1),(1,3),(3,1): d = 2 lists of

@@ -1,12 +1,13 @@
 
 import pytest
 
+from spans import psi_project, span_equal
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, rank_of
 from zonotopal.matroid import tutte
 from zonotopal.polyspace import (GradedSpan, PsiProjector, cocircuit_gens,
                                  d_basis, internal_p_basis, p_basis,
-                                 p_product, pair, psi_project)
+                                 p_product, pair)
 from zonotopal.scalar import Cyclotomic, MPoly, exp_series, todd_factor
 
 SV2 = ("s1", "s2")
@@ -18,7 +19,7 @@ def _span_matrix(polys, monos):
 
 def _spans_equal(a, b):
     monos = sorted({e for p in a + b for e in p.terms})
-    return linalg.span_equal(
+    return span_equal(
         [[p.coefficient(e) for e in monos] for p in a],
         [[p.coefficient(e) for e in monos] for p in b])
 

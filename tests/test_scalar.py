@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, bernoulli,
                               cyclotomic_polynomial, divide_by_linear,
-                              exp_series, rat_parse, rat_str, s_vars,
+                              exp_series, rat_str, s_vars,
                               todd_factor)
 from zonotopal.errors import InternalError, NonMember
 
@@ -83,14 +83,6 @@ class TestCyclotomic:
         z4 = Cyclotomic.root_of_unity(4)
         assert (z3 * z4) * z3 == z3 * (z4 * z3)
         assert (z3 * z4).order == 12
-
-    def test_conjugation_involutive(self):
-        a = Cyclotomic.root_of_unity(8) * 3 + Fraction(1, 2)
-        b = Cyclotomic.root_of_unity(8, 3) - 2
-        assert a.conj().conj() == a
-        assert (a * b).conj() == a.conj() * b.conj()
-        z = Cyclotomic.root_of_unity(12, 5)
-        assert (z * z.conj()).is_one()
 
     def test_angle_roundtrip(self):
         for num, den in ((1, 2), (1, 3), (2, 3), (5, 6), (3, 8)):
@@ -308,7 +300,6 @@ class TestPolynomials:
     def test_rational_strings(self):
         assert rat_str(Fraction(3, 4)) == "3/4"
         assert rat_str(Fraction(-5)) == "-5"
-        assert rat_parse("7/2") == Fraction(7, 2)
 
     def test_serialization_roundtrip(self):
         sv = ("s1", "s2")
