@@ -374,10 +374,6 @@ class GList:
     def dim(self) -> int:
         return self.group.free_rank
 
-    def free_columns(self):
-        """Free parts as integer tuples, in list order."""
-        return [e.free for e in self.elems]
-
     def torsion_indices(self):
         return [i for i, e in enumerate(self.elems) if e.is_torsion()]
 

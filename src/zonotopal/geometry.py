@@ -391,8 +391,10 @@ class Fiber:
     The rows of K are a kernel basis of X scaled to primitive integer rows,
     so the facet matrices -K^T (for T_X) and [-K^T; K^T] (for B_X) are
     integer, and only the right-hand sides w0 and 1 - w0 depend on u.  The
-    adjugate and |det| of every nonsingular m-row subset of each facet
-    matrix are kept, m = N - d, so a vertex of Q(u) costs integer products.
+    adjugate and |det| of every nonsingular m-row subset of the T_X facet
+    matrix are kept, m = N - d, so a vertex of Q(u) costs integer products;
+    those of the B_X facet matrix, which only `bx_value` reads, are built on
+    its first call.
 
     T_X(u) is the (N-d)-volume of the fiber divided by sqrt(det X X^T), and
     t -> K^T t scales volume by sqrt(det K K^T).  The rows of K and of X are
@@ -409,8 +411,6 @@ class Fiber:
     scale: Fraction
     t_facets: tuple
     t_subsets: tuple
-    b_facets: tuple
-    b_subsets: tuple
 
     def particular(self, u) -> list:
         """w0 with X w0 = u, zero off the basis columns."""
@@ -453,10 +453,16 @@ def _fiber(x: GList) -> Fiber:
            for j in range(n)]
     scale = linalg.det(ktk) / abs(linalg.det(big))
     t_facets = tuple(tuple(-k[j] for k in kern) for j in range(n))
-    b_facets = t_facets + tuple(tuple(-v for v in row) for row in t_facets)
     return Fiber(m, tuple(pivots), basis_adj, scale,
-                 t_facets, _subset_adjugates(t_facets, m),
-                 b_facets, _subset_adjugates(b_facets, m))
+                 t_facets, _subset_adjugates(t_facets, m))
+
+
+def _box_facets(x: GList) -> tuple:
+    """The B_X facet matrix [-K^T; K^T] and its `_subset_adjugates`."""
+    fib = fiber(x)
+    facets = fib.t_facets + tuple(tuple(-v for v in row)
+                                  for row in fib.t_facets)
+    return facets, _subset_adjugates(facets, fib.dim)
 
 
 def tx_value(x: GList, u) -> Fraction:
@@ -469,9 +475,10 @@ def tx_value(x: GList, u) -> Fraction:
 def bx_value(x: GList, u) -> Fraction:
     """Exact box spline value: volume of the box-truncated fiber."""
     fib = fiber(x)
+    facets, subsets = x.memo("box_facets", _box_facets)
     w0 = fib.particular(u)
-    return polytope_volume(fib.b_facets, w0 + [1 - v for v in w0], fib.dim,
-                           fib.b_subsets) * fib.scale
+    return polytope_volume(facets, w0 + [1 - v for v in w0], fib.dim,
+                           subsets) * fib.scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Matroid and arithmetic-matroid combinatorics of a list.
 
-Bases, cocircuits, external activity, and both Tutte polynomials.  Both
-Tutte polynomials come from one depth-first walk over the subsets of the
-list, which carries the integer lattice each subset spans and extends it by
-one column per step: the rank is read off the lattice's Hermite normal
-form, and the multiplicity is computed once per distinct lattice.  The
-direct subset sum, with `rank_of` and `multiplicity` for every subset, is
-kept in the tests as the oracle.
+Bases, cocircuits, external activity, and both Tutte polynomials.  Rank
+and multiplicity of a subset depend only on the integer lattice it spans,
+so both Tutte polynomials come from one table over the distinct lattices,
+built one column at a time: each lattice keeps its number of subsets of
+each size and one subset that spans it.  The work grows with n times the
+number of distinct lattices, not with 2^n.  The rank is read off the
+lattice's Hermite normal form, and the multiplicity is computed once per
+lattice.  The direct subset sum, with `rank_of` and `multiplicity` for every
+subset, is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import InternalError, NotABasis, RankDeficient
@@ -75,16 +78,6 @@ class BivarPoly:
         for (i, j), c in self.terms.items():
             total += c * alpha ** i * beta ** j
         return total
-
-    def coefficients_reversed(self, shift: int, alpha) -> list:
-        """Coefficient list of q^shift * P(alpha, 1/q) in increasing q-degree.
-
-        Used for the Hilbert-series identities q^(N-d) * T(a, q^-1).
-        """
-        out = [0] * (shift + 1)
-        for (i, j), c in self.terms.items():
-            out[shift - j] += c * alpha ** i
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -214,52 +207,54 @@ def external_activity(x: GList, b) -> frozenset:
 def tutte(x: GList) -> BivarPoly:
     """Tutte polynomial of the matroid of free parts (torsion = loops)."""
     r = rank_of(x, range(len(x)))
-    table = {}
-    for size, rk, _, _ in _walk(x):
-        table[size, rk] = table.get((size, rk), 0) + 1
-    return _tutte_sum(table, r)
+    return _tutte_sum(_size_rank_table(x, lambda subset: 1), r)
 
 
 def arithmetic_tutte(x: GList) -> BivarPoly:
     """Subset sum with multiplicities; exponent d is the group rank."""
-    table = {}
-    mult = {}
-    for size, rk, lattice, subset in _walk(x):
-        m = mult.get(lattice)
-        if m is None:
-            m = mult[lattice] = multiplicity(x, subset)
-        table[size, rk] = table.get((size, rk), 0) + m
-    return _tutte_sum(table, x.group.free_rank)
+    return _tutte_sum(_size_rank_table(x, partial(multiplicity, x)),
+                      x.group.free_rank)
 
 
-def _walk(x: GList):
-    """Yield (|S|, rank S, L_S, S) for every subset S of indices, depth
-    first.
+def _size_rank_table(x: GList, weight) -> dict:
+    """{(|S|, rank S): sum of weight(S)} over every subset S of indices,
+    for a weight that depends only on the lattice L_S.
 
     L_S is the lattice spanned by lift(S) and the torsion relations
-    k_j e_(d+j), in the canonical form of `hnf_insert`; each step extends
-    its parent's lattice by one column.  The relations span the t torsion
-    coordinates, so the free rank of S is the row count of L_S minus t.
+    k_j e_(d+j), in the canonical form of `hnf_insert`.  One pass over the
+    columns keeps, for each distinct L_S, the number of its subsets of each
+    size and one subset that spans it; column i keeps every state and adds
+    it grown by lift(x_i).  The relations span the t torsion coordinates,
+    so the free rank of S is the row count of L_S minus t.
     """
     g = x.group
-    lifts = [e.lift() for e in x.elems]
+    n, t = len(x), len(g.invariants)
     relations = ()
     for j, k in enumerate(g.invariants):
         col = [0] * g.ncoords
         col[g.free_rank + j] = k
         relations = hnf_insert(relations, col)
-    return _visit(lifts, len(g.invariants), [], 0, relations)
-
-
-def _visit(lifts, t, subset, start, lattice):
-    # a module-level function, not a closure: a closure that calls itself
-    # is a reference cycle, left for the cyclic collector after each call
-    yield len(subset), len(lattice) - t, lattice, subset
-    for i in range(start, len(lifts)):
-        subset.append(i)
-        yield from _visit(lifts, t, subset, i + 1,
-                          hnf_insert(lattice, lifts[i]))
-        subset.pop()
+    states = {relations: ([1] + [0] * n, ())}
+    for i, e in enumerate(x.elems):
+        lift = e.lift()
+        grown = {lattice: (list(counts), subset)
+                 for lattice, (counts, subset) in states.items()}
+        for lattice, (counts, subset) in states.items():
+            key = hnf_insert(lattice, lift)
+            state = grown.get(key)
+            if state is None:
+                state = grown[key] = ([0] * (n + 1), subset + (i,))
+            into = state[0]
+            for size in range(i + 1):
+                into[size + 1] += counts[size]
+        states = grown
+    table = {}
+    for lattice, (counts, subset) in states.items():
+        w, rk = weight(subset), len(lattice) - t
+        for size, c in enumerate(counts):
+            if c:
+                table[size, rk] = table.get((size, rk), 0) + w * c
+    return table
 
 
 def _tutte_sum(table, top: int) -> BivarPoly:

@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalError, NonMember
+
 Rat = Fraction
 
 _F0 = Fraction(0)
@@ -37,7 +39,8 @@ def rat_str(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def euler_phi(n: int) -> int:
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"euler_phi needs n >= 1, got {n}")
     result = n
     p, m = 2, n
     while p * p <= m:
@@ -72,13 +75,15 @@ def _poly_divide_exact(num, den):
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InternalError(f"{den} does not divide the coefficient {c}")
         q = c // den[-1]
         out[k] = q
         if q:
             for i, di in enumerate(den):
                 num[k + i] -= q * di
-    assert not any(num)
+    if any(num):
+        raise InternalError(f"division by {den} leaves remainder {num}")
     return out
 
 
@@ -155,7 +160,8 @@ def _reduce_mod(vec, deg, red_table):
 @lru_cache(maxsize=None)
 def _embed_powers(m: int, n: int) -> tuple:
     """Power-basis expansions in Q(zeta_n) of zeta_m^j, j = 0..phi(m)-1."""
-    assert n % m == 0
+    if n % m:
+        raise InternalError(f"order {m} does not divide {n}")
     phi_n = euler_phi(n)
     step = n // m
     rows = []
@@ -181,7 +187,9 @@ class Cyclotomic:
     def __init__(self, order: int, coeffs):
         self.order = order
         self.coeffs = tuple(coeffs)
-        assert len(self.coeffs) == euler_phi(order)
+        if len(self.coeffs) != euler_phi(order):
+            raise ValueError(f"order {order} needs {euler_phi(order)} "
+                             f"coefficients, got {len(self.coeffs)}")
 
     # -- constructors ------------------------------------------------------
 
@@ -223,7 +231,8 @@ class Cyclotomic:
         """Exact embedding into Q(zeta_n); requires order | n."""
         if n == self.order:
             return self
-        assert n % self.order == 0
+        if n % self.order:
+            raise InternalError(f"order {self.order} does not divide {n}")
         phi_n = euler_phi(n)
         rows = _embed_powers(self.order, n)
         out = [_F0] * phi_n
@@ -469,7 +478,9 @@ class MPoly:
             for e, c in terms.items():
                 c = _as_cyc(c)
                 if c:
-                    assert len(e) == len(self.vars)
+                    if len(e) != len(self.vars):
+                        raise ValueError(f"exponent {e} does not match "
+                                         f"the variables {self.vars}")
                     clean[tuple(e)] = c
         self.terms = clean
 
@@ -505,19 +516,12 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
     def constant_term(self) -> Cyclotomic:
         return self.terms.get((0,) * len(self.vars), _CYC_ZERO)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def homogeneous_slice(self, k: int) -> "MPoly":
-        return MPoly(self.vars,
-                     {e: c for e, c in self.terms.items() if sum(e) == k})
 
     def slices(self):
         """Nonzero homogeneous slices as {degree: MPoly}."""
@@ -718,8 +722,6 @@ class MPoly:
 
 def divide_by_linear(p: MPoly, linear: MPoly) -> MPoly:
     """Exact division by a degree-1 form; raises NonMember on a remainder."""
-    from .errors import NonMember
-
     if linear.total_degree() != 1 or not linear.is_homogeneous():
         raise ValueError("divisor must be a homogeneous linear form")
     pivot = None
@@ -773,7 +775,6 @@ class TruncatedSeries:
     def _same_cap(self, other):
         """Sums need one cap: a mismatch is a truncation bug upstream."""
         if self.cap != other.cap:
-            from .errors import InternalError
             raise InternalError(f"adding series with caps {self.cap} and "
                                 f"{other.cap}")
 

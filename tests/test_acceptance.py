@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from accessors import coefficients_reversed
 from alcoves import alcove_sample
 from spans import span_contains, span_equal
 from zonotopal import linalg
@@ -187,10 +188,10 @@ def test_criterion_04(mixed_corpus):
             assert len(internal) == m.evaluate(0, 1)
             hc = hilbert(central)
             hc += [0] * (n - d + 1 - len(hc))
-            assert hc == m.coefficients_reversed(n - d, 1)
+            assert hc == coefficients_reversed(m, n - d, 1)
             hi = hilbert(internal)
             hi += [0] * (n - d + 1 - len(hi))
-            assert hi == m.coefficients_reversed(n - d, 0)
+            assert hi == coefficients_reversed(m, n - d, 0)
         else:
             assert len(pper_internal_basis(x)) == m.evaluate(0, 1)
         for i in range(len(x)):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "zonotopal"
 
-ASSERT_CEILING = {"scalar": 7}
+ASSERT_CEILING = {}
 
 
 def assert_counts() -> dict:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from accessors import homogeneous_slice
 from alcoves import alcove_room, alcove_sample, bx_by_alternating_sum
 from spans import span_contains
 from zonotopal.abelian import GList
@@ -105,7 +106,7 @@ def local_piece_oracle(x, cell):
         pts = cell_sample_points(cell, d, need, salt)
         poly = interpolate(pts, [tx_value(x, p) for p in pts], deg, vars)
         if poly is not None:
-            assert poly == poly.homogeneous_slice(deg)
+            assert poly == homogeneous_slice(poly, deg)
             return poly
     raise AssertionError(f"no sample set determines the piece on {cell}")
 
@@ -341,6 +342,20 @@ class TestSplineValues:
         assert bx_value(x124, [F(7, 2)]) == F(1, 4)
         assert bx_value(x11, [1]) == 1
         assert bx_value(x12, [2]) == F(1, 2)
+
+    def test_box_adjugates_built_on_first_bx_value(self, monkeypatch):
+        from zonotopal import geometry
+        built = []
+        subset_adjugates = geometry._subset_adjugates
+        monkeypatch.setattr(geometry, "_subset_adjugates",
+                            lambda A, dim: built.append(len(A))
+                            or subset_adjugates(A, dim))
+        x = GList.from_rows([[1, 0, 1, 1], [0, 1, 1, 2]])
+        assert tx_value(x, [2, 3]) == tx_value(x, [2, 3])
+        assert built == [4]
+        for u in ([F(4, 3), F(5, 2)], [F(7, 4), F(5, 3)]):
+            assert bx_value(x, u) == bx_by_alternating_sum(x, u)
+        assert built == [4, 8]
 
     def test_zp_middle_value_against_piece(self, zp_list):
         cells = big_cells(zp_list)

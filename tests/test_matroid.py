@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from accessors import free_columns
 from spans import span_contains
 from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
                                rank_of)
@@ -22,7 +23,7 @@ class TestBases:
 
     def test_zp_all_pairs(self, zp_list):
         # all 6 pairs independent: 2x2 determinant oracle
-        cols = zp_list.free_columns()
+        cols = free_columns(zp_list)
         expect = []
         import itertools
         for i, j in itertools.combinations(range(4), 2):
@@ -298,6 +299,72 @@ def _rank_deficient_lists():
     return [GList.from_rows([[1, 2, 0], [2, 4, 0]]),
             GList.from_columns([[1, 1, 0], [2, 2, 1], [0, 0, 1]],
                                FgGroup(2, (2,)))]
+
+
+@st.composite
+def tutte_lists(draw):
+    """Lists with d = 1-3 and n <= 9: Z/k torsion, zero, parallel and
+    repeated columns, and possibly a rank below d."""
+    d = draw(st.integers(1, 3))
+    invariants = draw(st.sampled_from([(), (2,), (3,), (4,), (2, 4)]))
+    group = FgGroup(d, invariants)
+    dead = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    cols = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(
+            ["fresh", "fresh", "fresh", "zero", "parallel", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append(list(draw(st.sampled_from(cols))))
+            continue
+        if kind == "parallel" and cols:
+            k = draw(st.sampled_from([-2, -1, 2, 3]))
+            free = [k * v for v in draw(st.sampled_from(cols))[:d]]
+        elif kind == "zero":
+            free = [0] * d
+        else:
+            free = [0 if i in dead else draw(st.integers(-2, 2))
+                    for i in range(d)]
+        cols.append(free + [draw(st.integers(0, m - 1)) for m in invariants])
+    return GList.from_columns(cols, group)
+
+
+class TestLatticeTable:
+    """Both Tutte polynomials come from one table of subset counts per
+    distinct lattice; the subset-sum oracles visit every subset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tutte_lists())
+    def test_equal_subset_sum_oracles(self, x):
+        assert tutte(x) == tutte_oracle(x)
+        assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x)
+
+    def test_d3_n12_with_torsion(self):
+        x = GList.from_columns(
+            [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 2], [1, 1, 0, 3],
+             [1, -1, 2, 0], [2, 0, 1, 1], [0, 2, -1, 0], [1, 1, 1, 2],
+             [-1, 0, 2, 3], [1, 2, 0, 0], [0, 1, 1, 1], [2, -1, 1, 3]],
+            FgGroup(3, (4,)))
+        assert tutte(x) == tutte_oracle(x)
+        assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x)
+
+    def test_work_grows_with_lattices_not_subsets(self, monkeypatch):
+        from zonotopal import matroid
+        calls = []
+        hnf_insert = matroid.hnf_insert
+        monkeypatch.setattr(matroid, "hnf_insert",
+                            lambda basis, v: calls.append(1)
+                            or hnf_insert(basis, v))
+        cols = [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 0], [1, 1, 0, 1],
+                [1, 0, 1, 2], [0, 1, 1, 0], [1, 1, 1, 1], [1, -1, 0, 0],
+                [0, 1, -1, 2], [2, 1, 0, 1], [1, 0, 2, 0], [0, 2, 1, 1],
+                [1, 1, -1, 2], [2, 0, 1, 0]]
+        x = GList.from_columns(cols, FgGroup(3, (3,)))
+        # T(2, 2) counts every subset
+        assert tutte(x).evaluate(2, 2) == 2 ** 14
+        assert 0 < len(calls) < 2 ** 14 // 4
+        calls.clear()
+        arithmetic_tutte(x)
+        assert 0 < len(calls) < 2 ** 14 // 4
 
 
 @pytest.mark.parametrize("case, arithmetic", [

@@ -5,9 +5,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, bernoulli,
+from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries,
+                              _embed_powers, _poly_divide_exact, bernoulli,
                               cyclotomic_polynomial, divide_by_linear,
-                              exp_series, rat_str, s_vars,
+                              euler_phi, exp_series, rat_str, s_vars,
                               todd_factor)
 from zonotopal.errors import InternalError, NonMember
 
@@ -306,3 +307,36 @@ class TestPolynomials:
         p = (MPoly.linear_form(sv, (1, 2)) * Cyclotomic.root_of_unity(4)
              + MPoly.constant(sv, Fraction(1, 3)))
         assert MPoly.from_json(sv, p.to_json()) == p
+
+
+class TestTypedChecks:
+    """Each check raises a typed error, so it also runs under python -O."""
+
+    def test_euler_phi_needs_positive_n(self):
+        with pytest.raises(ValueError, match="n >= 1, got 0"):
+            euler_phi(0)
+
+    def test_cyclotomic_needs_phi_coefficients(self):
+        with pytest.raises(ValueError, match="order 5 needs 4 coefficients"):
+            Cyclotomic(5, (1, 0))
+
+    def test_exponent_length_matches_variables(self):
+        with pytest.raises(ValueError, match=r"exponent \(1,\) does not"):
+            MPoly(("s1", "s2"), {(1,): 1})
+
+    def test_division_needs_divisible_leading_coefficient(self):
+        with pytest.raises(InternalError, match="does not divide"):
+            _poly_divide_exact([0, 1], [1, 2])
+
+    def test_division_without_remainder(self):
+        # 1 + x^2 = (1 + x)(x - 1) + 2
+        with pytest.raises(InternalError, match="leaves remainder"):
+            _poly_divide_exact([1, 0, 1], [1, 1])
+
+    def test_embed_powers_needs_divisible_order(self):
+        with pytest.raises(InternalError, match="order 3 does not divide 4"):
+            _embed_powers(3, 4)
+
+    def test_embed_needs_divisible_order(self):
+        with pytest.raises(InternalError, match="order 5 does not divide 7"):
+            Cyclotomic.root_of_unity(5).embed(7)
