@@ -1,11 +1,15 @@
 """Zonotopes, chambers, exact fiber-polytope volumes, and counting.
 
-Everything is rational: volumes come from an integer vertex enumeration
-plus a recursive star triangulation, spline values from the per-list
-`Fiber`; lattice points from bounding-box filters.  The polynomial piece of
-T_X on a chamber comes from one triangulation of the fiber at a sample
-point, whose vertices are affine in u; the pieces of B_X on its alcoves are
-sums of translates of these (`brionvergne`).
+Everything is exact, and the inner loops run on integers.  Volumes come
+from integer vertex numerators over one common denominator, a recursive
+star triangulation with integer face tests and fraction-free simplex
+determinants (`linalg.det`); spline values from the per-list `Fiber`.
+Lattice points compare the integer eta.p with integer bounds over the
+admissible normals eta, and a spanning list's cone is cut out by its facet
+normals.  The polynomial piece of T_X on a chamber comes from one
+triangulation of the fiber at a sample point, whose vertices are affine in
+u; the pieces of B_X on its alcoves are sums of translates of these
+(`brionvergne`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class HPolytope:
 
     def contains(self, point, strict=False) -> bool:
         for row, beta in zip(self.A, self.b):
-            v = sum((r * p for r, p in zip(row, point)), _F0)
+            v = sum(r * p for r, p in zip(row, point))
             if v > beta or (strict and v == beta):
                 return False
         return True
@@ -139,9 +143,6 @@ def _prune(rows):
 
 def is_pointed(x: GList) -> bool:
     """0 outside the convex hull of the free parts (all strictly one side)."""
-    cols = [[Fraction(v) for v in e.free] for e in x.elems]
-    if any(not any(c) for c in cols):
-        return False
     return pointed_certificate(x) is not None
 
 
@@ -161,7 +162,23 @@ def require_pointed(x: GList):
 
 
 def in_cone(x: GList, u) -> bool:
-    """u in cone(X)?  (Nonnegative combination feasibility.)"""
+    """u in cone(X)?
+
+    When X spans, cone(X) is full-dimensional and is cut out by its
+    facets, each of which spans an admissible hyperplane with every column
+    on one side; so u is in the cone iff eta.u has that side's sign for
+    every such normal eta.  X spans iff some admissible hyperplane misses a
+    column.  Otherwise Fourier-Motzkin decides whether u is a nonnegative
+    combination of the columns.
+    """
+    planes = hyperplanes(x)
+    if any(h.mult for h in planes):
+        for h in planes:
+            dots = [_dot_int(h.normal, e.free) for e in x.elems]
+            side = 1 if min(dots) >= 0 else -1 if max(dots) <= 0 else 0
+            if side and side * sum(e * v for e, v in zip(h.normal, u)) < 0:
+                return False
+        return True
     cols = [[Fraction(v) for v in e.free] for e in x.elems]
     n, d = len(cols), x.group.free_rank
     cons = []
@@ -240,31 +257,35 @@ def _dot_int(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _zonotope_box(x: GList):
-    d = x.group.free_rank
-    lo = [sum(min(e.free[i], 0) for e in x.elems) for i in range(d)]
-    hi = [sum(max(e.free[i], 0) for e in x.elems) for i in range(d)]
-    return lo, hi
-
-
 def lattice_points(x: GList, mode="interior", w=None) -> list:
-    """Lattice points of the zonotope: interior, or shifted (Z(X)-w)."""
-    hrep = zonotope_hrep(x)
-    lo, hi = _zonotope_box(x)
-    out = []
-    shift = [Fraction(v) for v in w] if w is not None else None
-    for point in itertools.product(*(range(l - 1, h + 2)
-                                     for l, h in zip(lo, hi))):
-        if mode == "interior":
-            if hrep.contains([Fraction(p) for p in point], strict=True):
-                out.append(point)
-        elif mode == "shifted":
-            moved = [Fraction(p) + s for p, s in zip(point, shift)]
-            if hrep.contains(moved):
-                out.append(point)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return sorted(out)
+    """Lattice points of the zonotope: interior, or shifted (Z(X)-w).
+
+    Z(X) is lo_eta <= eta.y <= hi_eta over the admissible normals eta (see
+    `zonotope_hrep`).  For a lattice point p, eta.p is an integer, so the
+    interior is lo_eta + 1 <= eta.p <= hi_eta - 1 and p + w lies in Z(X)
+    iff ceil(lo_eta - eta.w) <= eta.p <= floor(hi_eta - eta.w).  The same
+    bounds for the unit vectors give the box the points are drawn from, in
+    sorted order, however far w is.
+    """
+    x.require_full_rank()
+    if mode not in ("interior", "shifted"):
+        raise ValueError(f"unknown mode {mode!r}")
+    shift = [0] * x.group.free_rank if mode == "interior" else \
+        [Fraction(v) for v in w]
+    inner = int(mode == "interior")
+
+    def window(eta):
+        dots = [_dot_int(eta, e.free) for e in x.elems]
+        move = sum(e * s for e, s in zip(eta, shift))
+        return (math.ceil(sum(v for v in dots if v < 0) - move) + inner,
+                math.floor(sum(v for v in dots if v > 0) - move) - inner)
+
+    bounds = [(eta, *window(eta)) for eta in hyperplane_normals(x)]
+    units = [tuple(int(i == j) for j in range(len(shift)))
+             for i in range(len(shift))]
+    box = [range(lo, hi + 1) for lo, hi in map(window, units)]
+    return [point for point in itertools.product(*box)
+            if all(lo <= _dot_int(eta, point) <= hi for eta, lo, hi in bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +314,41 @@ def _subset_adjugates(A, dim) -> tuple:
     return tuple(out)
 
 
-def _enumerate_vertices(A, b, dim, subsets=None) -> dict:
-    """The vertices of {y : A y <= b} (tuples), each mapped to one row
-    subset that defines it, as (S, adj A_S, |det A_S|): the first in
-    ``subsets``.
+def _enumerate_vertices(A, b, dim, subsets=None) -> tuple:
+    """The vertices of P = {y : A y <= b} as integer points over one common
+    denominator: (den, verts, A, rhs).
+
+    ``verts`` maps each vertex numerator p (the vertex is p / den) to one
+    row subset that defines it, as (S, adj A_S, |det A_S|): the first in
+    ``subsets``.  A is integer and P = {p / den : A p <= rhs} with integer
+    rhs, so a row is tight at a vertex iff row . p == rhs_i.
 
     ``subsets`` is `_subset_adjugates(A, dim)` for an integer A, passed by a
     caller that keeps A and varies b; without it each row of [A | b] is
     first scaled so that A is integer.  With b = c / D for integers c and
     D > 0, each nonsingular subset S gives the candidate vertex
     y = adj c_S / (det D), and y satisfies every row iff A adj c_S <= det c
-    holds in integers.
+    holds in integers.  The common denominator is D times the lcm of the
+    dets of the subsets that give vertices.
     """
     if subsets is None:
         A, b = _integer_rows(A, b)
         subsets = _subset_adjugates(A, dim)
-    den = math.lcm(*(Fraction(beta).denominator for beta in b))
-    c = [int(beta * den) for beta in b]
-    verts = {}
+    den = math.lcm(*(beta.denominator for beta in b))
+    c = [beta.numerator * (den // beta.denominator) for beta in b]
+    found = []
     for rows, adj, det in subsets:
         c_s = [c[i] for i in rows]
         v = [sum(a * ci for a, ci in zip(arow, c_s)) for arow in adj]
         if all(sum(a * vk for a, vk in zip(row, v)) <= det * ci
                for row, ci in zip(A, c)):
-            verts.setdefault(tuple(Fraction(vk, det * den) for vk in v),
-                             (rows, adj, det))
-    return verts
+            found.append((v, (rows, adj, det)))
+    lcm = math.lcm(*(key[2] for _, key in found))
+    verts = {}
+    for v, key in found:
+        k = lcm // key[2]
+        verts.setdefault(tuple(vk * k for vk in v), key)
+    return den * lcm, verts, A, [ci * lcm for ci in c]
 
 
 def _affine_dim(points) -> int:
@@ -330,11 +360,12 @@ def _affine_dim(points) -> int:
     return linalg.rank(rows) if rows else 0
 
 
-def _triangulate(points, A, b, tight_rows, dim):
+def _triangulate(points, A, rhs, tight_rows, dim):
     """Recursive star triangulation; yields dim-simplices (point tuples).
 
-    ``points`` are the vertices of a face of {Ay<=b} of affine dimension
-    ``dim``; ``tight_rows`` are the rows already tight on the face.
+    ``points`` are the integer vertices of a face of {A p <= rhs} of affine
+    dimension ``dim``; ``tight_rows`` are the rows already tight on the
+    face.
     """
     if dim == 0:
         yield (points[0],)
@@ -344,11 +375,11 @@ def _triangulate(points, A, b, tight_rows, dim):
         return
     apex = points[0]
     seen = set()
-    for i, (row, beta) in enumerate(zip(A, b)):
+    for i, (row, beta) in enumerate(zip(A, rhs)):
         if i in tight_rows:
             continue
         face = [p for p in points
-                if sum((r * q for r, q in zip(row, p)), _F0) == beta]
+                if sum(r * q for r, q in zip(row, p)) == beta]
         if apex in face:
             continue
         key = frozenset(face)
@@ -357,7 +388,7 @@ def _triangulate(points, A, b, tight_rows, dim):
         seen.add(key)
         if _affine_dim(face) != dim - 1:
             continue
-        for simplex in _triangulate(face, A, b, tight_rows | {i}, dim - 1):
+        for simplex in _triangulate(face, A, rhs, tight_rows | {i}, dim - 1):
             yield (apex,) + simplex
 
 
@@ -365,17 +396,20 @@ def polytope_volume(A, b, dim, subsets=None) -> Fraction:
     """Exact volume of {y : A y <= b} in R^dim (0 if lower-dimensional).
 
     A and b may be rational; ``subsets`` is as for `_enumerate_vertices`.
+    The star triangulation of the integer vertex numerators p gives
+    simplices whose integer determinants sum to den^dim dim! times the
+    volume.
     """
-    verts = sorted(_enumerate_vertices(A, b, dim, subsets))
-    if not verts or _affine_dim(verts) < dim:
+    den, verts, A, rhs = _enumerate_vertices(A, b, dim, subsets)
+    points = sorted(verts)
+    if not points or _affine_dim(points) < dim:
         return _F0
-    fact = math.factorial(dim)
-    total = _F0
-    for simplex in _triangulate(verts, A, b, frozenset(), dim):
+    total = 0
+    for simplex in _triangulate(points, A, rhs, frozenset(), dim):
         apex = simplex[0]
-        mat = [[p[i] - apex[i] for i in range(dim)] for p in simplex[1:]]
-        total += abs(linalg.det(mat)) / fact
-    return total
+        total += abs(linalg.det([[p[i] - apex[i] for i in range(dim)]
+                                 for p in simplex[1:]]))
+    return Fraction(total, den ** dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +447,25 @@ class Fiber:
     t_subsets: tuple
 
     def particular(self, u) -> list:
-        """w0 with X w0 = u, zero off the basis columns."""
+        """w0 with X w0 = u, zero off the basis columns: u is scaled to
+        integers, so each basis entry is one Fraction."""
         adj, det = self.basis_adj
-        w0 = [_F0] * len(self.t_facets)
+        den = math.lcm(*(v.denominator for v in u))
+        ints = [v.numerator * (den // v.denominator) for v in u]
+        w0 = [0] * len(self.t_facets)
         for col, arow in zip(self.basis, adj):
-            w0[col] = sum(a * Fraction(v) for a, v in zip(arow, u)) / det
+            w0[col] = Fraction(sum(a * v for a, v in zip(arow, ints)),
+                               det * den)
         return w0
 
     def rhs_forms(self) -> list:
-        """The right-hand sides w0(u) of the T_X facet rows as affine forms
-        (c, l_1, ..., l_d), meaning c + l.u."""
-        adj, det = self.basis_adj
-        w0 = [(_F0,) * (len(adj) + 1)] * len(self.t_facets)
+        """The right-hand sides w0(u) of the T_X facet rows as integer
+        affine forms (c, l_1, ..., l_d) over the basis det, meaning
+        (c + l.u) / det."""
+        adj, _ = self.basis_adj
+        w0 = [(0,) * (len(adj) + 1)] * len(self.t_facets)
         for col, arow in zip(self.basis, adj):
-            w0[col] = (_F0, *(Fraction(a, det) for a in arow))
+            w0[col] = (0, *arow)
         return w0
 
 
@@ -693,35 +732,40 @@ def piece_at(x: GList, u0) -> MPoly:
     the rows S is u -> adj_S b_S(u) / det_S, and each simplex contributes
     det[v_i(u) - v_0(u)] / m!, a degree-m polynomial with the sign it has
     at u0.  Outside cone(X) the fiber is empty and the piece is 0.
+
+    Every vertex map is kept as integer forms over the one denominator
+    lcm_S(det_S) times the basis det, so the simplex determinants are
+    integer polynomials until the final scale.
     """
     fib = fiber(x)
     d, m = x.group.free_rank, fib.dim
-    facets, subsets = fib.t_facets, fib.t_subsets
     forms = fib.rhs_forms()
-    pt = [Fraction(v) for v in u0]
-    b0 = [f[0] + sum(l * v for l, v in zip(f[1:], pt)) for f in forms]
-    verts = _enumerate_vertices(facets, b0, m, subsets)
+    _, verts, facets, rhs = _enumerate_vertices(
+        fib.t_facets, fib.particular(u0), m, fib.t_subsets)
+    lcm = math.lcm(*(det for _, _, det in verts.values()))
     maps = {}
     for vert, (rows, adj, det) in verts.items():
-        maps[vert] = [tuple(sum(a * forms[i][k] for a, i in zip(arow, rows))
-                            / det for k in range(d + 1)) for arow in adj]
+        k = lcm // det
+        maps[vert] = [tuple(k * sum(a * forms[i][j]
+                                    for a, i in zip(arow, rows))
+                            for j in range(d + 1)) for arow in adj]
     total = {}
     points = sorted(verts)
     if points and _affine_dim(points) == m:
-        for simplex in _triangulate(points, facets, b0, frozenset(), m):
+        for simplex in _triangulate(points, facets, rhs, frozenset(), m):
             apex = simplex[0]
             at_u0 = linalg.det([[p[i] - apex[i] for i in range(m)]
                                 for p in simplex[1:]])
             if not at_u0:
                 raise InternalError(f"a simplex of the fiber over "
-                                    f"[{', '.join(map(str, pt))}] is flat")
+                                    f"[{', '.join(map(str, u0))}] is flat")
             base = maps[apex]
             rows = [[tuple(a - b for a, b in zip(fa, fb))
                      for fa, fb in zip(maps[p], base)] for p in simplex[1:]]
             sign = 1 if at_u0 > 0 else -1
             for e, c in _form_det(rows, d).items():
-                total[e] = total.get(e, _F0) + sign * c
-    factor = fib.scale / math.factorial(m)
+                total[e] = total.get(e, 0) + sign * c
+    factor = fib.scale / (math.factorial(m) * (lcm * fib.basis_adj[1]) ** m)
     return MPoly(t_vars(d), {e: c * factor for e, c in total.items()})
 
 
@@ -730,7 +774,7 @@ def _form_det(rows, d) -> dict:
     a polynomial {exponent: coefficient} in d variables; Laplace expansion
     along the rows, each minor computed once."""
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    minors = {(): {(0,) * d: _F1}}
+    minors = {(): {(0,) * d: 1}}
 
     def minor(cols):
         if cols in minors:
@@ -748,7 +792,7 @@ def _form_det(rows, d) -> dict:
                     if coef:
                         ek = e if k == 0 else \
                             tuple(a + b for a, b in zip(e, units[k - 1]))
-                        acc[ek] = acc.get(ek, _F0) + sign * c * coef
+                        acc[ek] = acc.get(ek, 0) + sign * c * coef
         minors[cols] = acc
         return acc
 

@@ -1,9 +1,12 @@
-"""Exact linear algebra over Fraction or Cyclotomic entries.
+"""Exact linear algebra over integer, Fraction or Cyclotomic entries.
 
 Plain list-of-lists matrices and Gaussian elimination with deterministic
-pivoting (first nonzero in column order).  The same code path serves both
-scalar types; entries only need +, -, *, /, bool and an ``inv``-compatible
-division.
+pivoting (first nonzero in column order).  `rref`, `solve` and `nullspace`
+serve Fraction and Cyclotomic entries alike; entries only need +, -, *, /,
+bool and an ``inv``-compatible division.  Integer matrices take the
+fraction-free routines instead: `bareiss` for rank and determinant (a
+rational matrix is scaled row by row to integers for `det`) and `adjugate`
+for the inverse.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ def rref(m):
 def rank(m) -> int:
     if not m or not m[0]:
         return 0
+    if all(type(v) is int for row in m for v in row):
+        return bareiss(m)[0]
     return len(rref(m)[1])
 
 
@@ -103,32 +108,50 @@ def solve(m, rhs):
 
 
 def det(m):
-    """Exact determinant by fraction-free-ish elimination (small matrices)."""
+    """Exact determinant of a square matrix of ints or Fractions: an int for
+    an integer matrix, else a Fraction.  Each row is scaled to integers by
+    the lcm of its denominators, and `bareiss` reduces the result."""
     n = len(m)
     if n == 0:
         return Fraction(1)
-    m = mat_copy(m)
-    sign = 1
-    acc = None
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return m[0][0] - m[0][0]
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
+    if all(type(v) is int for row in m for v in row):
+        r, last = bareiss(m)
+        return last if r == n else 0
+    dens = [math.lcm(*(v.denominator for v in row)) for row in m]
+    r, last = bareiss([[v.numerator * (den // v.denominator) for v in row]
+                       for row, den in zip(m, dens)])
+    return Fraction(last if r == n else 0, math.prod(dens))
+
+
+def bareiss(m):
+    """(rank, last pivot) of an integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 1968).
+
+    Row echelon form with the first nonzero entry of each column as pivot.
+    After k pivots every entry below them is a (k+1)-minor of m, so the
+    division by the previous pivot is exact.  The last pivot carries the
+    sign of the row swaps: it is det m when m is square and nonsingular.
+    """
+    rows = [list(r) for r in m]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        piv = m[c][c]
-        acc = piv if acc is None else acc * piv
-        inv = 1 / piv if isinstance(piv, Fraction) else piv.inv()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return acc if sign > 0 else -acc
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, sign * prev
 
 
 def adjugate(m):

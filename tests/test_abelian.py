@@ -3,6 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.domains import ZZ
 
 from zonotopal import linalg
 from zonotopal.abelian import (FgGroup, GList, contract, hnf_insert,
@@ -36,6 +40,16 @@ class TestSnf:
     def test_zero_matrix(self):
         _, d, _ = snf([[0]])
         assert d == [[0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.lists(
+        st.lists(st.integers(-8, 8), min_size=r, max_size=r),
+        min_size=1, max_size=4)))
+    def test_diagonal_matches_sympy(self, m):
+        want = smith_normal_form(sympy.Matrix(m), domain=ZZ)
+        assert snf_diagonal(m) == [abs(int(want[i, i]))
+                                   for i in range(min(want.shape))
+                                   if want[i, i]]
 
     def test_transforms_randomized(self):
         rng = random.Random(5)

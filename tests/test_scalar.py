@@ -79,6 +79,12 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
+    def test_cyclotomic_polynomials_match_sympy(self):
+        t = sympy.Symbol("t")
+        for n in range(1, 31):
+            want = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
+            assert cyclotomic_polynomial(n) == tuple(reversed(want)), n
+
     def test_order_embedding_associative(self):
         z3 = Cyclotomic.root_of_unity(3)
         z4 = Cyclotomic.root_of_unity(4)
