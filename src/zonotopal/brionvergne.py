@@ -12,8 +12,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from . import linalg
+from . import linalg, periodic
 from .abelian import GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
@@ -86,6 +87,12 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     For z interior to the zonotope the value is checked identical over every
     cell adjacent to u (w-independence); the result must be a rational
     integer.
+
+    f~_z depends on X and z only, so it comes from `_f_tilde_at`, a table
+    of the last 16 (list, z) pairs keyed on the list's value: repeated
+    queries on one list and z build it once, and only the operator is
+    applied at each u.  The table is not kept on the list (`GList.memo`),
+    which would hold f~_z for as long as any caller holds the list.
     """
     require_pointed(x)
     if not in_cone(x, u):
@@ -95,7 +102,7 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     if pieces is None:
         pieces = {id(c): local_piece(x, c) for c in cells}
     zel = z if isinstance(z, GElement) else x.group.element(tuple(z))
-    ft = f_tilde(x, zel)
+    ft = _f_tilde_at(x.group, x.elems, zel)
     interior = zonotope_hrep(x).contains(
         [Fraction(v) for v in zel.free], strict=True)
     candidates = []
@@ -125,7 +132,19 @@ def chamber_quasipolynomial(x: GList, cell: Cell) -> QuasiFunction:
     It equals `vpf_count` at every lattice point of (Omega - Z(X)), the u
     whose translate u + Z(X) meets Omega.
     """
-    return _applied(f_tilde(x, x.group.zero()), local_piece(x, cell))
+    return _applied(_f_tilde_at(x.group, x.elems, x.group.zero()),
+                    local_piece(x, cell))
+
+
+@lru_cache(maxsize=16)
+def _f_tilde_at(group, elems, z: GElement) -> PeriodicPoly:
+    """f_tilde of the list (group, elems) at z, shared by every caller.
+
+    The key is the list's value, not a list, so the table keeps no
+    caller's list and its `GList.memo` alive.  Each miss looks f_tilde up
+    on `periodic`, where a wrapper around it sees the call.
+    """
+    return periodic.f_tilde(GList(group, elems), z)
 
 
 def _eval_count(ft: PeriodicPoly, piece: MPoly, u) -> int:

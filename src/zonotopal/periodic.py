@@ -459,12 +459,14 @@ def l_map(x: GList, p: PeriodicPoly, w) -> LClass:
         raise SingularGram(
             f"|Z(X,w)| = {len(points)} != dim DM = {len(basis)}; "
             "w is not affine regular")
-    mat = [[f.evaluate_at(pt) for pt in points] for f in basis]
-    rhs = [pair_pper_dm(x, p, f) for f in basis]
-    if linalg.rank(mat) < len(points):
+    # one elimination of [mat | rhs]: a pivot in every point column means
+    # mat is invertible, and the last column is then the solution
+    n = len(points)
+    red, pivots = linalg.rref([[f.evaluate_at(pt) for pt in points]
+                               + [pair_pper_dm(x, p, f)] for f in basis])
+    if pivots[:n] != list(range(n)):
         raise SingularGram("evaluation matrix singular; retry with fresh w")
-    sol = linalg.solve(mat, rhs)
-    return LClass(support=tuple(points), coeffs=tuple(sol))
+    return LClass(support=tuple(points), coeffs=tuple(row[n] for row in red))
 
 
 # ---------------------------------------------------------------------------

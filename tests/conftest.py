@@ -36,13 +36,22 @@ def mixed_corpus():
     return corpus(seed=20240, limits=CorpusLimits(max_volume=36), count=50)
 
 
+_GEOMETRY_LIMITS = CorpusLimits(max_dim=2, max_len=5, max_entry=2,
+                                allow_torsion=False, require_pointed=True,
+                                max_volume=10)
+
+
 @pytest.fixture(scope="session")
 def geometry_corpus():
     """Pointed torsion-free lists (d <= 2, N <= 5) for the spline identities."""
-    limits = CorpusLimits(max_dim=2, max_len=5, max_entry=2,
-                          allow_torsion=False, require_pointed=True,
-                          max_volume=10)
-    return corpus(seed=7321, limits=limits, count=8)
+    return corpus(seed=7321, limits=_GEOMETRY_LIMITS, count=8)
+
+
+@pytest.fixture(scope="session")
+def long_geometry_corpus():
+    """The geometry corpus continued to 24 lists; the first 8 are
+    `geometry_corpus`."""
+    return corpus(seed=7321, limits=_GEOMETRY_LIMITS, count=24)
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from spans import span_contains
 from zonotopal.abelian import FgGroup, GList
-from zonotopal.brionvergne import (apply_periodic, box_deconvolution_check,
-                                   box_delta_check, box_interpolant, bv_count,
-                                   continuity_check, partition_of_unity,
-                                   wall_jump, wall_jump_check, wall_v12,
-                                   walls)
+from zonotopal.brionvergne import (_f_tilde_at, apply_periodic,
+                                   box_deconvolution_check, box_delta_check,
+                                   box_interpolant, bv_count,
+                                   chamber_quasipolynomial, continuity_check,
+                                   partition_of_unity, wall_jump,
+                                   wall_jump_check, wall_v12, walls)
 from zonotopal.errors import NotUnimodular
 from zonotopal.geometry import (big_cells, in_cone, lattice_points,
                                 local_piece, short_regular, vpf_count)
@@ -68,6 +70,112 @@ class TestBvCount:
                     expect = vpf_count(x, diff) if in_cone(x, diff) else 0
                     got = bv_count(x, z, u, cells=cells, pieces=pieces)
                     assert got == expect, (x, z, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_vpf_on_random_queries(self, count_lists, data):
+        # two lists interleaved, z repeated, and an equal list built again:
+        # the f~_z table is hit, shared by value and, across examples,
+        # evicted
+        i, j = data.draw(st.lists(st.integers(0, len(count_lists) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        for _ in range(data.draw(st.integers(4, 10))):
+            x, interior, box, on_walls, cells, pieces = \
+                count_lists[data.draw(st.sampled_from((i, j)))]
+            z = data.draw(st.sampled_from(interior))
+            u = data.draw(st.sampled_from(on_walls) | st.sampled_from(box))
+            diff = [a - b for a, b in zip(u, z)]
+            expect = vpf_count(x, diff) if in_cone(x, diff) else 0
+            if data.draw(st.booleans()):
+                again = GList.from_columns([e.free for e in x.elems])
+                got = bv_count(again, z, u)
+            else:
+                got = bv_count(x, z, u, cells=cells, pieces=pieces)
+            assert got == expect, (x, z, u)
+
+
+@pytest.fixture(scope="module")
+def count_lists(long_geometry_corpus):
+    """Per corpus list with interior lattice points: (x, its interior
+    points, the u in [0, 12)^d inside cone(X), those of them on a wall,
+    big cells, pieces).  The walls are the origin at d = 1 and the lines
+    through the columns at d = 2.  The (list, z) pairs outnumber the f~_z
+    table's bound."""
+    out = []
+    for x in long_geometry_corpus:
+        interior = lattice_points(x, "interior")
+        if not interior:
+            continue
+        d = x.group.free_rank
+        box = [u for u in itertools.product(range(12), repeat=d)
+               if in_cone(x, u)]
+        on_walls = [u for u in box
+                    if any(d == 1 and u == (0,) or d == 2
+                           and u[0] * e.free[1] == u[1] * e.free[0]
+                           for e in x.elems)]
+        cells = big_cells(x)
+        out.append((x, interior, box, on_walls, cells,
+                    {id(c): local_piece(x, c) for c in cells}))
+    assert sum(len(c[1]) for c in out) > _f_tilde_at.cache_info().maxsize
+    return out
+
+
+class TestFTildeTable:
+    """bv_count and chamber_quasipolynomial take f~_z from `_f_tilde_at`,
+    one bounded table keyed on the list's value and z."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Each call of periodic.f_tilde as (x, z, result), on an empty
+        table that is emptied again afterwards."""
+        from zonotopal import periodic
+        calls = []
+
+        def counted(x, z, cap=None):
+            calls.append((x, z, f_tilde(x, z, cap)))
+            return calls[-1][2]
+        monkeypatch.setattr(periodic, "f_tilde", counted)
+        _f_tilde_at.cache_clear()
+        yield calls
+        _f_tilde_at.cache_clear()
+
+    def test_miss_builds_once_and_hit_builds_nothing(self, x124, built):
+        assert bv_count(x124, [1], [6]) == 4
+        assert len(built) == 1
+        assert bv_count(x124, [1], [9]) == vpf_count(x124, [8])
+        # an equal list built again shares the entry
+        assert bv_count(GList.from_rows([[1, 2, 4]]), [1], [7]) \
+            == vpf_count(x124, [6])
+        assert len(built) == 1
+        assert bv_count(x124, [2], [6]) == vpf_count(x124, [4])
+        assert len(built) == 2
+
+    def test_bound_evicts_the_oldest(self, x12, built):
+        bound = _f_tilde_at.cache_info().maxsize
+        for z in range(bound + 3):
+            bv_count(x12, [z], [30])
+        assert len(built) == bound + 3
+        assert _f_tilde_at.cache_info().currsize == bound
+        bv_count(x12, [bound + 2], [31])
+        assert len(built) == bound + 3
+        bv_count(x12, [0], [31])
+        assert len(built) == bound + 4
+        assert _f_tilde_at.cache_info().currsize == bound
+
+    def test_shared_values_stay_unchanged(self, long_geometry_corpus, built):
+        for x in long_geometry_corpus[:12]:
+            cells = big_cells(x)
+            pieces = {id(c): local_piece(x, c) for c in cells}
+            chamber_quasipolynomial(x, cells[0])
+            for z in lattice_points(x, "interior"):
+                for u in itertools.product(range(4), repeat=x.group.free_rank):
+                    if in_cone(x, u):
+                        bv_count(x, z, u, cells=cells, pieces=pieces)
+        assert len(built) > _f_tilde_at.cache_info().maxsize
+        for x, z, ft in built:
+            assert ft == f_tilde(x, z)
+        for x, z, ft in built[-_f_tilde_at.cache_info().maxsize:]:
+            assert _f_tilde_at(x.group, x.elems, z) is ft
 
 
 class TestPartitionOfUnity:

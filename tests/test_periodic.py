@@ -478,6 +478,18 @@ class TestPairingAndL:
                   if triv is not None else Cyclotomic.zero())
             assert expect == dd
 
+    def test_l_map_singular_evaluation_matrix(self, zp_list, monkeypatch):
+        # |Z(X, w)| = dim DM, but a repeated basis element makes two rows
+        # of the evaluation matrix equal
+        from zonotopal import periodic
+        from zonotopal.errors import SingularGram
+        db = dm_basis(zp_list)
+        monkeypatch.setattr(periodic, "dm_basis",
+                            lambda x: [db[0]] + db[:-1])
+        p = PeriodicPoly.one(zp_list)
+        with pytest.raises(SingularGram, match="evaluation matrix singular"):
+            l_map(zp_list, p, short_regular(zp_list))
+
 
 class TestDeletionContraction:
     def test_contraction_sequence_maps(self):
