@@ -37,12 +37,28 @@ _F1 = Fraction(1)
 # ---------------------------------------------------------------------------
 
 def apply_periodic(p: PeriodicPoly, f: MPoly, point) -> Cyclotomic:
-    """(sum_phi e_phi q_phi)(D) f evaluated at a lattice point."""
+    """(sum_phi e_phi q_phi)(D) f evaluated at a lattice point.
+
+    The quasi-polynomial p(D) f comes from `_applied`, which keeps the last
+    64, so a repeated (p, f) at another point only evaluates.
+    """
     return _applied(p, f).evaluate_at(point)
 
 
+@lru_cache(maxsize=64)
 def _applied(p: PeriodicPoly, f: MPoly) -> QuasiFunction:
-    """(sum_phi e_phi q_phi)(D) f as sum_phi e_phi (q_phi(D) f)."""
+    """(sum_phi e_phi q_phi)(D) f as sum_phi e_phi (q_phi(D) f).
+
+    A table of the last 64 (p, f) pairs and their quasi-polynomials.  By
+    the improved Brion-Vergne formula a count on a chamber is f~_z(D)
+    applied to the chamber's piece of T_X, which does not depend on u; so
+    every count query at one (list, z, chamber) after the first is a lookup
+    and one evaluation.  The key is the pair's value, not a list: p and f
+    are immutable values that hash by value, and neither carries its list,
+    so the table keeps no caller's `GList` or its `GList.memo` alive and an
+    equal list built again finds the entry.  The returned value is shared:
+    callers must not change it.
+    """
     return QuasiFunction(f.vars, [(char, q.apply_diff(f))
                                   for char, q in p.terms])
 
@@ -69,12 +85,8 @@ def cell_toward(cells, u, w):
 
 def cells_adjacent(cells, u):
     """Cells whose closure contains u."""
-    uq = [Fraction(v) for v in u]
-    out = []
-    for cell in cells:
-        if cell.hrep is not None and cell.hrep.contains(uq):
-            out.append(cell)
-    return out
+    return [cell for cell in cells
+            if cell.hrep is not None and cell.hrep.contains(u)]
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +101,13 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     integer.
 
     f~_z depends on X and z only, so it comes from `_f_tilde_at`, a table
-    of the last 16 (list, z) pairs keyed on the list's value: repeated
-    queries on one list and z build it once, and only the operator is
-    applied at each u.  The table is not kept on the list (`GList.memo`),
-    which would hold f~_z for as long as any caller holds the list.
+    of the last 16 (list, z) pairs keyed on the list's value, and
+    f~_z(D) piece comes from `apply_periodic`'s table of the last 64: a
+    repeated query on one list, z and chamber only evaluates at u.  Neither
+    table is kept on the list (`GList.memo`), which would hold f~_z for as
+    long as any caller holds the list.  The facts of the list itself (the
+    pointed certificate, the cone's facets, the zonotope's H-rep) are kept
+    on it.
     """
     require_pointed(x)
     if not in_cone(x, u):
@@ -103,8 +118,7 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
         pieces = {id(c): local_piece(x, c) for c in cells}
     zel = z if isinstance(z, GElement) else x.group.element(tuple(z))
     ft = _f_tilde_at(x.group, x.elems, zel)
-    interior = zonotope_hrep(x).contains(
-        [Fraction(v) for v in zel.free], strict=True)
+    interior = zonotope_hrep(x).contains(zel.free, strict=True)
     candidates = []
     if interior:
         adj = cells_adjacent(cells, u)

@@ -34,12 +34,21 @@ _F1 = Fraction(1)
 # H-polytopes and Fourier-Motzkin
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class HPolytope:
-    """{y : A y <= b} with rational data; may be empty or lower-dimensional."""
+    """{y : A y <= b} with rational data; may be empty or lower-dimensional.
 
-    A: list
-    b: list
+    A and b are kept as tuples, so a polytope kept on a list cannot be
+    changed through a caller's reference.  Integer rows and an integer
+    point are compared in integers.
+    """
+
+    A: tuple
+    b: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", tuple(map(tuple, self.A)))
+        object.__setattr__(self, "b", tuple(self.b))
 
     def contains(self, point, strict=False) -> bool:
         for row, beta in zip(self.A, self.b):
@@ -147,13 +156,19 @@ def is_pointed(x: GList) -> bool:
 
 
 def pointed_certificate(x: GList):
-    """A rational eta with eta . x_i >= 1 for every column, or None."""
+    """A rational eta with eta . x_i >= 1 for every column, as a tuple, or
+    None.  Found once per list and kept on it."""
+    return x.memo("pointed_certificate", _pointed_certificate)
+
+
+def _pointed_certificate(x: GList):
     d = x.group.free_rank
     cols = [[Fraction(v) for v in e.free] for e in x.elems]
     if any(not any(c) for c in cols):
         return None
     constraints = [([-c for c in col], Fraction(-1), False) for col in cols]
-    return fm_feasible(constraints, d)
+    eta = fm_feasible(constraints, d)
+    return None if eta is None else tuple(eta)
 
 
 def require_pointed(x: GList):
@@ -171,14 +186,9 @@ def in_cone(x: GList, u) -> bool:
     column.  Otherwise Fourier-Motzkin decides whether u is a nonnegative
     combination of the columns.
     """
-    planes = hyperplanes(x)
-    if any(h.mult for h in planes):
-        for h in planes:
-            dots = [_dot_int(h.normal, e.free) for e in x.elems]
-            side = 1 if min(dots) >= 0 else -1 if max(dots) <= 0 else 0
-            if side and side * sum(e * v for e, v in zip(h.normal, u)) < 0:
-                return False
-        return True
+    facets = x.memo("cone_facets", _cone_facets)
+    if facets is not None:
+        return all(_dot_int(eta, u) >= 0 for eta in facets)
     cols = [[Fraction(v) for v in e.free] for e in x.elems]
     n, d = len(cols), x.group.free_rank
     cons = []
@@ -191,6 +201,23 @@ def in_cone(x: GList, u) -> bool:
         row[j] = _F1
         cons.append(([-c for c in row], _F0, False))
     return fm_feasible(cons, n) is not None
+
+
+def _cone_facets(x: GList):
+    """The admissible normals with every column on one side, each signed so
+    that the columns lie on its nonnegative side; None when X does not
+    span."""
+    planes = hyperplanes(x)
+    if not any(h.mult for h in planes):
+        return None
+    out = []
+    for h in planes:
+        dots = [_dot_int(h.normal, e.free) for e in x.elems]
+        if min(dots) >= 0:
+            out.append(h.normal)
+        elif max(dots) <= 0:
+            out.append(tuple(-v for v in h.normal))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +267,19 @@ def hyperplane_normals(x: GList) -> list:
 
 def zonotope_hrep(x: GList) -> HPolytope:
     """Facet description: for each admissible normal eta,
-    -sum max(-eta.x, 0) <= eta.u <= sum max(eta.x, 0)."""
+    -sum max(-eta.x, 0) <= eta.u <= sum max(eta.x, 0).  The rows are
+    integers; built once per list and kept on it."""
+    return x.memo("zonotope_hrep", _zonotope_hrep)
+
+
+def _zonotope_hrep(x: GList) -> HPolytope:
     x.require_full_rank()
     a_rows, b_vals = [], []
     for eta in hyperplane_normals(x):
-        hi = sum(max(_dot_int(eta, e.free), 0) for e in x.elems)
-        lo = -sum(max(-_dot_int(eta, e.free), 0) for e in x.elems)
-        a_rows.append([Fraction(v) for v in eta])
-        b_vals.append(Fraction(hi))
-        a_rows.append([Fraction(-v) for v in eta])
-        b_vals.append(Fraction(-lo))
+        dots = [_dot_int(eta, e.free) for e in x.elems]
+        a_rows += [eta, tuple(-v for v in eta)]
+        b_vals += [sum(v for v in dots if v > 0),
+                   -sum(v for v in dots if v < 0)]
     return HPolytope(a_rows, b_vals)
 
 
@@ -609,7 +639,7 @@ def big_cells(x: GList, samples=None) -> list:
         sign = 1 if x.elems[0].free[0] > 0 else -1
         ray = (Fraction(sign),)
         return [Cell(sample=ray, rays=((sign,),),
-                     hrep=HPolytope([[Fraction(-sign)]], [_F0]))]
+                     hrep=HPolytope([[-sign]], [0]))]
     rays = _cone_rays(x)
     cells = []
     for r1, r2 in zip(rays, rays[1:]):
@@ -620,13 +650,13 @@ def big_cells(x: GList, samples=None) -> list:
                                 f"{list(r2)} lies on an admissible "
                                 f"hyperplane")
         # interior of cone(r1, r2): eta1 . y > 0 and eta2 . y > 0
-        eta1 = (Fraction(-r1[1]), Fraction(r1[0]))
-        if sum(a * b for a, b in zip(eta1, r2)) < 0:
+        eta1 = (-r1[1], r1[0])
+        if _dot_int(eta1, r2) < 0:
             eta1 = tuple(-v for v in eta1)
-        eta2 = (Fraction(-r2[1]), Fraction(r2[0]))
-        if sum(a * b for a, b in zip(eta2, r1)) < 0:
+        eta2 = (-r2[1], r2[0])
+        if _dot_int(eta2, r1) < 0:
             eta2 = tuple(-v for v in eta2)
-        hrep = HPolytope([[-v for v in eta1], [-v for v in eta2]], [_F0, _F0])
+        hrep = HPolytope([[-v for v in eta1], [-v for v in eta2]], [0, 0])
         cells.append(Cell(sample=mid, rays=(r1, r2), hrep=hrep))
     return cells
 

@@ -95,7 +95,19 @@ class _CharacterSum:
 class PeriodicPoly(_CharacterSum):
     """sum over vertices of e_phi * (polynomial in s0, s1..sd)."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        """Equal values hash equal: the terms are merged by character and
+        sorted, an MPoly hashes its terms in sorted order, and a Cyclotomic
+        hashes the same at every order it is embedded in.  The hash covers
+        the coefficients, so the f~_z of one list at different z differ.
+        Computed once and kept, as the value does not change."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.vars, self.terms))
+            return self._hash
 
     @staticmethod
     def one(x: GList) -> "PeriodicPoly":
@@ -138,9 +150,8 @@ class QuasiFunction(_CharacterSum):
     def evaluate_at(self, point) -> Cyclotomic:
         """Value at a lattice point: sum e_phi(point) * f_phi(point)."""
         total = Cyclotomic.zero()
-        pt = [Fraction(v) for v in point]
         for char, poly in self.terms:
-            total = total + evaluate_point(char, point) * poly.evaluate(pt)
+            total = total + evaluate_point(char, point) * poly.evaluate(point)
         return total
 
 

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import linalg
 from .errors import InternalError, NonMember
 
 Rat = Fraction
@@ -85,19 +86,6 @@ def _poly_divide_exact(num, den):
     if any(num):
         raise InternalError(f"division by {den} leaves remainder {num}")
     return out
-
-
-@lru_cache(maxsize=None)
-def _mobius(n: int) -> int:
-    result, p, m = 1, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if m > 1 else result
 
 
 @lru_cache(maxsize=None)
@@ -263,20 +251,27 @@ class Cyclotomic:
         return any(self.coeffs)
 
     def __hash__(self):
-        # The normalised trace sum_k c_k mu(n/g_k)/phi(n/g_k), g_k = gcd(n, k),
-        # does not change under embed(), and is the value itself when the
-        # value is rational, so equal values hash equal (Fraction included).
-        if self.order == 1:
+        # A rational value hashes as its Fraction.  Any other value lies in
+        # Q(zeta_m) exactly for the multiples m of one least order, where it
+        # has one power-basis vector; hashing that pair makes equal values
+        # of every declared order hash equal and keeps conjugates such as
+        # zeta_5 and zeta_5^2 apart.
+        if self.is_rational():
             return hash(self.coeffs[0])
+        return hash(self._least_form())
+
+    def _least_form(self) -> tuple:
+        """(m, coeffs) of this value in Q(zeta_m) for the least such m."""
         n = self.order
-        total = _F0
-        for k, c in enumerate(self.coeffs):
-            if c:
-                m = n // math.gcd(n, k)
-                mu = _mobius(m)
-                if mu:
-                    total += c * Fraction(mu, euler_phi(m))
-        return hash(total)
+        for m in range(3, n):
+            # Q(zeta_m) = Q(zeta_(m/2)) for m = 2 mod 4, tried already
+            if n % m or m % 4 == 2:
+                continue
+            coords = linalg.solve([list(r) for r in zip(*_embed_powers(m, n))],
+                                  list(self.coeffs))
+            if coords is not None:
+                return m, tuple(coords)
+        return n, self.coeffs
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -661,15 +656,39 @@ class MPoly:
         return result
 
     def evaluate(self, point) -> Cyclotomic:
-        """Exact evaluation at a rational/cyclotomic point."""
+        """Exact evaluation at a rational/cyclotomic point.
+
+        At a point of ints and Fractions each monomial is one int or
+        Fraction product, which scales its coefficient once, and the
+        rational terms are summed in integers over a common denominator.
+        """
         total = _CYC_ZERO
+        if not all(type(v) is int or type(v) is Fraction for v in point):
+            for e, c in self.terms.items():
+                v = c
+                for i, k in enumerate(e):
+                    for _ in range(k):
+                        v = v * point[i]
+                total = total + v
+            return total
+        num, den = 0, 1
         for e, c in self.terms.items():
-            v = c
+            m = 1
             for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * point[i]
-            total = total + v
-        return total
+                if k:
+                    m *= point[i] ** k
+            if c.order != 1:
+                total = total + c * m
+                continue
+            q = c.coeffs[0]
+            if type(m) is Fraction:
+                q, m = q * m, 1
+            qd = q.denominator
+            if den % qd:
+                g = qd // math.gcd(den, qd)
+                num, den = num * g, den * g
+            num += q.numerator * (den // qd) * m
+        return total + Fraction(num, den)
 
     def substitute(self, new_vars, images) -> "MPoly":
         """Ring map sending variable i to images[i] (MPolys over new_vars)."""

@@ -83,7 +83,14 @@ def evaluate(c: Character, g: GElement) -> Cyclotomic:
 
 
 def evaluate_point(c: Character, point) -> Cyclotomic:
-    """e_phi at a point of the free part, given by its coordinates."""
+    """e_phi at a point of the free part, given by its coordinates.  At an
+    integer point the angle is summed in integers over the lcm of theta's
+    denominators."""
+    if all(type(v) is int for v in point):
+        den = math.lcm(*(t.denominator for t in c.theta))
+        return Cyclotomic.root_of_unity(
+            den, sum(t.numerator * (den // t.denominator) * v
+                     for t, v in zip(c.theta, point)))
     return Cyclotomic.from_angle(
         sum((t * v for t, v in zip(c.theta, point)), Fraction(0)))
 

@@ -27,7 +27,9 @@ def alcove_room(x, p0):
     for eta in hyperplane_normals(x):
         val = sum(F(e) * c for e, c in zip(eta, p0))
         frac = val - math.floor(val)
-        assert frac
+        if not frac:
+            raise ValueError(f"{list(p0)} lies on the affine hyperplane "
+                             f"eta.y = {val} of the normal {list(eta)}")
         room.append(min(frac, 1 - frac) / sum(abs(e) for e in eta))
     return min(room) / 2
 

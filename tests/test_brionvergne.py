@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spans import span_contains
 from zonotopal.abelian import FgGroup, GList
-from zonotopal.brionvergne import (_f_tilde_at, apply_periodic,
+from zonotopal.brionvergne import (_applied, _f_tilde_at, apply_periodic,
                                    box_deconvolution_check, box_delta_check,
                                    box_interpolant, bv_count,
                                    chamber_quasipolynomial, continuity_check,
@@ -176,6 +176,76 @@ class TestFTildeTable:
             assert ft == f_tilde(x, z)
         for x, z, ft in built[-_f_tilde_at.cache_info().maxsize:]:
             assert _f_tilde_at(x.group, x.elems, z) is ft
+
+
+class TestAppliedTable:
+    """apply_periodic takes p(D) f from `_applied`, one bounded table keyed
+    on the values of p and f."""
+
+    @pytest.fixture
+    def empty(self):
+        _applied.cache_clear()
+        yield
+        _applied.cache_clear()
+
+    def test_bound_holds(self, x12, empty):
+        piece = local_piece(x12, big_cells(x12)[0])
+        bound = _applied.cache_info().maxsize
+        for k in range(bound + 3):
+            apply_periodic(PeriodicPoly.one(x12).scale(k + 1), piece, (3,))
+        assert _applied.cache_info().currsize == bound
+
+    def test_hit_differentiates_nothing(self, x124, empty, monkeypatch):
+        calls = []
+        apply_diff = MPoly.apply_diff
+
+        def counted(q, f):
+            calls.append(q)
+            return apply_diff(q, f)
+        monkeypatch.setattr(MPoly, "apply_diff", counted)
+        ft = f_tilde(x124, x124.group.element((1,)))
+        piece = local_piece(x124, big_cells(x124)[0])
+        assert apply_periodic(ft, piece, (6,)) == 4
+        assert len(calls) == len(ft.terms)
+        assert apply_periodic(ft, piece, (9,)) == vpf_count(x124, [8])
+        # equal values built again find the same entry
+        again = GList.from_rows([[1, 2, 4]])
+        assert apply_periodic(f_tilde(again, again.group.element((1,))),
+                              local_piece(again, big_cells(again)[0]),
+                              (7,)) == vpf_count(x124, [6])
+        assert len(calls) == len(ft.terms)
+
+    def test_stored_values_are_fresh_values(self, long_geometry_corpus,
+                                            empty, monkeypatch):
+        from zonotopal import brionvergne
+        table = brionvergne._applied
+        seen = []
+
+        def recorded(p, f):
+            seen.append((p, f, table(p, f)))
+            return seen[-1][2]
+        monkeypatch.setattr(brionvergne, "_applied", recorded)
+        # every chamber at z = 0, and the z of Z(X) - w, boundary included
+        for x in long_geometry_corpus:
+            cells = big_cells(x)
+            pieces = {id(c): local_piece(x, c) for c in cells}
+            for cell in cells:
+                chamber_quasipolynomial(x, cell)
+            for z in lattice_points(x, "shifted", w=short_regular(x)):
+                for u in itertools.product(range(4), repeat=x.group.free_rank):
+                    if in_cone(x, u):
+                        bv_count(x, z, u, cells=cells, pieces=pieces)
+        bound = table.cache_info().maxsize
+        # distinct pairs, the most recently used first
+        recent = list(dict.fromkeys((p, f) for p, f, _ in reversed(seen)))
+        assert len(recent) > bound
+        assert table.cache_info().currsize == bound
+        for p, f, q in seen:
+            assert q == table.__wrapped__(p, f)
+        hits = table.cache_info().hits
+        for p, f in recent[:bound]:
+            assert table(p, f) == table.__wrapped__(p, f)
+        assert table.cache_info().hits == hits + bound
 
 
 class TestPartitionOfUnity:

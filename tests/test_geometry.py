@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,10 +13,10 @@ from spans import span_contains
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
 from zonotopal.errors import NotPointed, RankDeficient, SamplesRequired
-from zonotopal.geometry import (_enumerate_vertices, big_cells, bx_value,
-                                fm_feasible, hyperplane_normals, in_cone,
-                                is_pointed, lattice_points, local_piece,
-                                piece_at, pointed_certificate,
+from zonotopal.geometry import (HPolytope, _enumerate_vertices, big_cells,
+                                bx_value, fm_feasible, hyperplane_normals,
+                                in_cone, is_pointed, lattice_points,
+                                local_piece, piece_at, pointed_certificate,
                                 polytope_volume, short_regular, tx_value,
                                 vpf_count, zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
@@ -279,6 +280,12 @@ class TestPointed:
         assert not is_pointed(x)
 
 
+def test_alcove_room_rejects_a_point_on_a_hyperplane(x12):
+    # a typed error, so the check also runs under python -O
+    with pytest.raises(ValueError, match="normal"):
+        alcove_room(x12, (F(2),))
+
+
 class TestZonotope:
     def test_interval(self, x12):
         h = zonotope_hrep(x12)
@@ -394,6 +401,41 @@ class TestIntegerGeometry:
         for _ in range(4):
             u = data.draw(st.lists(coords, min_size=d, max_size=d))
             assert in_cone(x, u) == in_cone_oracle(x, u), (x, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contains_integer_rows_match_fraction_rows(self, data):
+        # every row passes through one of the points, so points on the
+        # boundary are tested as well as points on either side
+        d = data.draw(st.integers(1, 3))
+        vec = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+        points = data.draw(st.lists(vec, min_size=1, max_size=4))
+        rows = data.draw(st.lists(vec, min_size=1, max_size=4))
+        through = [data.draw(st.sampled_from(points)) for _ in rows]
+        b = [sum(r * v for r, v in zip(row, p))
+             + data.draw(st.sampled_from([-1, 0, 0, 1]))
+             for row, p in zip(rows, through)]
+        ints = HPolytope(rows, b)
+        fracs = HPolytope([[F(v) for v in row] for row in rows],
+                          [F(v) for v in b])
+        for point in points:
+            for strict in (False, True):
+                assert ints.contains(point, strict) \
+                    == fracs.contains([F(v) for v in point], strict)
+
+    def test_list_facts_are_kept_as_tuples(self, zp_list):
+        h = zonotope_hrep(zp_list)
+        assert zonotope_hrep(zp_list) is h
+        assert type(h.A) is tuple and type(h.b) is tuple
+        assert all(type(row) is tuple for row in h.A)
+        assert all(type(v) is int for row in h.A for v in row + h.b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.A = ()
+        eta = pointed_certificate(zp_list)
+        assert pointed_certificate(zp_list) is eta
+        assert type(eta) is tuple
+        assert all(sum(e * v for e, v in zip(eta, col.free)) >= 1
+                   for col in zp_list.elems)
 
 
 class TestVolume:

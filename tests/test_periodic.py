@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accessors import coefficients_reversed, homogeneous_slice
 from spans import span_equal
@@ -15,8 +16,8 @@ from zonotopal.periodic import (PeriodicPoly, QuasiFunction, dm_basis,
                                 pper_internal_basis, pper_membership,
                                 pper_mult, pper_project)
 from zonotopal.polyspace import PsiProjector
-from zonotopal.scalar import Cyclotomic, MPoly, exp_series
-from zonotopal.toric import Character
+from zonotopal.scalar import Cyclotomic, MPoly, euler_phi, exp_series
+from zonotopal.toric import Character, evaluate_point
 
 F = Fraction
 
@@ -581,3 +582,112 @@ class TestSerialization:
     def test_periodic_poly_roundtrip(self, x12):
         p = f_tilde(x12, x12.group.element((1,)))
         assert PeriodicPoly.from_json(("s1",), p.to_json()) == p
+
+
+# characters of Z^2 of order 1, 2 and 3, and coefficients of orders 1-6
+_CHARS2 = [Character((F(a, k), F(b, k)), ())
+           for k in (1, 2, 3) for a in range(k) for b in range(k)]
+_coefficients = st.sampled_from([1, 2, 3, 4, 6]).flatmap(
+    lambda n: st.lists(st.fractions(-3, 3, max_denominator=4),
+                       min_size=euler_phi(n), max_size=euler_phi(n))
+    .map(lambda cs, n=n: Cyclotomic(n, cs)))
+
+
+@st.composite
+def _char_terms(draw, vars):
+    """(Character, MPoly) pairs over ``vars``; a character may repeat."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return [(draw(st.sampled_from(_CHARS2)),
+             MPoly(vars, draw(st.dictionaries(exps, _coefficients,
+                                              max_size=4))))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+def _same_value(p, q):
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
+class TestPeriodicPolyHash:
+    """Equal PeriodicPoly values hash equal however they were built, so
+    `brionvergne._applied` can key its table on them."""
+
+    SV = ("s1", "s2")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shuffled_terms(self, data):
+        terms = data.draw(_char_terms(self.SV))
+        shuffled = [(c, MPoly(self.SV, dict(reversed(p.terms.items()))))
+                    for c, p in data.draw(st.permutations(terms))]
+        _same_value(PeriodicPoly(self.SV, terms),
+                    PeriodicPoly(self.SV, shuffled))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_merged_duplicate_characters(self, data):
+        terms = data.draw(_char_terms(self.SV))
+        split = [part for c, p in terms
+                 for part in ((c, p * F(1, 3)), (c, p * F(2, 3)))]
+        _same_value(PeriodicPoly(self.SV, terms),
+                    PeriodicPoly(self.SV, split))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_coefficients_at_a_higher_order(self, data):
+        terms = data.draw(_char_terms(self.SV))
+        k = data.draw(st.sampled_from([2, 3, 5]))
+        embedded = [(c, MPoly(self.SV, {e: v.embed(v.order * k)
+                                        for e, v in p.terms.items()}))
+                    for c, p in terms]
+        _same_value(PeriodicPoly(self.SV, terms),
+                    PeriodicPoly(self.SV, embedded))
+
+    def test_f_tilde_at_interior_points_hash_apart(self, geometry_corpus):
+        # same list, same characters and exponents: only coefficients differ
+        x = max(geometry_corpus,
+                key=lambda x: len(lattice_points(x, "interior")))
+        fts = [f_tilde(x, x.group.element(z))
+               for z in lattice_points(x, "interior")]
+        assert len(fts) >= 3
+        assert len(set(fts)) == len(fts)
+        assert len({hash(ft) for ft in fts}) == len(fts)
+
+
+def evaluate_at_in_fractions(q, point):
+    """q at point with the point read as Fractions, as every value was
+    formed before integer evaluation: the reference for
+    `QuasiFunction.evaluate_at`."""
+    pt = [F(v) for v in point]
+    total = Cyclotomic.zero()
+    for char, poly in q.terms:
+        root = Cyclotomic.from_angle(sum(t * v for t, v in
+                                         zip(char.theta, pt)))
+        value = Cyclotomic.zero()
+        for e, c in poly.terms.items():
+            for v, k in zip(pt, e):
+                c = c * v ** k
+            value = value + c
+        total = total + root * value
+    return total
+
+
+class TestIntegerEvaluation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_evaluate_at_matches_fractions(self, data):
+        tv = ("t1", "t2")
+        q = QuasiFunction(tv, data.draw(_char_terms(tv)))
+        point = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=2,
+                                         max_size=2)))
+        got, want = q.evaluate_at(point), evaluate_at_in_fractions(q, point)
+        assert got == want
+        assert got.order == want.order
+
+    def test_root_at_an_integer_point(self):
+        char = Character((F(1, 6), F(1, 4)), ())
+        for point in ((0, 0), (3, 2), (-5, 7), (12, -8)):
+            angle = F(point[0], 6) + F(point[1], 4)
+            assert evaluate_point(char, point) \
+                == Cyclotomic.from_angle(angle)

@@ -153,6 +153,14 @@ class TestHash:
         b = a.embed(a.order * k)
         assert a == b and hash(a) == hash(b)
 
+    def test_conjugates_hash_apart(self):
+        # Galois conjugates share a trace, so a trace hash cannot tell them
+        # apart; the least-order vector can
+        roots = [Cyclotomic.root_of_unity(5, k) for k in range(1, 5)]
+        assert len({hash(r) for r in roots}) == 4
+        assert len({hash(r.embed(20)) for r in roots}) == 4
+        assert [hash(r.embed(20)) for r in roots] == [hash(r) for r in roots]
+
     def test_mpoly_hash_agrees_with_equality(self):
         z3 = Cyclotomic.root_of_unity(3)
         p = MPoly.linear_form(SV, (z3,)) + MPoly.constant(SV, z3 * z3)
@@ -313,6 +321,48 @@ class TestPolynomials:
         p = (MPoly.linear_form(sv, (1, 2)) * Cyclotomic.root_of_unity(4)
              + MPoly.constant(sv, Fraction(1, 3)))
         assert MPoly.from_json(sv, p.to_json()) == p
+
+
+def evaluate_by_products(p, point):
+    """p at point with every product and sum taken as a Cyclotomic, one
+    factor at a time: the reference for `MPoly.evaluate`."""
+    total = Cyclotomic.zero()
+    for e, c in p.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            for _ in range(k):
+                v = v * point[i]
+        total = total + v
+    return total
+
+
+@st.composite
+def polynomials(draw):
+    """An MPoly in 1-3 variables of degree <= 3, coefficients of small
+    cyclotomic order or rational."""
+    vars = s_vars(draw(st.integers(1, 3)))
+    exps = st.lists(st.integers(0, 3), min_size=len(vars),
+                    max_size=len(vars)).map(tuple)
+    coeffs = cyclotomics() | _small
+    return MPoly(vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+class TestEvaluate:
+    """`MPoly.evaluate` multiplies each monomial out in ints or Fractions
+    at a rational point; the value and its declared order (what printing
+    shows) are those of the product-by-product reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(), st.data())
+    def test_matches_products(self, p, data):
+        n = len(p.vars)
+        coord = data.draw(st.sampled_from([
+            st.integers(-5, 5), st.fractions(-3, 3, max_denominator=7),
+            cyclotomics()]))
+        point = data.draw(st.lists(coord, min_size=n, max_size=n))
+        got, want = p.evaluate(point), evaluate_by_products(p, point)
+        assert got == want
+        assert got.order == want.order and repr(got) == repr(want)
 
 
 class TestTypedChecks:
