@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .abelian import GElement, GList, contract, rank_of, snf
+from .abelian import GList, contract, rank_of, snf
 from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
 from .geometry import hyperplanes
 from .matroid import arithmetic_tutte, bases, external_activity
 from .polyspace import PsiProjector, d_basis, p_linear, p_product, pair
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
-                     exp_series, s_vars, t_vars, todd_factor)
+                     exp_series, s_vars, t_vars, todd_log)
 from .toric import Character, evaluate, evaluate_point, vertices
 
 _F0 = Fraction(0)
@@ -206,41 +206,56 @@ def dm_basis(x: GList) -> list:
 # periodic Todd operators and their projections
 # ---------------------------------------------------------------------------
 
-def periodic_todd(x: GList, z: GElement, cap: int | None = None,
-                  verts=None) -> PeriodicSeries:
+def periodic_todd(x: GList, z, cap: int | None = None, verts=None):
     """sum_phi e_phi e_phi(-z) e^{-p_z} prod_x p_x / (1 - e_phi(-x) e^{-p_x}).
 
+    ``z`` is a group element, or a tuple of them; the return mirrors it.
     Torsion elements use the marker variable s0 as their linear form when the
     vertex moves them (e_phi(x) != 1) and contribute a factor 1 otherwise.
     The default cap is n - d + 1.  ``verts`` are the toric vertices of x when
     the caller has them already.
+
+    Each factor is lead * p_x^v * exp(log), with v = 1 exactly when the
+    vertex moves x (`scalar.todd_log`).  So a vertex component is
+    e_phi(-z) * lead_phi * p_{X \\ X_phi} * exp(L_phi - p_z), where lead_phi
+    is the product of the leads and L_phi the sum of the logs, both built
+    once per vertex; per z it costs one exp, to the cap less the degree r
+    of the prefactor, and one product.  A vertex with r > cap keeps a zero
+    series.
     """
-    n = len(x)
     if cap is None:
-        cap = max(n - x.group.free_rank + 1, 0)
+        cap = max(len(x) - x.group.free_rank + 1, 0)
     vars = _pper_vars(x)
-    s0_form = None
-    if "s0" in vars:
-        e0 = [0] * len(vars)
-        e0[vars.index("s0")] = 1
-        s0_form = MPoly(vars, {tuple(e0): Cyclotomic.one()})
-    out = []
+    s0_form = MPoly.variable(vars, 0) if "s0" in vars else None
+    parts = []
     for v in vertices(x) if verts is None else verts:
-        shift = evaluate(v.character, -z)
-        series = TruncatedSeries(MPoly.constant(vars, shift), cap)
-        pz = p_linear(z, vars)
-        if pz:
-            series = series * exp_series(-pz, cap)
-        for i in range(n):
-            c = evaluate(v.character, -x.elems[i])
-            form = p_linear(x.elems[i], vars)
+        lead, log = Cyclotomic.one(), MPoly(vars)
+        prefactor = MPoly.constant(vars, 1)
+        for elem in x.elems:
+            c = evaluate(v.character, -elem)
+            form = p_linear(elem, vars)
             if not form:
                 if c.is_one():
                     continue          # torsion fixed by the vertex: factor 1
                 form = s0_form
-            series = series * todd_factor(form, c, cap)
-        out.append((v.character, series))
-    return PeriodicSeries(vars, out)
+            a, moved, l = todd_log(form, c, cap)
+            lead, log = lead * a, log + l
+            if moved:
+                prefactor = prefactor * form
+        parts.append((v.character, lead, log, prefactor,
+                      cap - prefactor.total_degree()))
+    out = []
+    for zi in z if isinstance(z, tuple) else (z,):
+        pz = p_linear(zi, vars)
+        terms = []
+        for char, lead, log, prefactor, room in parts:
+            body = MPoly(vars)
+            if room >= 0:
+                body = exp_series(log - pz, room).body \
+                    * (evaluate(char, -zi) * lead) * prefactor
+            terms.append((char, TruncatedSeries(body, cap)))
+        out.append(PeriodicSeries(vars, terms))
+    return tuple(out) if isinstance(z, tuple) else out[0]
 
 
 def f_tilde(x: GList, z, cap: int | None = None):
@@ -265,27 +280,23 @@ def f_tilde(x: GList, z, cap: int | None = None):
 
 
 def _f_tilde_many(x: GList, zs: tuple, cap) -> tuple:
-    """f_tilde at each z of zs.  The Todd series at z is the one at 0 times
-    e_phi(-z) e^{-p_z} at each vertex, so the series at 0, psi_X and the
-    vertices are built once for all of zs."""
+    """f_tilde at each z of zs.  psi_X, the vertices and each vertex's lead,
+    Todd log and prefactor are built once for all of zs: `periodic_todd`
+    takes the tuple, and each z then costs one exp per vertex."""
     if not zs:
         return ()
     vars = _pper_vars(x)
     psi = PsiProjector(x, vars)
     cap = psi.top if cap is None else min(cap, psi.top)
     verts = vertices(x)
-    todd = periodic_todd(x, x.group.zero(), cap, verts)
-    parts = [(v.character, todd.component(v.character),
-              [p_linear(x.elems[i], vars) for i in range(len(x))
-               if i not in v.x_phi]) for v in verts]
+    prefactors = [(v.character,
+                   [p_linear(x.elems[i], vars) for i in range(len(x))
+                    if i not in v.x_phi]) for v in verts]
     out = []
-    for z in zs:
-        pz = p_linear(z, vars)
-        shift = exp_series(-pz, cap) if pz \
-            else TruncatedSeries.constant(vars, 1, cap)
+    for todd in periodic_todd(x, zs, cap, verts):
         terms = []
-        for char, series, prefactor in parts:
-            proj = psi(series * (shift * evaluate(char, -z)))
+        for char, prefactor in prefactors:
+            proj = psi(todd.component(char))
             if proj:
                 rem = proj
                 for form in prefactor:

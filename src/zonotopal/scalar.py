@@ -4,11 +4,11 @@ Rationals are ``fractions.Fraction`` (already reduced, positive denominator).
 On top of them: cyclotomic numbers in the power basis of Q(zeta_n), sparse
 multivariate polynomials with cyclotomic coefficients and degree-capped power
 series.  A Todd factor p / (1 - c e^{-p}) is a series in its linear form p
-alone: its coefficients are found in one variable and expanded in powers of p.
-Two bounded tables serve it: the coefficients per (c, cap) and the powers of
-p per (p, cap).  They are keyed on the representation (a cyclotomic's order
-and coefficients), not the value, because equal values of different orders
-print differently.
+alone: its coefficients, and those of its log, are found in one variable and
+expanded in powers of p.  Three bounded tables serve it: the coefficients and
+the logs per (c, cap), and the powers of p per (p, cap).  They are keyed on
+the representation (a cyclotomic's order and coefficients), not the value,
+because equal values of different orders print differently.
 
 All values are immutable; every operation returns a fresh object.
 """
@@ -842,19 +842,37 @@ class TruncatedSeries:
 
 
 def exp_series(p: MPoly, cap: int) -> TruncatedSeries:
-    """exp of a polynomial with zero constant term, truncated at cap."""
+    """exp of a polynomial with zero constant term, truncated at cap.
+
+    Degree by degree, by the graded Euler recursion
+    m E_m = sum_k k P_k E_{m-k}, where P_k is the degree-k part of p and
+    E_m that of exp(p) (Knuth, TAOCP vol. 2, 4.7).  So degree m costs one
+    product of each part of p with a part of the result found already, and
+    no power of p is formed.
+    """
     if p.constant_term():
         raise ValueError(f"exp_series needs a zero constant term, got {p}")
-    acc = MPoly.constant(p.vars, 1)
-    pw = MPoly.constant(p.vars, 1)
-    fact = 1
-    for k in range(1, cap + 1):
-        pw = pw.mul_capped(p, cap)
-        if not pw:
-            break
-        fact *= k
-        acc = acc + pw * Fraction(1, fact)
-    return TruncatedSeries(acc, cap)
+    parts = [(k, [(e, c * k) for e, c in part.terms.items()])
+             for k, part in p.slices().items() if k <= cap]
+    levels = [{(0,) * len(p.vars): _CYC_ONE}]
+    terms = dict(levels[0])
+    for m in range(1, cap + 1):
+        level = {}
+        for k, part in parts:
+            if k > m:
+                break
+            for e2, c2 in levels[m - k].items():
+                for e1, c1 in part:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    cur = level.get(e)
+                    level[e] = c1 * c2 if cur is None else cur + c1 * c2
+        inv_m = _as_cyc(Fraction(1, m))
+        level = {e: c * inv_m for e, c in level.items() if c}
+        levels.append(level)
+        terms.update(level)
+    body = MPoly.__new__(MPoly)
+    body.vars, body.terms = p.vars, terms
+    return TruncatedSeries(body, cap)
 
 
 @lru_cache(maxsize=None)
@@ -885,22 +903,80 @@ def todd_factor(linear: MPoly, c, cap: int) -> TruncatedSeries:
     different JSON, so each keeps its own entry and the factor's
     coefficients keep c's order.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    if linear and (linear.total_degree() != 1 or not linear.is_homogeneous()):
-        raise ValueError("expected a homogeneous linear form")
+    _check_form(linear, cap)
     c = _as_cyc(c)
-    form = tuple((e.index(1), a.order, a.coeffs)
-                 for e, a in linear.terms.items())
     terms = {}
     for a, power in zip(_todd_coefficients(c.order, c.coeffs, cap),
-                        _linear_powers(len(linear.vars), form, cap)):
+                        _linear_powers(len(linear.vars), _form_key(linear),
+                                       cap)):
         if a:
             for e, m in power:
                 terms[e] = m * a
     body = MPoly.__new__(MPoly)
     body.vars, body.terms = linear.vars, terms
     return TruncatedSeries(body, cap)
+
+
+def todd_log(linear: MPoly, c, cap: int) -> tuple:
+    """(lead, v, log) with p / (1 - c e^{-p}) = lead * p^v * exp(log) for a
+    linear form p, where log = sum_{k=1..cap} l_k p^k.
+
+    v is 0 for c = 1 (then lead = 1) and 1 otherwise (lead = 1/(1 - c)).
+    So a product of Todd factors is its leads and its p^v times the exp
+    of the sum of the logs: the logs add where the factors multiply.  The
+    l_k come from `_todd_logs`, one bounded table per (c, cap) keyed as
+    `_todd_coefficients` is, and the powers of p from `_linear_powers`.
+    """
+    _check_form(linear, cap)
+    c = _as_cyc(c)
+    lead, v, logs = _todd_logs(c.order, c.coeffs, cap)
+    terms = {}
+    for l, power in zip(logs, _linear_powers(len(linear.vars),
+                                             _form_key(linear), cap)[1:]):
+        if l:
+            for e, m in power:
+                terms[e] = m * l
+    body = MPoly.__new__(MPoly)
+    body.vars, body.terms = linear.vars, terms
+    return lead, v, body
+
+
+@lru_cache(maxsize=256)
+def _todd_logs(order: int, coeffs: tuple, cap: int) -> tuple:
+    """(lead, v, (l_1..l_cap)) with t / (1 - c e^{-t}) = lead t^v
+    exp(sum_k l_k t^k), c = Cyclotomic(order, coeffs).
+
+    The factor comes from `todd_factor` in one variable at cap + 1, so that
+    u = factor / (lead t^v) is known to degree cap.  Its log follows from
+    u' = (log u)' u, that is k l_k = k u_k - sum_{0<j<k} j l_j u_{k-j}.
+    """
+    t = MPoly.variable(("t",), 0)
+    body = todd_factor(t, Cyclotomic(order, coeffs), cap + 1).body
+    v = 0 if body.constant_term() else 1
+    lead = body.coefficient((v,))
+    inv = lead.inv()
+    u = [body.coefficient((v + k,)) * inv for k in range(cap + 1)]
+    logs = []
+    for k in range(1, cap + 1):
+        acc = u[k] * k
+        for j in range(1, k):
+            acc = acc - logs[j - 1] * u[k - j] * j
+        logs.append(acc * Fraction(1, k))
+    return lead, v, tuple(logs)
+
+
+def _check_form(linear: MPoly, cap: int):
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    if linear and (linear.total_degree() != 1 or not linear.is_homogeneous()):
+        raise ValueError("expected a homogeneous linear form")
+
+
+def _form_key(linear: MPoly) -> tuple:
+    """A linear form as the `_linear_powers` key: (i, order, coeffs) over
+    its nonzero coefficients."""
+    return tuple((e.index(1), a.order, a.coeffs)
+                 for e, a in linear.terms.items())
 
 
 @lru_cache(maxsize=256)

@@ -10,14 +10,16 @@ from zonotopal.abelian import FgGroup, GList, contract
 from zonotopal.errors import TorsionPivot, TorsionUnsupported
 from zonotopal.geometry import lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
-from zonotopal.periodic import (PeriodicPoly, QuasiFunction, dm_basis,
+from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
+                                QuasiFunction, dm_basis,
                                 f_tilde, hilbert, l_map, pair_pper_dm,
                                 periodic_todd, pper_basis,
                                 pper_internal_basis, pper_membership,
                                 pper_mult, pper_project)
-from zonotopal.polyspace import PsiProjector
-from zonotopal.scalar import Cyclotomic, MPoly, euler_phi, exp_series
-from zonotopal.toric import Character, evaluate_point
+from zonotopal.polyspace import PsiProjector, p_linear
+from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi,
+                              exp_series, todd_factor)
+from zonotopal.toric import Character, evaluate, evaluate_point, vertices
 
 F = Fraction
 
@@ -54,6 +56,38 @@ def f_tilde_projected(x, z):
     todd = periodic_todd(x, z)
     psi = PsiProjector(x, todd.vars)
     return PeriodicPoly(todd.vars, [(c, psi(s)) for c, s in todd.terms])
+
+
+def periodic_todd_by_products(x, z, cap=None):
+    """Oracle: each vertex component as e_phi(-z) exp(-p_z) times the Todd
+    factor of every column, multiplied in one at a time at the full cap."""
+    from zonotopal.periodic import _pper_vars
+    if cap is None:
+        cap = max(len(x) - x.group.free_rank + 1, 0)
+    vars = _pper_vars(x)
+    s0_form = MPoly.variable(vars, 0) if "s0" in vars else None
+    out = []
+    for v in vertices(x):
+        series = TruncatedSeries.constant(vars, evaluate(v.character, -z), cap)
+        pz = p_linear(z, vars)
+        if pz:
+            series = series * exp_series(-pz, cap)
+        for elem in x.elems:
+            c = evaluate(v.character, -elem)
+            form = p_linear(elem, vars)
+            if not form:
+                if c.is_one():
+                    continue
+                form = s0_form
+            series = series * todd_factor(form, c, cap)
+        out.append((v.character, series))
+    return PeriodicSeries(vars, out)
+
+
+def todd_json(series):
+    """The Todd series as the `todd` command prints it: declared cyclotomic
+    orders included."""
+    return [(c.to_json(), s.body.to_json(), s.cap) for c, s in series.terms]
 
 
 def _make(x, items):
@@ -164,6 +198,37 @@ class TestTodd:
         x = GList.from_columns([[1]], FgGroup(0, (2,)))
         series = periodic_todd(x, x.group.zero(), cap=2)
         assert any(s.body.constant_term().is_one() for _, s in series.terms)
+
+    def test_matches_products_of_factors(self, mixed_corpus):
+        # caps 0, 1, the top degree n - d and the default n - d + 1; the
+        # torsion lists move the s0 form at some vertex
+        torsion = [GList.from_columns(cols, FgGroup(1, (k,))) for cols, k in
+                   (([[1, 0], [0, 1], [1, 1]], 2),
+                    ([[1, 0], [0, 1], [2, 1]], 3),
+                    ([[1, 0], [1, 1], [0, 2], [2, 1]], 4))]
+        moved_torsion = 0
+        for x in [x for x in mixed_corpus
+                  if len(x) <= 5 and len(vertices(x)) <= 12] \
+                + torsion + TODD_LISTS[:1]:
+            n, d, t = len(x), x.group.free_rank, len(x.group.invariants)
+            zs = (x.group.zero(), x.group.element((1,) * d, (1,) * t))
+            for cap in sorted({0, 1, n - d, n - d + 1}):
+                series = periodic_todd(x, zs, cap)
+                assert series == tuple(periodic_todd(x, z, cap) for z in zs)
+                for z, got in zip(zs, series):
+                    want = periodic_todd_by_products(x, z, cap)
+                    assert todd_json(got) == todd_json(want)
+            moved_torsion += any(
+                not evaluate(v.character, e).is_one()
+                for v in vertices(x) for e in x.elems if e.is_torsion())
+        assert moved_torsion >= 3
+
+    def test_default_cap_and_one_element_call(self, zp_list):
+        z = zp_list.group.element((1, 2))
+        got = periodic_todd(zp_list, z)
+        assert isinstance(got, PeriodicSeries)
+        assert todd_json(got) == todd_json(periodic_todd_by_products(zp_list, z))
+        assert {s.cap for _, s in got.terms} == {len(zp_list) - 2 + 1}
 
 
 class TestFTilde:

@@ -6,10 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries,
-                              _embed_powers, _poly_divide_exact, bernoulli,
-                              cyclotomic_polynomial, divide_by_linear,
-                              euler_phi, exp_series, rat_str, s_vars,
-                              todd_factor)
+                              _embed_powers, _poly_divide_exact, _todd_logs,
+                              bernoulli, cyclotomic_polynomial,
+                              divide_by_linear, euler_phi, exp_series,
+                              rat_str, s_vars, todd_factor, todd_log)
 from zonotopal.errors import InternalError, NonMember
 
 SV = ("s1",)
@@ -297,6 +297,89 @@ class TestSeries:
         lhs = exp_series(a + b, 4)
         rhs = exp_series(a, 4) * exp_series(b, 4)
         assert lhs.body == rhs.body
+
+
+def exp_by_powers(p, cap):
+    """Oracle: sum_k p^k / k! with each power of p from `mul_capped`."""
+    acc = MPoly.constant(p.vars, 1)
+    pw = MPoly.constant(p.vars, 1)
+    for k in range(1, cap + 1):
+        pw = pw.mul_capped(p, cap)
+        acc = acc + pw * Fraction(1, math.factorial(k))
+    return acc
+
+
+@st.composite
+def graded_polynomials(draw):
+    """A polynomial in 1-3 variables with zero constant term and nonzero
+    parts of degree 1 and of degree 2 or 3, with cyclotomic or rational
+    coefficients: never homogeneous."""
+    vars = s_vars(draw(st.integers(1, 3)))
+
+    def exps(low, high):
+        return st.lists(st.integers(0, high), min_size=len(vars),
+                        max_size=len(vars)).map(tuple).filter(
+                            lambda e: low <= sum(e) <= high)
+    coeffs = (cyclotomics() | _small).filter(bool)
+    terms = draw(st.dictionaries(exps(1, 1), coeffs, min_size=1, max_size=2))
+    terms.update(draw(st.dictionaries(exps(2, 3), coeffs, min_size=1,
+                                      max_size=3)))
+    return MPoly(vars, terms)
+
+
+class TestExpSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(graded_polynomials(), st.integers(0, 6))
+    def test_euler_recursion_matches_powers(self, p, cap):
+        got = exp_series(p, cap)
+        assert got.cap == cap
+        assert got.body == exp_by_powers(p, cap)
+
+
+class TestToddLog:
+    """p / (1 - c e^{-p}) = lead * p^v * exp(log), from the one-variable
+    table `_todd_logs`."""
+
+    T = ("t",)
+
+    @pytest.mark.parametrize("spec", TODD_CS)
+    def test_rebuilds_todd_factor(self, spec):
+        c = todd_c(spec)
+        t = MPoly.variable(self.T, 0)
+        for cap in range(7):
+            lead, v, log = todd_log(t, c, cap)
+            assert v == (0 if Cyclotomic.one() * c == 1 else 1)
+            assert lead == (1 if v == 0 else 1 / (1 - Cyclotomic.one() * c))
+            assert log.constant_term() == 0 and log.total_degree() <= cap
+            want = todd_factor(t, c, cap).body
+            if cap < v:
+                assert not want
+                continue
+            got = (exp_series(log, cap - v).body * lead).mul_capped(
+                t if v else MPoly.constant(self.T, 1), cap)
+            assert got == want
+            assert got.to_json() == want.to_json()
+
+    def test_log_of_a_form_is_the_one_variable_log_in_its_powers(self):
+        form = MPoly.linear_form(s_vars(2), (Fraction(1), Fraction(-2)))
+        c = Cyclotomic.root_of_unity(3)
+        lead, v, log = todd_log(form, c, 4)
+        _, _, logs = _todd_logs(c.order, c.coeffs, 4)
+        want = MPoly(form.vars)
+        pw = MPoly.constant(form.vars, 1)
+        for l in logs:
+            pw = pw * form
+            want = want + pw * l
+        assert (lead, v) == (1 / (1 - c), 1) and log == want
+
+    def test_table_is_bounded(self):
+        assert _todd_logs.cache_info().maxsize == 256
+
+    def test_typed_checks(self):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            todd_log(lin(), 2, -1)
+        with pytest.raises(ValueError, match="homogeneous linear form"):
+            todd_log(lin() * lin(), 2, 3)
 
 
 class TestPolynomials:
