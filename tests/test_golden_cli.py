@@ -5,8 +5,9 @@ JSON>`` followed by the exact stdout of ``cli.main(argv)``.  The calls are
 the README examples, every job printed by ``corpus --seed 1 --count 10``,
 one call of each subcommand that shares code with another, calls of the
 per-vertex (character-indexed) code, ``check-delta`` on a larger list and
-with a given ``--w``, and ``quasipoly`` on chambers of d = 1 and d = 2
-lists; each runs in text and in ``--json`` form.
+with a given ``--w``, ``quasipoly`` on chambers of d = 1 and d = 2 lists,
+and the chamber lookup on a ray shared by two chambers; each runs in text
+and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -79,6 +80,20 @@ QUASIPOLY = [
     ["quasipoly", "--x", "[[1,0,1,1,2],[0,1,1,2,1]]", "--u", "[1,3]"],
 ]
 
+# the chamber lookup: cones that contain the negative x-axis, u on a ray
+# shared by two chambers, and a boundary z whose count depends on --w
+CHAMBER_LOOKUP = [
+    ["cells", "--x", "[[-1,-1,-1],[1,-1,0]]"],
+    ["quasipoly", "--x", "[[-1,-1,-1],[1,-1,0]]", "--u", "[-2,0]"],
+    ["quasipoly", "--x", "[[-1,-1,-1,-2],[1,-1,0,1]]", "--u", "[-2,0]"],
+    ["bv-count", "--x", "[[1,0,1],[0,1,1]]", "--z", "[1,0]", "--u", "[3,3]",
+     "--w", '["1/3","-1/5"]'],
+    ["bv-count", "--x", "[[1,0,1],[0,1,1]]", "--z", "[1,0]", "--u", "[3,3]",
+     "--w", '["-1/3","1/5"]'],
+    ["bv-count", "--x", "[[-1,-1,-1],[1,-1,0]]", "--z", "[-1,1]", "--u",
+     "[-4,0]", "--w", '["-1/5","-1/3"]'],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -101,7 +116,7 @@ def corpus_jobs():
 def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
-            + DELTA + QUASIPOLY:
+            + DELTA + QUASIPOLY + CHAMBER_LOOKUP:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
