@@ -15,13 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, periodic
-from .abelian import GElement, GList
+from .abelian import FgGroup, GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
-from .geometry import (Cell, big_cells, bx_value, hyperplane_normals,
-                       in_cone, lattice_points, local_piece,
-                       pointed_certificate, require_pointed, require_short,
-                       require_value, short_regular, zonotope_hrep)
+from .geometry import (Cell, big_cells, bx_value, cells_at,
+                       hyperplane_normals, in_cone, lattice_points,
+                       local_piece, pointed_certificate, require_pointed,
+                       require_short, require_value, short_regular,
+                       zonotope_hrep)
 from .matroid import is_coloop, is_unimodular
 from .periodic import PeriodicPoly, QuasiFunction, f_tilde, periodic_todd
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, exp_series, s_vars,
@@ -63,32 +64,6 @@ def _applied(p: PeriodicPoly, f: MPoly) -> QuasiFunction:
                                   for char, q in p.terms])
 
 
-def cell_toward(cells, u, w):
-    """The big cell containing u + eps*w for all small eps > 0 (exact)."""
-    uq = [Fraction(v) for v in u]
-    wq = [Fraction(v) for v in w]
-    for cell in cells:
-        if cell.hrep is None:
-            continue
-        ok = True
-        for row, beta in zip(cell.hrep.A, cell.hrep.b):
-            a_u = sum(r * v for r, v in zip(row, uq)) - beta
-            a_w = sum(r * v for r, v in zip(row, wq))
-            # need a.(u + eps w) < beta: first nonzero of (a_u, a_w) negative
-            if a_u > 0 or (a_u == 0 and a_w >= 0):
-                ok = False
-                break
-        if ok:
-            return cell
-    return None
-
-
-def cells_adjacent(cells, u):
-    """Cells whose closure contains u."""
-    return [cell for cell in cells
-            if cell.hrep is not None and cell.hrep.contains(u)]
-
-
 # ---------------------------------------------------------------------------
 # improved counting formula
 # ---------------------------------------------------------------------------
@@ -96,9 +71,10 @@ def cells_adjacent(cells, u):
 def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     """lim_w f_tilde_z(D_pw) T_X at u: the quasipolynomial count i^Omega(u-z).
 
-    For z interior to the zonotope the value is checked identical over every
-    cell adjacent to u (w-independence); the result must be a rational
-    integer.
+    The chambers come from `geometry.cells_at`, by sign vector: for z
+    interior to the zonotope the value is checked identical over every cell
+    whose closure holds u (w-independence); otherwise it is taken on the one
+    cell toward w.  The result must be a rational integer.
 
     f~_z depends on X and z only, so it comes from `_f_tilde_at`, a table
     of the last 16 (list, z) pairs keyed on the list's value, and
@@ -119,23 +95,21 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     zel = z if isinstance(z, GElement) else x.group.element(tuple(z))
     ft = _f_tilde_at(x.group, x.elems, zel)
     interior = zonotope_hrep(x).contains(zel.free, strict=True)
-    candidates = []
     if interior:
-        adj = cells_adjacent(cells, u)
+        adj = cells_at(x, cells, u)
         if not adj:
             raise NotInCone(f"{u} is not in the closure of any big cell")
-        for cell in adj:
-            candidates.append(_eval_count(ft, pieces[id(cell)], u))
-        if len(set(candidates)) != 1:
+        candidates = {_eval_count(ft, pieces[id(cell)], u) for cell in adj}
+        if len(candidates) != 1:
             raise InternalError(
-                f"w-independence fails at {u}: {sorted(set(candidates))}")
-        return candidates[0]
+                f"w-independence fails at {u}: {sorted(candidates)}")
+        return candidates.pop()
     if w is None:
         w = short_regular(x, in_cone_of=cells[0].sample)
-    cell = cell_toward(cells, u, w)
-    if cell is None:
+    toward = cells_at(x, cells, u, w)
+    if len(toward) != 1:
         raise NotInCone(f"no big cell towards {w} from {u}")
-    return _eval_count(ft, pieces[id(cell)], u)
+    return _eval_count(ft, pieces[id(toward[0])], u)
 
 
 def chamber_quasipolynomial(x: GList, cell: Cell) -> QuasiFunction:
@@ -204,7 +178,8 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     B_X = sum_v c_v T_X(. - v) (`_box_shifts`), so the piece on the alcove
     of p0 is sum_v c_v P_v(t - v), with P_v the T_X piece on the chamber of
     p0 - v.  p0 is off every affine hyperplane and v is integral, so the
-    signs of eta.(p0 - v) name that chamber; its piece is kept on the list.
+    signs of eta.(p0 - v) name that chamber: the shifts are grouped by it,
+    and `local_piece` keeps each chamber's piece on the list.
     """
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
@@ -224,18 +199,17 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
             raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
                                 f"lies on the affine hyperplane eta.y = {val} "
                                 f"of the normal {list(eta)}")
-    store = x.memo("chamber_pieces", lambda _: {})
     groups = {}
     for v, c in x.memo("box_shifts", _box_shifts):
         signs = tuple(h > sum(e * a for e, a in zip(eta, v))
                       for h, eta in zip(heights, normals))
-        if signs not in store:
-            store[signs] = local_piece(
-                x, Cell(sample=tuple(p - a for p, a in zip(p0, v))))
         groups.setdefault(signs, []).append((v, c))
     terms = {}
     for signs, shifts in groups.items():
-        for e, coeff in store[signs].terms.items():
+        v0 = shifts[0][0]
+        piece = local_piece(x, Cell(tuple(p - a for p, a in zip(p0, v0)),
+                                    signs))
+        for e, coeff in piece.terms.items():
             # t^e translated by v: sum_{k <= e} binom(e, k) t^k (-v)^(e - k)
             for k in itertools.product(*(range(ei + 1) for ei in e)):
                 power = sum(c * math.prod((-a) ** (ei - ki)
@@ -324,39 +298,27 @@ class Wall:
     ``outside`` pieces (beyond the cone boundary) are the zero polynomial.
     """
 
-    normal: tuple            # primitive integer normal, positive on cell_pos
+    normal: tuple            # primitive integer normal, positive on piece_pos
     ray: tuple               # primitive lattice direction spanning the wall
     piece_pos: MPoly
     piece_neg: MPoly
-    cell_pos: Cell | None
-    cell_neg: Cell | None
 
 
-def walls(x: GList, cells=None, pieces=None) -> list:
+def walls(x: GList) -> list:
     """Walls of the big-cell decomposition (d <= 2), zero region included."""
     require_pointed(x)
     d = x.group.free_rank
-    if cells is None:
-        cells = big_cells(x)
-    if pieces is None:
-        pieces = {id(c): local_piece(x, c) for c in cells}
-    tv = t_vars(d)
-    zero = MPoly(tv)
-    out = []
+    cells = big_cells(x)
+    zero = MPoly(t_vars(d))
     if d == 1:
-        cell = cells[0]
-        sign = 1 if cell.sample[0] > 0 else -1
-        piece = pieces[id(cell)]
-        if sign > 0:
-            out.append(Wall(normal=(1,), ray=(0,), piece_pos=piece,
-                            piece_neg=zero, cell_pos=cell, cell_neg=None))
-        else:
-            out.append(Wall(normal=(1,), ray=(0,), piece_pos=zero,
-                            piece_neg=piece, cell_pos=None, cell_neg=cell))
-        return out
+        piece = local_piece(x, cells[0])
+        if cells[0].sample[0] > 0:
+            return [Wall((1,), (0,), piece, zero)]
+        return [Wall((1,), (0,), zero, piece)]
     if d != 2:
         raise RankDeficient("automatic wall enumeration is d <= 2 only")
     # cells are angularly sorted; boundary rays flank the outside region
+    out = []
     pairs = [(cells[0].rays[0], None, cells[0])]
     for a, b in zip(cells, cells[1:]):
         pairs.append((b.rays[0], a, b))
@@ -374,12 +336,9 @@ def walls(x: GList, cells=None, pieces=None) -> list:
                                     f"chamber lies on its wall ray "
                                     f"{list(ray)}")
             side[1 if v > 0 else -1] = c
-        pos = side.get(1)
-        neg = side.get(-1)
-        out.append(Wall(normal=eta, ray=ray,
-                        piece_pos=pieces[id(pos)] if pos else zero,
-                        piece_neg=pieces[id(neg)] if neg else zero,
-                        cell_pos=pos, cell_neg=neg))
+        pos, neg = side.get(1), side.get(-1)
+        out.append(Wall(eta, ray, local_piece(x, pos) if pos else zero,
+                        local_piece(x, neg) if neg else zero))
     return out
 
 
@@ -463,7 +422,6 @@ def wall_v12(x: GList, wall: Wall) -> MPoly:
     if not any(rho):
         raise ValueError("wall ray must be nonzero for d = 2")
     # 1-d coordinates along the wall: x_i = a_i * rho
-    from .abelian import GList as _GL, FgGroup
     coeffs = []
     for i in on_wall:
         free = x.elems[i].free
@@ -476,7 +434,7 @@ def wall_v12(x: GList, wall: Wall) -> MPoly:
                                 f"integer multiple of the wall ray "
                                 f"{list(rho)}")
         coeffs.append(int(a))
-    sub = _GL.from_columns([[c] for c in coeffs], FgGroup(1))
+    sub = GList.from_columns([[c] for c in coeffs], FgGroup(1))
     piece = local_piece(sub, big_cells(sub)[0])
     # gamma: functional with gamma(rho) = 1, gamma(eta vector) = 0
     mat = [[Fraction(rho[0]), Fraction(rho[1])],
@@ -522,9 +480,7 @@ def _leading_structure_ok(x: GList, wall: Wall, v12: MPoly,
     rho = wall.ray
     mat = [[Fraction(eta[0]), Fraction(eta[1])],
            [Fraction(rho[0]), Fraction(rho[1])]]
-    g = linalg.solve([[mat[0][0], mat[0][1]], [Fraction(rho[0]),
-                                               Fraction(rho[1])]],
-                     [_F1, _F0])
+    g = linalg.solve(mat, [_F1, _F0])
     uv = ("u1", "u2")
     images = [MPoly.linear_form(uv, [g[i], Fraction(rho[i])])
               for i in range(2)]

@@ -19,8 +19,8 @@ from .brionvergne import (box_deconvolution_check, box_delta_check, bv_count,
                           partition_of_unity, wall_jump_check, walls)
 from .corpus import CorpusLimits, corpus
 from .errors import DomainError, InternalError, NotInCone
-from .geometry import (big_cells, bx_value, lattice_points, short_regular,
-                       tx_value, zonotope_hrep)
+from .geometry import (big_cells, bx_value, cells_at, lattice_points,
+                       short_regular, tx_value, vpf_count, zonotope_hrep)
 from .matroid import arithmetic_tutte, tutte
 from .periodic import (PeriodicPoly, dm_basis, f_tilde, hilbert, l_map,
                        periodic_todd, pper_basis, pper_internal_basis)
@@ -167,7 +167,6 @@ def _cmd_f_tilde(args):
 
 
 def _cmd_count(args):
-    from .geometry import vpf_count
     x = _parse_x(args)
     c = vpf_count(x, _parse_vec(args, "u", x))
     _emit(args, {"count": c}, str(c))
@@ -198,13 +197,13 @@ def _cmd_quasipoly(args):
     --u, or of the first chamber."""
     x = _parse_x(args)
     cells = big_cells(x)
-    cell = cells[0]
     if args.u:
         u = _parse_vec(args, "u", x)
-        cell = next((c for c in cells if c.hrep.contains(u)), None)
-        if cell is None:
+        cells = cells_at(x, cells, u)
+        if not cells:
             raise NotInCone(f"u = [{', '.join(map(str, u))}] is outside "
                             f"cone(X)")
+    cell = cells[0]
     q = chamber_quasipolynomial(x, cell)
     _emit(args, {"cell": cell.to_json(), "quasipolynomial": q.to_json()},
           f"cell {cell.to_json()['sample']}: {q!r}")

@@ -6,10 +6,12 @@ star triangulation with integer face tests and fraction-free simplex
 determinants (`linalg.det`); spline values from the per-list `Fiber`.
 Lattice points compare the integer eta.p with integer bounds over the
 admissible normals eta, and a spanning list's cone is cut out by its facet
-normals.  The polynomial piece of T_X on a chamber comes from one
-triangulation of the fiber at a sample point, whose vertices are affine in
-u; the pieces of B_X on its alcoves are sums of translates of these
-(`brionvergne`).
+normals.  A chamber is named by its sign vector, the signs of eta.y over
+the admissible normals at any y inside it.  The polynomial piece of T_X on
+a chamber comes from one triangulation of the fiber at a sample point,
+whose vertices are affine in u, and is kept on the list under the
+chamber's sign vector; the pieces of B_X on its alcoves are sums of
+translates of these (`brionvergne`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .abelian import GList
 from .errors import (DegenerateSample, InternalError, NotPointed, NotShort,
                      SamplesRequired, TorsionUnsupported)
 from .matroid import corank_one_flats
-from .scalar import MPoly, t_vars
+from .scalar import MPoly, rat_str, t_vars
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -58,7 +60,6 @@ class HPolytope:
         return True
 
     def to_json(self):
-        from .scalar import rat_str
         return {"A": [[rat_str(Fraction(v)) for v in row] for row in self.A],
                 "b": [rat_str(Fraction(v)) for v in self.b]}
 
@@ -599,24 +600,43 @@ def _vpf(cols, weights, eta, idx, target) -> int:
 
 @dataclass
 class Cell:
-    """A big cell, carried by a verified interior sample point."""
+    """A big cell, carried by a verified interior sample point and named by
+    its sign vector (`chamber_signs` of the sample)."""
 
     sample: tuple                 # rational interior point
-    rays: tuple = ()              # primitive boundary rays (d = 2)
-    hrep: HPolytope | None = None
+    signs: tuple                  # eta.sample > 0 over the admissible normals
+    rays: tuple = ()              # primitive boundary rays (d <= 2)
 
     def to_json(self):
-        from .scalar import rat_str
         return {"sample": [rat_str(Fraction(v)) for v in self.sample]}
 
 
-def strongly_regular(x: GList, point) -> bool:
-    """Not on any cone spanned by a corank-1 sublist: misses every
-    admissible hyperplane through the origin."""
-    for eta in hyperplane_normals(x):
-        if sum(Fraction(e) * Fraction(p) for e, p in zip(eta, point)) == 0:
-            return False
-    return True
+def chamber_signs(x: GList, point):
+    """The sign vector of ``point``: eta.point > 0 over `hyperplane_normals`,
+    or None when it lies on an admissible hyperplane through the origin."""
+    dots = [_dot_int(eta, point) for eta in hyperplane_normals(x)]
+    return None if 0 in dots else tuple(v > 0 for v in dots)
+
+
+def cells_at(x: GList, cells, u, w=None) -> list:
+    """The cells of ``cells`` whose closure holds u, in their order; with w,
+    those whose interior holds u + eps*w for all small eps > 0.
+
+    A cell's sign must agree with every nonzero eta.u over the admissible
+    normals eta; where eta.u = 0 and w is given, with the sign of eta.w,
+    and no cell matches when eta.w = 0 as well.  The facets of cone(X) are
+    admissible, so no cell matches a u (or a u + eps*w) outside the cone.
+    """
+    want = []
+    for i, eta in enumerate(hyperplane_normals(x)):
+        v = _dot_int(eta, u)
+        if not v and w is not None:
+            v = _dot_int(eta, w)
+            if not v:
+                return []
+        if v:
+            want.append((i, v > 0))
+    return [c for c in cells if all(c.signs[i] == s for i, s in want)]
 
 
 def big_cells(x: GList, samples=None) -> list:
@@ -629,78 +649,42 @@ def big_cells(x: GList, samples=None) -> list:
         cells = []
         for s in samples:
             pt = tuple(Fraction(v) for v in s)
-            if not strongly_regular(x, pt) or not in_cone(x, pt):
+            signs = chamber_signs(x, pt)
+            if signs is None or not in_cone(x, pt):
                 raise DegenerateSample(f"sample {s} is singular or outside")
-            cells.append(Cell(sample=pt))
+            cells.append(Cell(pt, signs))
         return cells
     if d > 2:
         raise SamplesRequired("automatic chamber enumeration is d <= 2 only")
     if d == 1:
         sign = 1 if x.elems[0].free[0] > 0 else -1
         ray = (Fraction(sign),)
-        return [Cell(sample=ray, rays=((sign,),),
-                     hrep=HPolytope([[-sign]], [0]))]
+        return [Cell(ray, chamber_signs(x, ray), ((sign,),))]
     rays = _cone_rays(x)
     cells = []
     for r1, r2 in zip(rays, rays[1:]):
         mid = tuple(Fraction(a + b) for a, b in zip(r1, r2))
-        if not strongly_regular(x, mid):
+        signs = chamber_signs(x, mid)
+        if signs is None:
             raise InternalError(f"the sum [{', '.join(map(str, mid))}] of "
                                 f"the adjacent rays {list(r1)} and "
                                 f"{list(r2)} lies on an admissible "
                                 f"hyperplane")
-        # interior of cone(r1, r2): eta1 . y > 0 and eta2 . y > 0
-        eta1 = (-r1[1], r1[0])
-        if _dot_int(eta1, r2) < 0:
-            eta1 = tuple(-v for v in eta1)
-        eta2 = (-r2[1], r2[0])
-        if _dot_int(eta2, r1) < 0:
-            eta2 = tuple(-v for v in eta2)
-        hrep = HPolytope([[-v for v in eta1], [-v for v in eta2]], [0, 0])
-        cells.append(Cell(sample=mid, rays=(r1, r2), hrep=hrep))
+        cells.append(Cell(mid, signs, (r1, r2)))
     return cells
 
 
 def _cone_rays(x: GList) -> list:
-    """Admissible rays inside cone(X), sorted by angle (d = 2)."""
-    dirs = {}
-    for e in x.elems:
-        if any(e.free):
-            v = linalg.primitive([Fraction(c) for c in e.free])
-            dirs[v] = True
-            dirs[tuple(-c for c in v)] = True
-    inside = [v for v in dirs if in_cone(x, v)]
+    """The primitive column directions, which span the rays of the chambers,
+    in counterclockwise order (d = 2).
 
-    # exact angular sort: quadrant + cross product comparison
-    def quadrant(v):
-        if v[0] > 0 and v[1] >= 0:
-            return 0
-        if v[0] <= 0 and v[1] > 0:
-            return 1
-        if v[0] < 0 and v[1] <= 0:
-            return 2
-        return 3
-
-    import functools
-
-    def cmp(a, b):
-        qa, qb = quadrant(a), quadrant(b)
-        if qa != qb:
-            return -1 if qa < qb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    inside.sort(key=functools.cmp_to_key(cmp))
-    # rotate so consecutive rays are adjacent within the (pointed) cone:
-    # find the gap of angle >= pi between consecutive rays cyclically
-    k = len(inside)
-    for i in range(k):
-        a, b = inside[i], inside[(i + 1) % k]
-        cross = a[0] * b[1] - a[1] * b[0]
-        dot = a[0] * b[0] + a[1] * b[1]
-        if cross < 0 or (cross == 0 and dot < 0):
-            return inside[i + 1:] + inside[:i + 1]
-    return inside
+    The pointed certificate eta is positive on every column, so the slope
+    eta'.r / eta.r against eta' = eta turned left orders them by angle.
+    """
+    dirs = {tuple(c // math.gcd(*e.free) for c in e.free) for e in x.elems}
+    eta = pointed_certificate(x)
+    left = (-eta[1], eta[0])
+    return sorted(dirs, key=lambda r: _dot_int(left, r) / _dot_int(eta, r))
 
 
 def short_regular(x: GList, in_cone_of=None):
@@ -839,7 +823,12 @@ def require_value(piece: MPoly, u, value):
 
 def local_piece(x: GList, cell: Cell) -> MPoly:
     """Homogeneous degree-(N-d) polynomial agreeing with T_X on the cell,
-    checked against `tx_value` at the cell's sample."""
-    piece = piece_at(x, cell.sample)
-    require_value(piece, cell.sample, tx_value(x, cell.sample))
+    checked against `tx_value` at the cell's sample.  Kept on the list under
+    the cell's sign vector, so each chamber's piece is built once."""
+    store = x.memo("chamber_pieces", lambda _: {})
+    piece = store.get(cell.signs)
+    if piece is None:
+        piece = piece_at(x, cell.sample)
+        require_value(piece, cell.sample, tx_value(x, cell.sample))
+        store[cell.signs] = piece
     return piece

@@ -85,9 +85,7 @@ def solve(m, rhs):
     the input shape.
     """
     single = rhs and not isinstance(rhs[0], list)
-    cols = [rhs] if single else [list(c) for c in zip(*rhs)] if rhs else []
-    if single:
-        cols = [list(rhs)]
+    cols = [list(rhs)] if single else [list(c) for c in zip(*rhs)]
     n = len(m[0]) if m else 0
     aug = [list(row) + [col[i] for col in cols] for i, row in enumerate(m)]
     red, pivots = rref(aug)

@@ -20,7 +20,7 @@ from . import linalg
 from .abelian import GList, contract, rank_of, snf
 from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
-from .geometry import hyperplanes
+from .geometry import hyperplanes, lattice_points
 from .matroid import arithmetic_tutte, bases, external_activity
 from .polyspace import PsiProjector, d_basis, p_linear, p_product, pair
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
@@ -471,8 +471,6 @@ def l_map(x: GList, p: PeriodicPoly, w) -> LClass:
     Solves sum_{lambda} c_lambda f(lambda) = <p, f> over all DM basis
     elements; the evaluation matrix is invertible for affine regular w.
     """
-    from .geometry import lattice_points
-
     if x.group.invariants:
         raise TorsionUnsupported("l_map is defined over lattices")
     points = lattice_points(x, "shifted", w=w)

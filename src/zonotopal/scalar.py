@@ -22,8 +22,6 @@ from functools import lru_cache
 from . import linalg
 from .errors import InternalError, NonMember
 
-Rat = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 

@@ -71,6 +71,21 @@ class TestBvCount:
                     got = bv_count(x, z, u, cells=cells, pieces=pieces)
                     assert got == expect, (x, z, u)
 
+    def test_d3_caller_sampled_chamber(self):
+        # a d = 3 chamber known only by a caller's sample: the lookup names
+        # it by its sign vector, as it does the enumerated chambers
+        x = GList.from_rows([[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1],
+                             [0, 0, 1, 0, 1, 1]])
+        cells = big_cells(x, samples=[(F(37, 10), F(23, 10), F(17, 10))])
+        pieces = {id(c): local_piece(x, c) for c in cells}
+        for z in lattice_points(x, "interior")[:2]:
+            for u in [(4, 3, 2), (5, 4, 2), (5, 4, 3), (6, 4, 3), (6, 5, 2),
+                      (6, 5, 3)]:
+                diff = [a - b for a, b in zip(u, z)]
+                expect = vpf_count(x, diff) if in_cone(x, diff) else 0
+                got = bv_count(x, z, u, cells=cells, pieces=pieces)
+                assert got == expect, (z, u)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_vpf_on_random_queries(self, count_lists, data):

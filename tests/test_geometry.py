@@ -11,14 +11,17 @@ from accessors import homogeneous_slice
 from alcoves import alcove_room, alcove_sample, bx_by_alternating_sum
 from spans import span_contains
 from zonotopal.abelian import GList
-from zonotopal.brionvergne import _alcove_polynomial, chamber_quasipolynomial
-from zonotopal.errors import NotPointed, RankDeficient, SamplesRequired
-from zonotopal.geometry import (HPolytope, _enumerate_vertices, big_cells,
-                                bx_value, fm_feasible, hyperplane_normals,
-                                in_cone, is_pointed, lattice_points,
-                                local_piece, piece_at, pointed_certificate,
-                                polytope_volume, short_regular, tx_value,
-                                vpf_count, zonotope_hrep)
+from zonotopal.brionvergne import (_alcove_polynomial, bv_count,
+                                   chamber_quasipolynomial)
+from zonotopal.errors import (NotInCone, NotPointed, RankDeficient,
+                              SamplesRequired)
+from zonotopal.geometry import (HPolytope, _cone_rays, _enumerate_vertices,
+                                big_cells, bx_value, cells_at, fm_feasible,
+                                hyperplane_normals, in_cone, is_pointed,
+                                lattice_points, local_piece, piece_at,
+                                pointed_certificate, polytope_volume,
+                                short_regular, tx_value, vpf_count,
+                                zonotope_hrep)
 from zonotopal.matroid import arithmetic_tutte
 from zonotopal.periodic import dm_basis
 from zonotopal.polyspace import _monomials, d_basis
@@ -142,14 +145,27 @@ def alcove_polynomial_oracle(x, point, w):
     return interpolate(nodes, [bx_value(x, nd) for nd in nodes], deg, vars)
 
 
+def cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def cell_interior_rows(cell):
+    """The open cone of a big cell (d <= 2) from its rays, as strict rows
+    ``row . y < 0``: s y > 0 for the ray (s,) at d = 1, and at d = 2
+    cross(r1, y) > 0 and cross(y, r2) > 0 for the rays (r1, r2)."""
+    if len(cell.rays) == 1:
+        return [((-cell.rays[0][0],), 0, True)]
+    r1, r2 = cell.rays
+    return [((r1[1], -r1[0]), 0, True), ((-r2[1], r2[0]), 0, True)]
+
+
 def region_contains(x, cell, u):
     """Does u + Z(X) meet the open chamber Omega of ``cell``, that is, does
     u lie in (Omega - Z(X))?"""
     zono = zonotope_hrep(x)
     cons = [(row, beta + sum(r * F(v) for r, v in zip(row, u)), False)
             for row, beta in zip(zono.A, zono.b)]
-    cons += [(row, beta, True) for row, beta in zip(cell.hrep.A, cell.hrep.b)]
-    return fm_feasible(cons, len(u)) is not None
+    return fm_feasible(cons + cell_interior_rows(cell), len(u)) is not None
 
 
 def region_points(x, cell, count):
@@ -644,6 +660,88 @@ class TestCells:
         from zonotopal.errors import DegenerateSample
         with pytest.raises(DegenerateSample):
             big_cells(zp_list, samples=[(F(1), F(0))])
+
+
+# cones that hold the negative x-axis, inside or on the boundary, where an
+# angular order that starts at the positive x-axis would split the cone
+NEGATIVE_X = [[[-1, -1, -1], [1, -1, 0]], [[-1, -1, -1, -2], [1, -1, 0, 1]],
+              [[-1, -1], [1, -1]], [[-1, -1], [0, 1]], [[-1, 0], [0, -1]],
+              [[-1, -2, -1], [2, -1, -3]]]
+
+# directions w toward a chamber; the axes and diagonals lie on admissible
+# hyperplanes of many lists, where u + eps*w can stay on a wall
+TOWARD = [(1, 3), (3, -1), (-1, -3), (-3, 1), (2, -5), (-5, -2), (5, 2),
+          (-2, 5), (1, 0), (0, 1), (-1, 0), (1, 1), (1, -1)]
+
+
+def in_cell_oracle(cell, u, w=None):
+    """Is u in the closure of the cell, or with w, is u + eps*w in the open
+    cell for all small eps > 0?  Read off the cell's rays alone."""
+    for row, _, _ in cell_interior_rows(cell):
+        v = sum(r * a for r, a in zip(row, u))
+        if not v and w is not None:
+            # u + eps*w on the cell's wall is in no open cell
+            v = sum(r * a for r, a in zip(row, w)) or 1
+        if v > 0:
+            return False
+    return True
+
+
+class TestChamberLookup:
+    """`cells_at` names a chamber by its sign vector over the admissible
+    normals; the oracle knows only each cell's rays."""
+
+    @pytest.fixture(scope="class")
+    def lookup_lists(self, long_geometry_corpus):
+        return list(long_geometry_corpus) \
+            + [GList.from_rows(rows) for rows in NEGATIVE_X]
+
+    def test_rays_run_counterclockwise_across_the_cone(self, lookup_lists):
+        for x in lookup_lists:
+            if x.group.free_rank != 2:
+                continue
+            rays = _cone_rays(x)
+            assert all(cross(a, b) > 0 for a, b in zip(rays, rays[1:])), x
+            for e in x.elems:
+                assert cross(rays[0], e.free) >= 0 \
+                    and cross(e.free, rays[-1]) >= 0, x
+            assert [c.rays for c in big_cells(x)] \
+                == list(zip(rays, rays[1:]))
+
+    def test_closure_lookup_matches_rays(self, lookup_lists):
+        shared = 0
+        for x in lookup_lists:
+            cells = big_cells(x)
+            for u in itertools.product(range(-6, 7),
+                                       repeat=x.group.free_rank):
+                want = [id(c) for c in cells if in_cell_oracle(c, u)]
+                assert [id(c) for c in cells_at(x, cells, u)] == want, (x, u)
+                assert bool(want) == in_cone(x, u), (x, u)
+                shared += len(want) > 1
+        assert shared
+
+    def test_toward_w_lookup_matches_rays(self, lookup_lists):
+        leaves = 0
+        for x in lookup_lists:
+            d = x.group.free_rank
+            cells = big_cells(x)
+            pieces = {id(c): local_piece(x, c) for c in cells}
+            ws = [(1,), (-1,)] if d == 1 else TOWARD
+            for u in itertools.product(range(-6, 7), repeat=d):
+                if not in_cone(x, u):
+                    continue
+                for w in ws:
+                    want = [id(c) for c in cells if in_cell_oracle(c, u, w)]
+                    assert len(want) <= 1
+                    got = cells_at(x, cells, u, w)
+                    assert [id(c) for c in got] == want, (x, u, w)
+                    if not want:
+                        # w leaves the cone, or runs along a wall
+                        leaves += 1
+                        with pytest.raises(NotInCone):
+                            bv_count(x, x.group.zero(), u, w, cells=cells,
+                                     pieces=pieces)
+        assert leaves
 
 
 class TestLocalPieces:
