@@ -6,8 +6,10 @@ the README examples, every job printed by ``corpus --seed 1 --count 10``,
 one call of each subcommand that shares code with another, calls of the
 per-vertex (character-indexed) code, ``check-delta`` on a larger list and
 with a given ``--w``, ``quasipoly`` on chambers of d = 1 and d = 2 lists,
-and the chamber lookup on a ray shared by two chambers; each runs in text
-and in ``--json`` form.
+the chamber lookup on a ray shared by two chambers, and ``wall-jump`` and
+``check-continuity`` on the walls of a cone holding the negative x-axis
+and of a d = 1 list with its piece on the negative side (``WALLS``); each
+runs in text and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -94,6 +96,15 @@ CHAMBER_LOOKUP = [
      "[-4,0]", "--w", '["-1/5","-1/3"]'],
 ]
 
+# the walls of a cone that holds the negative x-axis, and of a d = 1 list
+# whose piece lies on the negative side of the origin
+WALLS = [
+    ["wall-jump", "--x", "[[-1,-1,-1],[1,-1,0]]"],
+    ["check-continuity", "--x", "[[-1,-1,-1],[1,-1,0]]"],
+    ["wall-jump", "--x", "[[-1,-2]]"],
+    ["check-continuity", "--x", "[[-1,-2]]"],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -116,7 +127,7 @@ def corpus_jobs():
 def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
-            + DELTA + QUASIPOLY + CHAMBER_LOOKUP:
+            + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
