@@ -14,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, periodic
+from . import periodic
 from .abelian import FgGroup, GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
-from .geometry import (Cell, big_cells, bx_value, cells_at,
+from .geometry import (Cell, _cone_rays, big_cells, bx_value, cells_at,
                        hyperplane_normals, in_cone, lattice_points,
                        local_piece, pointed_certificate, require_pointed,
                        require_short, require_value, short_regular,
                        zonotope_hrep)
+from .linalg import dot
 from .matroid import is_coloop, is_unimodular
 from .periodic import PeriodicPoly, QuasiFunction, f_tilde, periodic_todd
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, exp_series, s_vars,
@@ -30,7 +31,6 @@ from .scalar import (Cyclotomic, MPoly, TruncatedSeries, exp_series, s_vars,
 from .toric import evaluate, vertices
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,8 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
         w = short_regular(x, in_cone_of=cells[0].sample)
     toward = cells_at(x, cells, u, w)
     if len(toward) != 1:
-        raise NotInCone(f"no big cell towards {w} from {u}")
+        raise NotInCone(f"no big cell towards [{', '.join(map(str, w))}] "
+                        f"from [{', '.join(map(str, u))}]")
     return _eval_count(ft, pieces[id(toward[0])], u)
 
 
@@ -183,17 +184,15 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     """
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
-    bound = max(abs(sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)))
-                for eta in normals)
+    bound = max(abs(dot(eta, w)) for eta in normals)
     eps0 = Fraction(1, 4 * (int(bound) + 1))
     for eta in normals:
-        if not sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w)):
+        if not dot(eta, w):
             raise SingularGram(f"w is not affine regular: it is orthogonal "
                                f"to the hyperplane normal {list(eta)}")
     p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
                for v, c in zip(point, w))
-    heights = [sum(Fraction(e) * c for e, c in zip(eta, p0))
-               for eta in normals]
+    heights = [dot(eta, p0) for eta in normals]
     for eta, val in zip(normals, heights):
         if val.denominator == 1:
             raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
@@ -201,8 +200,7 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
                                 f"of the normal {list(eta)}")
     groups = {}
     for v, c in x.memo("box_shifts", _box_shifts):
-        signs = tuple(h > sum(e * a for e, a in zip(eta, v))
-                      for h, eta in zip(heights, normals))
+        signs = tuple(h > dot(eta, v) for h, eta in zip(heights, normals))
         groups.setdefault(signs, []).append((v, c))
     terms = {}
     for signs, shifts in groups.items():
@@ -293,9 +291,11 @@ def box_interpolant(x: GList, values: dict) -> MPoly:
 
 @dataclass
 class Wall:
-    """A (d-1)-dimensional wall between two regions of polynomiality.
+    """A (d-1)-dimensional wall between two regions of polynomiality, in
+    the frame (normal, ray) with normal.ray = 0.
 
-    ``outside`` pieces (beyond the cone boundary) are the zero polynomial.
+    At d = 1 the wall is the origin, with ray (0,) and normal (1,).  A side
+    beyond the cone boundary has the zero polynomial as its piece.
     """
 
     normal: tuple            # primitive integer normal, positive on piece_pos
@@ -305,40 +305,25 @@ class Wall:
 
 
 def walls(x: GList) -> list:
-    """Walls of the big-cell decomposition (d <= 2), zero region included."""
+    """Walls of the big-cell decomposition (d <= 2), zero region included.
+
+    One wall per ray of `_cone_rays`, in that order, with the ray turned
+    left as its normal; at d = 1 the origin.  Each side's piece is the
+    `local_piece` of the chamber `cells_at` finds toward +-normal from the
+    ray, or zero when none lies there (outside the cone).
+    """
     require_pointed(x)
     d = x.group.free_rank
     cells = big_cells(x)
+    frames = [((1,), (0,))] if d == 1 else \
+        [((-r[1], r[0]), r) for r in _cone_rays(x)]
     zero = MPoly(t_vars(d))
-    if d == 1:
-        piece = local_piece(x, cells[0])
-        if cells[0].sample[0] > 0:
-            return [Wall((1,), (0,), piece, zero)]
-        return [Wall((1,), (0,), zero, piece)]
-    if d != 2:
-        raise RankDeficient("automatic wall enumeration is d <= 2 only")
-    # cells are angularly sorted; boundary rays flank the outside region
     out = []
-    pairs = [(cells[0].rays[0], None, cells[0])]
-    for a, b in zip(cells, cells[1:]):
-        pairs.append((b.rays[0], a, b))
-    pairs.append((cells[-1].rays[1], cells[-1], None))
-    for ray, ca, cb in pairs:
-        eta = (-ray[1], ray[0])      # primitive, as the ray is
-        side = {}
-        for c in (ca, cb):
-            if c is None:
-                continue
-            v = sum(Fraction(e) * Fraction(s)
-                    for e, s in zip(eta, c.sample))
-            if not v:
-                raise InternalError(f"the sample {list(c.sample)} of a "
-                                    f"chamber lies on its wall ray "
-                                    f"{list(ray)}")
-            side[1 if v > 0 else -1] = c
-        pos, neg = side.get(1), side.get(-1)
-        out.append(Wall(eta, ray, local_piece(x, pos) if pos else zero,
-                        local_piece(x, neg) if neg else zero))
+    for eta, ray in frames:
+        pos, neg = (cells_at(x, cells, ray, [s * e for e in eta])
+                    for s in (1, -1))
+        out.append(Wall(eta, ray, local_piece(x, pos[0]) if pos else zero,
+                        local_piece(x, neg[0]) if neg else zero))
     return out
 
 
@@ -381,18 +366,17 @@ def wall_jump(x: GList, eta, v12: MPoly) -> MPoly:
     """
     d = x.group.free_rank
     both = s_vars(d) + t_vars(d)
-    etaq = [Fraction(e) for e in eta]
     r = max(v12.total_degree(), 0)
     h = TruncatedSeries.constant(both, 1, r)
     m = 0
     for el in x.elems:
-        ex = sum(e * Fraction(c) for e, c in zip(etaq, el.free))
+        ex = dot(eta, el.free)
         if ex:
             m += 1
             xs = MPoly.linear_form(both, [Fraction(c) for c in el.free]
                                    + [_F0] * d)
             h = h * TruncatedSeries(xs + ex, r).inverse()
-    eta_t = MPoly.linear_form(both, [_F0] * d + etaq)
+    eta_t = MPoly.linear_form(both, [_F0] * d + list(eta))
     eta_pows = exp_series(eta_t, max(m + r - 1, 0)).body.slices()
     res = MPoly(both)
     for k, hk in h.body.slices().items():
@@ -406,29 +390,29 @@ def wall_jump(x: GList, eta, v12: MPoly) -> MPoly:
 
 
 def wall_v12(x: GList, wall: Wall) -> MPoly:
-    """Extension of the on-wall spline piece, constant along the normal."""
+    """Extension of the on-wall spline piece, constant along the normal.
+
+    The columns on the wall are x_i = a_i rho with a_i = x_i.rho / rho.rho.
+    The T piece of the one-dimensional list (a_i) is composed with
+    gamma(t) = rho.t / rho.rho, which is 1 on rho and, as the normal is
+    orthogonal to rho, 0 on the normal.
+    """
     d = x.group.free_rank
     tv = t_vars(d)
-    etaq = [Fraction(e) for e in wall.normal]
-    on_wall = [i for i in range(len(x))
-               if sum(e * Fraction(c) for e, c in
-                      zip(etaq, x.elems[i].free)) == 0
-               and any(x.elems[i].free)]
+    on_wall = [i for i, el in enumerate(x.elems)
+               if not dot(wall.normal, el.free) and any(el.free)]
     if not on_wall:
         return MPoly.constant(tv, 1)
     if d != 2:
         raise RankDeficient("V12 construction implemented for d = 2")
     rho = wall.ray
-    if not any(rho):
+    rr = dot(rho, rho)
+    if not rr:
         raise ValueError("wall ray must be nonzero for d = 2")
-    # 1-d coordinates along the wall: x_i = a_i * rho
     coeffs = []
     for i in on_wall:
         free = x.elems[i].free
-        if rho[0]:
-            a = Fraction(free[0], rho[0])
-        else:
-            a = Fraction(free[1], rho[1])
+        a = Fraction(dot(free, rho), rr)
         if a.denominator != 1 or not a:
             raise InternalError(f"x_{i} = {list(free)} is not a nonzero "
                                 f"integer multiple of the wall ray "
@@ -436,11 +420,7 @@ def wall_v12(x: GList, wall: Wall) -> MPoly:
         coeffs.append(int(a))
     sub = GList.from_columns([[c] for c in coeffs], FgGroup(1))
     piece = local_piece(sub, big_cells(sub)[0])
-    # gamma: functional with gamma(rho) = 1, gamma(eta vector) = 0
-    mat = [[Fraction(rho[0]), Fraction(rho[1])],
-           [Fraction(wall.normal[0]), Fraction(wall.normal[1])]]
-    gamma = linalg.solve(mat, [_F1, _F0])
-    image = MPoly.linear_form(tv, gamma)
+    image = MPoly.linear_form(tv, [Fraction(r, rr) for r in rho])
     return piece.substitute(tv, [image])
 
 
@@ -459,31 +439,21 @@ def wall_jump_check(x: GList, wall: Wall):
 
 def _leading_structure_ok(x: GList, wall: Wall, v12: MPoly,
                           jump: MPoly) -> bool:
-    """jump = c_X u1^(m-1) V12 + u1^m h after rotating eta to coordinate u1."""
-    d = x.group.free_rank
-    tv = t_vars(d)
-    eta = wall.normal
-    etaq = [Fraction(e) for e in eta]
-    off = [i for i in range(len(x))
-           if sum(e * Fraction(c) for e, c in zip(etaq, x.elems[i].free)) != 0]
-    m = len(off)
-    prod = _F1
-    for i in off:
-        prod *= sum(e * Fraction(c) for e, c in zip(etaq, x.elems[i].free))
-    c_x = Fraction(1, math.factorial(m - 1)) / prod
-    if d == 1:
-        expect = MPoly(tv, {(m - 1,): Cyclotomic.from_rational(c_x)}) * v12
-        return jump == expect
-    # rotate: new coordinates u1 = eta(t)-direction, u2 along the wall
-    # substitution t_i -> expression in (u1, u2): t = u1 * g + u2 * rho with
-    # eta(g) = 1, eta(rho) = 0
-    rho = wall.ray
-    mat = [[Fraction(eta[0]), Fraction(eta[1])],
-           [Fraction(rho[0]), Fraction(rho[1])]]
-    g = linalg.solve(mat, [_F1, _F0])
+    """jump = c_X u1^(m-1) V12 + u1^m h in the wall frame t = u1 g + u2 rho.
+
+    The normal eta is orthogonal to rho, so g = eta / eta.eta has eta.g = 1
+    and rho.g = 0, and u1 = eta.t.  The same check covers d = 1 (rho = 0):
+    there the jump is homogeneous of degree m - 1, so it reads
+    jump = c_X t^(m-1) V12.
+    """
+    eta, rho = wall.normal, wall.ray
+    dots = [v for v in (dot(eta, el.free) for el in x.elems) if v]
+    m = len(dots)
+    c_x = Fraction(1, math.factorial(m - 1) * math.prod(dots))
+    ee = dot(eta, eta)
     uv = ("u1", "u2")
-    images = [MPoly.linear_form(uv, [g[i], Fraction(rho[i])])
-              for i in range(2)]
+    images = [MPoly.linear_form(uv, [Fraction(e, ee), r])
+              for e, r in zip(eta, rho)]
     jump_u = jump.substitute(uv, images)
     v12_u = v12.substitute(uv, images)
     lead = MPoly(uv, {(m - 1, 0): Cyclotomic.from_rational(c_x)}) * v12_u
@@ -517,8 +487,7 @@ def box_deconvolution_check(x: GList, w=None) -> dict:
     todd = periodic_todd(x, x.group.zero(), n - d)
     eta_c = pointed_certificate(x)
     support = lattice_points(x, "shifted", w=[_F0] * d)
-    kmax = max((sum(Fraction(e) * v for e, v in zip(eta_c, lam))
-                for lam in support), default=_F0)
+    kmax = max((dot(eta_c, lam) for lam in support), default=_F0)
     kmax = int(kmax) + 1
     out = {lam: Cyclotomic.zero() for lam in support}
     alcove_cache = {}
@@ -535,7 +504,7 @@ def box_deconvolution_check(x: GList, w=None) -> dict:
                 k = 0
                 while True:
                     base = tuple(s + k * xv for s, xv in zip(shift, xi))
-                    wgt = sum(Fraction(e) * b for e, b in zip(eta_c, base))
+                    wgt = dot(eta_c, base)
                     if wgt > kmax:
                         break
                     # (1 - c tau)(sum tau^k) = 1 + (1-c)(tau + tau^2 + ...)
@@ -553,7 +522,7 @@ def box_deconvolution_check(x: GList, w=None) -> dict:
             acc = Cyclotomic.zero()
             for shift, coeff in shifts.items():
                 target = tuple(l - s for l, s in zip(lam, shift))
-                wgt = sum(Fraction(e) * t for e, t in zip(eta_c, target))
+                wgt = dot(eta_c, target)
                 if wgt < 0 or wgt > kmax:
                     continue
                 if target not in values:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .abelian import GList
 from .errors import (DegenerateSample, InternalError, NotPointed, NotShort,
-                     SamplesRequired, TorsionUnsupported)
+                     SamplesRequired, SingularGram, TorsionUnsupported)
 from .matroid import corank_one_flats
 from .scalar import MPoly, rat_str, t_vars
 
@@ -54,7 +54,7 @@ class HPolytope:
 
     def contains(self, point, strict=False) -> bool:
         for row, beta in zip(self.A, self.b):
-            v = sum(r * p for r, p in zip(row, point))
+            v = linalg.dot(row, point)
             if v > beta or (strict and v == beta):
                 return False
         return True
@@ -189,7 +189,7 @@ def in_cone(x: GList, u) -> bool:
     """
     facets = x.memo("cone_facets", _cone_facets)
     if facets is not None:
-        return all(_dot_int(eta, u) >= 0 for eta in facets)
+        return all(linalg.dot(eta, u) >= 0 for eta in facets)
     cols = [[Fraction(v) for v in e.free] for e in x.elems]
     n, d = len(cols), x.group.free_rank
     cons = []
@@ -213,7 +213,7 @@ def _cone_facets(x: GList):
         return None
     out = []
     for h in planes:
-        dots = [_dot_int(h.normal, e.free) for e in x.elems]
+        dots = [linalg.dot(h.normal, e.free) for e in x.elems]
         if min(dots) >= 0:
             out.append(h.normal)
         elif max(dots) <= 0:
@@ -257,7 +257,7 @@ def _hyperplanes(x: GList) -> tuple:
             if len(null) == 1:
                 normals.add(linalg.primitive(null[0]))
     return tuple(Hyperplane(eta, sum(1 for e in x.elems
-                                     if _dot_int(eta, e.free)))
+                                     if linalg.dot(eta, e.free)))
                  for eta in sorted(normals))
 
 
@@ -277,15 +277,11 @@ def _zonotope_hrep(x: GList) -> HPolytope:
     x.require_full_rank()
     a_rows, b_vals = [], []
     for eta in hyperplane_normals(x):
-        dots = [_dot_int(eta, e.free) for e in x.elems]
+        dots = [linalg.dot(eta, e.free) for e in x.elems]
         a_rows += [eta, tuple(-v for v in eta)]
         b_vals += [sum(v for v in dots if v > 0),
                    -sum(v for v in dots if v < 0)]
     return HPolytope(a_rows, b_vals)
-
-
-def _dot_int(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def lattice_points(x: GList, mode="interior", w=None) -> list:
@@ -306,8 +302,8 @@ def lattice_points(x: GList, mode="interior", w=None) -> list:
     inner = int(mode == "interior")
 
     def window(eta):
-        dots = [_dot_int(eta, e.free) for e in x.elems]
-        move = sum(e * s for e, s in zip(eta, shift))
+        dots = [linalg.dot(eta, e.free) for e in x.elems]
+        move = linalg.dot(eta, shift)
         return (math.ceil(sum(v for v in dots if v < 0) - move) + inner,
                 math.floor(sum(v for v in dots if v > 0) - move) - inner)
 
@@ -316,7 +312,8 @@ def lattice_points(x: GList, mode="interior", w=None) -> list:
              for i in range(len(shift))]
     box = [range(lo, hi + 1) for lo, hi in map(window, units)]
     return [point for point in itertools.product(*box)
-            if all(lo <= _dot_int(eta, point) <= hi for eta, lo, hi in bounds)]
+            if all(lo <= linalg.dot(eta, point) <= hi
+                   for eta, lo, hi in bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +515,7 @@ def _fiber(x: GList) -> Fiber:
                                  for i in range(d)])
     kern = [linalg.primitive(v) for v in linalg.nullspace(xmat, ncols=n)]
     m = len(kern)                            # = n - d
-    ktk = [[Fraction(_dot_int(a, b)) for b in kern] for a in kern]
+    ktk = [[Fraction(linalg.dot(a, b)) for b in kern] for a in kern]
     big = [[Fraction(v) for v in (*(k[j] for k in kern), *x.elems[j].free)]
            for j in range(n)]
     scale = linalg.det(ktk) / abs(linalg.det(big))
@@ -573,7 +570,7 @@ def vpf_count(x: GList, u) -> int:
     target = [int(t) for t in target]
     if not cols:
         return int(not any(target))
-    weights = [sum(e * c for e, c in zip(eta, col)) for col in cols]
+    weights = [linalg.dot(eta, col) for col in cols]
     return _vpf(cols, weights, eta, 0, target)
 
 
@@ -584,7 +581,7 @@ def _vpf(cols, weights, eta, idx, target) -> int:
         k, rem = divmod(target[j], col[j])
         return int(rem == 0 and k >= 0
                    and all(t == k * c for t, c in zip(target, col)))
-    budget = sum(e * t for e, t in zip(eta, target))
+    budget = linalg.dot(eta, target)
     if budget < 0:
         return 0
     total = 0
@@ -600,12 +597,12 @@ def _vpf(cols, weights, eta, idx, target) -> int:
 
 @dataclass
 class Cell:
-    """A big cell, carried by a verified interior sample point and named by
-    its sign vector (`chamber_signs` of the sample)."""
+    """A big cell: a verified interior sample point and the sign vector
+    (`chamber_signs` of the sample) that names the chamber.  Which cell
+    holds a point, or lies toward a direction from it, is `cells_at`."""
 
     sample: tuple                 # rational interior point
     signs: tuple                  # eta.sample > 0 over the admissible normals
-    rays: tuple = ()              # primitive boundary rays (d <= 2)
 
     def to_json(self):
         return {"sample": [rat_str(Fraction(v)) for v in self.sample]}
@@ -614,7 +611,7 @@ class Cell:
 def chamber_signs(x: GList, point):
     """The sign vector of ``point``: eta.point > 0 over `hyperplane_normals`,
     or None when it lies on an admissible hyperplane through the origin."""
-    dots = [_dot_int(eta, point) for eta in hyperplane_normals(x)]
+    dots = [linalg.dot(eta, point) for eta in hyperplane_normals(x)]
     return None if 0 in dots else tuple(v > 0 for v in dots)
 
 
@@ -623,17 +620,21 @@ def cells_at(x: GList, cells, u, w=None) -> list:
     those whose interior holds u + eps*w for all small eps > 0.
 
     A cell's sign must agree with every nonzero eta.u over the admissible
-    normals eta; where eta.u = 0 and w is given, with the sign of eta.w,
-    and no cell matches when eta.w = 0 as well.  The facets of cone(X) are
+    normals eta; where eta.u = 0 and w is given, with the sign of eta.w.
+    When eta.w = 0 as well, u + eps*w runs along the hyperplane, so w is
+    not affine regular there: `SingularGram`.  The facets of cone(X) are
     admissible, so no cell matches a u (or a u + eps*w) outside the cone.
     """
     want = []
     for i, eta in enumerate(hyperplane_normals(x)):
-        v = _dot_int(eta, u)
+        v = linalg.dot(eta, u)
         if not v and w is not None:
-            v = _dot_int(eta, w)
+            v = linalg.dot(eta, w)
             if not v:
-                return []
+                raise SingularGram(
+                    f"w is not affine regular: w = [{', '.join(map(str, w))}]"
+                    f" and u = [{', '.join(map(str, u))}] are orthogonal to "
+                    f"the hyperplane normal {list(eta)}")
         if v:
             want.append((i, v > 0))
     return [c for c in cells if all(c.signs[i] == s for i, s in want)]
@@ -659,7 +660,7 @@ def big_cells(x: GList, samples=None) -> list:
     if d == 1:
         sign = 1 if x.elems[0].free[0] > 0 else -1
         ray = (Fraction(sign),)
-        return [Cell(ray, chamber_signs(x, ray), ((sign,),))]
+        return [Cell(ray, chamber_signs(x, ray))]
     rays = _cone_rays(x)
     cells = []
     for r1, r2 in zip(rays, rays[1:]):
@@ -670,7 +671,7 @@ def big_cells(x: GList, samples=None) -> list:
                                 f"the adjacent rays {list(r1)} and "
                                 f"{list(r2)} lies on an admissible "
                                 f"hyperplane")
-        cells.append(Cell(mid, signs, (r1, r2)))
+        cells.append(Cell(mid, signs))
     return cells
 
 
@@ -684,7 +685,7 @@ def _cone_rays(x: GList) -> list:
     dirs = {tuple(c // math.gcd(*e.free) for c in e.free) for e in x.elems}
     eta = pointed_certificate(x)
     left = (-eta[1], eta[0])
-    return sorted(dirs, key=lambda r: _dot_int(left, r) / _dot_int(eta, r))
+    return sorted(dirs, key=lambda r: linalg.dot(left, r) / linalg.dot(eta, r))
 
 
 def short_regular(x: GList, in_cone_of=None):
@@ -709,7 +710,7 @@ def short_regular(x: GList, in_cone_of=None):
                     for i, v in enumerate(base)]
         ok = True
         for eta in normals:
-            val = sum(Fraction(e) * c for e, c in zip(eta, cand))
+            val = linalg.dot(eta, cand)
             if val == 0 or abs(val) >= 1:
                 ok = False
                 break
@@ -725,7 +726,7 @@ def require_short(x: GList, w):
     regular.
     """
     for eta in hyperplane_normals(x):
-        val = sum(Fraction(e) * Fraction(c) for e, c in zip(eta, w))
+        val = linalg.dot(eta, w)
         if abs(val) >= 1:
             raise NotShort(f"w = [{', '.join(map(str, w))}] is not short: "
                            f"eta.w = {val} for the hyperplane normal "

@@ -178,6 +178,11 @@ def adjugate(m):
     return [[sign * v for v in r[n:]] for r in rows], sign * prev
 
 
+def dot(a, b):
+    """sum_i a_i b_i; integer operands give an int."""
+    return sum(x * y for x, y in zip(a, b))
+
+
 def primitive(vec) -> tuple:
     """Scale a nonzero rational vector to a primitive integer tuple whose
     first nonzero entry is positive."""

@@ -20,7 +20,7 @@ from functools import partial
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import InternalError, NotABasis, RankDeficient
-from .linalg import identity, nullspace, solve
+from .linalg import dot, identity, nullspace, solve
 
 
 # Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
@@ -151,8 +151,7 @@ def corank_one_flats(x: GList) -> list:
             continue
         flats.add(frozenset(
             i for i in range(n)
-            if not any(sum(a * b for a, b in zip(eta, cols[i]))
-                       for eta in normals)))
+            if not any(dot(eta, cols[i]) for eta in normals)))
     return sorted(flats, key=sorted)
 
 

@@ -251,6 +251,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["check-delta", "--x", "[[1,1]]", "--w", "[0]"],
         ["check-deconv", "--x", "[[1,0,1],[0,1,1]]", "--w", "[0,0]"],
+        ["bv-count", "--x", "[[1,0,1],[0,1,1]]", "--z", "[1,0]", "--u",
+         "[3,3]", "--w", "[1,1]"],
     ])
     def test_non_regular_w_is_domain_error(self, argv, capsys):
         assert main(argv) == 2

@@ -12,9 +12,9 @@ from alcoves import alcove_room, alcove_sample, bx_by_alternating_sum
 from spans import span_contains
 from zonotopal.abelian import GList
 from zonotopal.brionvergne import (_alcove_polynomial, bv_count,
-                                   chamber_quasipolynomial)
+                                   chamber_quasipolynomial, walls)
 from zonotopal.errors import (NotInCone, NotPointed, RankDeficient,
-                              SamplesRequired)
+                              SamplesRequired, SingularGram)
 from zonotopal.geometry import (HPolytope, _cone_rays, _enumerate_vertices,
                                 big_cells, bx_value, cells_at, fm_feasible,
                                 hyperplane_normals, in_cone, is_pointed,
@@ -89,12 +89,12 @@ def polytope_volume_oracle(A, b, dim):
     return total / dim
 
 
-def cell_sample_points(cell, d, count, salt=0):
+def cell_sample_points(x, cell, count, salt=0):
     """Deterministic rational points strictly inside the cell."""
-    if d == 1:
+    if x.group.free_rank == 1:
         return [tuple(v * F(k + 1 + salt, 3) for v in cell.sample)
                 for k in range(count)]
-    r1, r2 = cell.rays
+    r1, r2 = cell_rays(x, cell)
     pts = []
     for i in itertools.count(1):
         for j in range(1, i + 1):
@@ -124,7 +124,7 @@ def local_piece_oracle(x, cell):
     deg, vars = len(x) - d, t_vars(d)
     need = sum(len(_monomials(vars, k)) for k in range(deg + 1))
     for salt in range(4):
-        pts = cell_sample_points(cell, d, need, salt)
+        pts = cell_sample_points(x, cell, need, salt)
         poly = interpolate(pts, [tx_value(x, p) for p in pts], deg, vars)
         if poly is not None:
             assert poly == homogeneous_slice(poly, deg)
@@ -149,13 +149,26 @@ def cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def cell_interior_rows(cell):
+def cell_rays(x, cell):
+    """The boundary rays of a big cell (d <= 2): the ray (+-1,) on the side
+    of its sample at d = 1, and at d = 2 the consecutive pair of
+    `_cone_rays` whose open cone holds its sample."""
+    s = cell.sample
+    if x.group.free_rank == 1:
+        return ((1 if s[0] > 0 else -1,),)
+    rays = _cone_rays(x)
+    [pair] = [(r1, r2) for r1, r2 in zip(rays, rays[1:])
+              if cross(r1, s) > 0 and cross(s, r2) > 0]
+    return pair
+
+
+def cell_interior_rows(rays):
     """The open cone of a big cell (d <= 2) from its rays, as strict rows
     ``row . y < 0``: s y > 0 for the ray (s,) at d = 1, and at d = 2
     cross(r1, y) > 0 and cross(y, r2) > 0 for the rays (r1, r2)."""
-    if len(cell.rays) == 1:
-        return [((-cell.rays[0][0],), 0, True)]
-    r1, r2 = cell.rays
+    if len(rays) == 1:
+        return [((-rays[0][0],), 0, True)]
+    r1, r2 = rays
     return [((r1[1], -r1[0]), 0, True), ((-r2[1], r2[0]), 0, True)]
 
 
@@ -165,7 +178,8 @@ def region_contains(x, cell, u):
     zono = zonotope_hrep(x)
     cons = [(row, beta + sum(r * F(v) for r, v in zip(row, u)), False)
             for row, beta in zip(zono.A, zono.b)]
-    return fm_feasible(cons + cell_interior_rows(cell), len(u)) is not None
+    return fm_feasible(cons + cell_interior_rows(cell_rays(x, cell)),
+                       len(u)) is not None
 
 
 def region_points(x, cell, count):
@@ -674,10 +688,11 @@ TOWARD = [(1, 3), (3, -1), (-1, -3), (-3, 1), (2, -5), (-5, -2), (5, 2),
           (-2, 5), (1, 0), (0, 1), (-1, 0), (1, 1), (1, -1)]
 
 
-def in_cell_oracle(cell, u, w=None):
-    """Is u in the closure of the cell, or with w, is u + eps*w in the open
-    cell for all small eps > 0?  Read off the cell's rays alone."""
-    for row, _, _ in cell_interior_rows(cell):
+def in_cell_oracle(rays, u, w=None):
+    """Is u in the closure of the cell with the boundary ``rays``
+    (`cell_rays`), or with w, is u + eps*w in the open cell for all small
+    eps > 0?  Read off the cell's rays alone."""
+    for row, _, _ in cell_interior_rows(rays):
         v = sum(r * a for r, a in zip(row, u))
         if not v and w is not None:
             # u + eps*w on the cell's wall is in no open cell
@@ -705,43 +720,82 @@ class TestChamberLookup:
             for e in x.elems:
                 assert cross(rays[0], e.free) >= 0 \
                     and cross(e.free, rays[-1]) >= 0, x
-            assert [c.rays for c in big_cells(x)] \
+            assert [cell_rays(x, c) for c in big_cells(x)] \
                 == list(zip(rays, rays[1:]))
 
     def test_closure_lookup_matches_rays(self, lookup_lists):
         shared = 0
         for x in lookup_lists:
             cells = big_cells(x)
+            rays = [cell_rays(x, c) for c in cells]
             for u in itertools.product(range(-6, 7),
                                        repeat=x.group.free_rank):
-                want = [id(c) for c in cells if in_cell_oracle(c, u)]
+                want = [id(c) for c, r in zip(cells, rays)
+                        if in_cell_oracle(r, u)]
                 assert [id(c) for c in cells_at(x, cells, u)] == want, (x, u)
                 assert bool(want) == in_cone(x, u), (x, u)
                 shared += len(want) > 1
         assert shared
 
     def test_toward_w_lookup_matches_rays(self, lookup_lists):
-        leaves = 0
+        leaves = along = 0
         for x in lookup_lists:
             d = x.group.free_rank
             cells = big_cells(x)
+            rays = [cell_rays(x, c) for c in cells]
             pieces = {id(c): local_piece(x, c) for c in cells}
             ws = [(1,), (-1,)] if d == 1 else TOWARD
+            wall_rays = [] if d == 1 else _cone_rays(x)
             for u in itertools.product(range(-6, 7), repeat=d):
                 if not in_cone(x, u):
                     continue
                 for w in ws:
-                    want = [id(c) for c in cells if in_cell_oracle(c, u, w)]
+                    want = [id(c) for c, r in zip(cells, rays)
+                            if in_cell_oracle(r, u, w)]
                     assert len(want) <= 1
+                    if any(not cross(r, u) and not cross(r, w)
+                           for r in wall_rays):
+                        # u + eps*w runs along a wall: w is not affine
+                        # regular there
+                        assert not want
+                        along += 1
+                        with pytest.raises(SingularGram):
+                            cells_at(x, cells, u, w)
+                        with pytest.raises(SingularGram):
+                            bv_count(x, x.group.zero(), u, w, cells=cells,
+                                     pieces=pieces)
+                        continue
                     got = cells_at(x, cells, u, w)
                     assert [id(c) for c in got] == want, (x, u, w)
                     if not want:
-                        # w leaves the cone, or runs along a wall
+                        # w leaves the cone
                         leaves += 1
                         with pytest.raises(NotInCone):
                             bv_count(x, x.group.zero(), u, w, cells=cells,
                                      pieces=pieces)
-        assert leaves
+        assert leaves and along
+
+    def test_walls_match_rays(self, lookup_lists):
+        # one wall per ray, in order, its normal the ray turned left; each
+        # side's piece is that of the cell the oracle finds toward
+        # +-normal from the ray, or zero outside the cone
+        for x in lookup_lists:
+            d = x.group.free_rank
+            cells = big_cells(x)
+            rays = [cell_rays(x, c) for c in cells]
+            got = walls(x)
+            assert [wall.ray for wall in got] \
+                == ([(0,)] if d == 1 else _cone_rays(x))
+            for wall in got:
+                r = wall.ray
+                assert wall.normal == ((1,) if d == 1 else (-r[1], r[0]))
+                for s, piece in ((1, wall.piece_pos), (-1, wall.piece_neg)):
+                    toward = [s * e for e in wall.normal]
+                    want = [c for c, rs in zip(cells, rays)
+                            if in_cell_oracle(rs, r, toward)]
+                    assert len(want) <= 1
+                    assert piece == (local_piece(x, want[0]) if want
+                                     else MPoly(t_vars(d))), (x, wall)
 
 
 class TestLocalPieces:
@@ -806,10 +860,11 @@ class TestExactPieces:
         x = data.draw(st.sampled_from(piece_corpus))
         cell = data.draw(st.sampled_from(big_cells(x)))
         a, b = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        rays = cell_rays(x, cell)
         if x.group.free_rank == 1:
-            u = (a * cell.rays[0][0],)
+            u = (a * rays[0][0],)
         else:
-            r1, r2 = cell.rays
+            r1, r2 = rays
             u = tuple(a * p + b * q for p, q in zip(r1, r2))
         got = local_piece(x, cell).evaluate([F(v) for v in u])
         assert got.to_rational() == tx_value(x, u)
