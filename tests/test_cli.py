@@ -260,6 +260,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("domain error: w is not affine regular")
 
+    def test_bv_count_on_a_torsion_group_is_domain_error(self, capsys):
+        # the count formula reads the spline T_X, defined over lattices only
+        assert main(["bv-count", "--x", "[[1,2],[1,1]]", "--group", "Z+Z/2",
+                     "--z", "[1,1]", "--u", "[3]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("domain error: spline values require a torsion-free "
+                       "group\n")
+
     def test_bad_matrix(self):
         assert main(["count", "--x", "[[2],[0]]", "--group", "Z/4",
                      "--u", "[1]"]) == 1

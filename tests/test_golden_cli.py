@@ -8,8 +8,9 @@ per-vertex (character-indexed) code, ``check-delta`` on a larger list and
 with a given ``--w``, ``quasipoly`` on chambers of d = 1 and d = 2 lists,
 the chamber lookup on a ray shared by two chambers, and ``wall-jump`` and
 ``check-continuity`` on the walls of a cone holding the negative x-axis
-and of a d = 1 list with its piece on the negative side (``WALLS``); each
-runs in text and in ``--json`` form.
+and of a d = 1 list with its piece on the negative side (``WALLS``), and
+count queries far from the origin with the chamber quasi-polynomial they
+evaluate (``QUERIES``); each runs in text and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -105,6 +106,17 @@ WALLS = [
     ["check-continuity", "--x", "[[-1,-2]]"],
 ]
 
+# count queries at |u| near 10^12, one on a unimodular list and one whose
+# quasi-polynomial has characters of order 2 and 3 and a coefficient in
+# Q(zeta_3), and that quasi-polynomial
+QUERIES = [
+    ["bv-count", "--x", "[[1,0,1],[0,1,1]]", "--z", "[1,1]", "--u",
+     "[1000000000000,3]"],
+    ["bv-count", "--x", "[[1,1,1],[0,2,3]]", "--z", "[1,1]", "--u",
+     "[1000000000001,2000000000000]"],
+    ["quasipoly", "--x", "[[1,1,1],[0,2,3]]", "--u", "[2,3]"],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -127,7 +139,7 @@ def corpus_jobs():
 def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
-            + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS:
+            + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS + QUERIES:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
