@@ -145,14 +145,89 @@ class PeriodicSeries(_CharacterSum):
 class QuasiFunction(_CharacterSum):
     """sum over vertices of e_phi * f_phi with f_phi a t-polynomial."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)
 
     def evaluate_at(self, point) -> Cyclotomic:
-        """Value at a lattice point: sum e_phi(point) * f_phi(point)."""
-        total = Cyclotomic.zero()
+        """Value at a point: sum e_phi(point) * f_phi(point).
+
+        The value is declared in Q(zeta_m), m the lcm of the orders of the
+        roots e_phi(point) and of the coefficients, and is the same at
+        every kind of point.  At an integer point it is summed in integers
+        (`_integer_form`); at any other point term by term.
+        """
+        if len(point) != len(self.vars):
+            raise ValueError(f"a point of {self.vars} needs {len(self.vars)} "
+                             f"coordinates, got {len(point)}")
+        if not all(type(v) is int for v in point):
+            total = Cyclotomic.zero()
+            for char, poly in self.terms:
+                total = total + evaluate_point(char, point) \
+                    * poly.evaluate(point)
+            return total
+        size, den, order, tops, exps, comps = self._integer_form()
+        # u_i^k for k up to the top degree of t_i, then each monomial once
+        pows = []
+        for v, top in zip(point, tops):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * v)
+            pows.append(row)
+        vals = [math.prod(map(list.__getitem__, pows, e)) for e in exps]
+        raw = [0] * size
+        for angle, parts in comps:
+            k = sum([a * v for a, v in zip(angle, point)]) % size
+            order = math.lcm(order, size // math.gcd(k, size))
+            for shift, pairs in parts:
+                acc = 0
+                for j, c in pairs:
+                    acc += c * vals[j]
+                raw[(k + shift) % size] += acc
+        # every power of zeta_size used is a power of zeta_order
+        return Cyclotomic.from_powers(order, raw[::size // order], den)
+
+    def _integer_form(self) -> tuple:
+        """(size, den, order, tops, exps, comps): this value in integers
+        over the powers of zeta_size.
+
+        size is the lcm of the characters' theta denominators and of the
+        coefficients' orders, den the lcm of the coefficients'
+        denominators, order the lcm of the coefficients' orders, tops the
+        top degree of each variable and exps the distinct exponents.  comps
+        holds, per character, its angle numerators theta * size and
+        (shift, [(j, c)]) pairs: den times the coefficient of
+        zeta_size^shift in the character's polynomial is
+        sum_j c * (monomial exps[j]).  Built once and kept, as the value
+        does not change.
+        """
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        coeffs = [c for _, poly in self.terms for c in poly.terms.values()]
+        size = math.lcm(*(t.denominator for char, _ in self.terms
+                          for t in char.theta),
+                        *(c.order for c in coeffs))
+        den = math.lcm(*(q.denominator for c in coeffs for q in c.coeffs))
+        exps = sorted({e for _, poly in self.terms for e in poly.terms})
+        index = {e: j for j, e in enumerate(exps)}
+        comps = []
         for char, poly in self.terms:
-            total = total + evaluate_point(char, point) * poly.evaluate(point)
-        return total
+            parts = {}
+            for e, c in poly.terms.items():
+                step = size // c.order
+                for i, q in enumerate(c.coeffs):
+                    if q:
+                        parts.setdefault(i * step, []).append(
+                            (index[e], q.numerator * (den // q.denominator)))
+            comps.append((tuple(t.numerator * (size // t.denominator)
+                                for t in char.theta),
+                          tuple((shift, tuple(pairs))
+                                for shift, pairs in sorted(parts.items()))))
+        self._form = (size, den, math.lcm(*(c.order for c in coeffs)),
+                      tuple(max((e[i] for e in exps), default=0)
+                            for i in range(len(self.vars))),
+                      tuple(exps), tuple(comps))
+        return self._form
 
 
 # ---------------------------------------------------------------------------

@@ -88,20 +88,22 @@ def _poly_divide_exact(num, den):
 
 @lru_cache(maxsize=None)
 def _reduction_table(n: int) -> tuple:
-    """Rows: zeta_n^(phi+k) expanded in the power basis.
+    """Rows: zeta_n^(phi+k) expanded in the power basis, in integers.
 
     Row k is derived from x^(phi+k) = x * x^(phi+k-1) reduced modulo Phi_n.
     Covers both raw products (up to x^(2*phi-2)) and plain powers up to
-    x^(n-1).
+    x^(n-1).  Phi_n is monic with integer coefficients, so the rows are
+    integers: a vector of Fractions reduces to Fractions, one of ints to
+    ints.
     """
     phi = euler_phi(n)
     mod = cyclotomic_polynomial(n)
     # x^phi = -(Phi_n - x^phi)  since Phi_n is monic
-    base = [Fraction(-c) for c in mod[:phi]]
+    base = [-c for c in mod[:phi]]
     rows = [tuple(base)]
     for _ in range(max(phi - 2, n - phi - 1)):
         prev = rows[-1]
-        shifted = [_F0] + list(prev[: phi - 1])
+        shifted = [0] + list(prev[: phi - 1])
         top = prev[phi - 1]
         if top:
             shifted = [s + top * b for s, b in zip(shifted, base)]
@@ -204,6 +206,14 @@ class Cyclotomic:
         vec[k] = _F1
         vec = _reduce_mod(vec, phi, _reduction_table(n))
         return Cyclotomic(n, vec)
+
+    @staticmethod
+    def from_powers(n: int, ints, den: int = 1) -> "Cyclotomic":
+        """sum_j ints[j] * zeta_n^j / den in Q(zeta_n), for n integers
+        ints and a positive integer den: one reduction modulo Phi_n in
+        integers, then one division per coefficient."""
+        return Cyclotomic(n, [Fraction(c, den) for c in _reduce_mod(
+            ints, euler_phi(n), _reduction_table(n))])
 
     @staticmethod
     def from_angle(q) -> "Cyclotomic":
@@ -462,7 +472,7 @@ class MPoly:
     operands.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
@@ -622,7 +632,14 @@ class MPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, tuple(self.sorted_terms())))
+        """Hashes the terms in sorted order, so equal polynomials built in
+        any term order hash equal.  Computed once and kept: every
+        constructor sets ``terms`` once, and nothing changes it after."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.vars, tuple(self.sorted_terms())))
+            return self._hash
 
     # -- calculus ------------------------------------------------------------
 
@@ -659,7 +676,11 @@ class MPoly:
         At a point of ints and Fractions each monomial is one int or
         Fraction product, which scales its coefficient once, and the
         rational terms are summed in integers over a common denominator.
+        A point needs one coordinate per variable.
         """
+        if len(point) != len(self.vars):
+            raise ValueError(f"a point of {self.vars} needs {len(self.vars)} "
+                             f"coordinates, got {len(point)}")
         total = _CYC_ZERO
         if not all(type(v) is int or type(v) is Fraction for v in point):
             for e, c in self.terms.items():

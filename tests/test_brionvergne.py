@@ -14,8 +14,9 @@ from zonotopal.brionvergne import (_applied, _f_tilde_at, apply_periodic,
                                    partition_of_unity, wall_jump,
                                    wall_jump_check, wall_v12, walls)
 from zonotopal.errors import NotUnimodular
-from zonotopal.geometry import (big_cells, in_cone, lattice_points,
-                                local_piece, short_regular, vpf_count)
+from zonotopal.geometry import (big_cells, cells_at, in_cone,
+                                lattice_points, local_piece, short_regular,
+                                vpf_count)
 from zonotopal.periodic import (PeriodicPoly, f_tilde, pper_basis,
                                 pper_internal_basis)
 from zonotopal.scalar import Cyclotomic, MPoly, t_vars
@@ -43,6 +44,31 @@ class TestApplyPeriodic:
         f = MPoly.linear_form(("t1",), (1,))
         # e_phi(1) = -1 times the derivative of t
         assert apply_periodic(p, f, (1,)) == -1
+
+    # the chamber of [[1,0,1],[0,1,1]] that holds (3,1) counts 1 + t2
+    X111 = GList.from_rows([[1, 0, 1], [0, 1, 1]])
+
+    def _chamber(self):
+        [cell] = cells_at(self.X111, big_cells(self.X111), (3, 1))
+        return cell
+
+    def test_long_point_is_value_error(self):
+        q = chamber_quasipolynomial(self.X111, self._chamber())
+        assert repr(q) == "1 + t2"
+        assert q.evaluate_at((3, 1)) == 2
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
+            q.evaluate_at((3, 1, 5))
+        ft = _f_tilde_at(self.X111.group, self.X111.elems,
+                         self.X111.group.zero())
+        piece = local_piece(self.X111, self._chamber())
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
+            apply_periodic(ft, piece, (3, 1, 5))
+
+    def test_short_point_is_value_error(self):
+        q = chamber_quasipolynomial(self.X111, self._chamber())
+        for point in ((3,), (F(3),), ()):
+            with pytest.raises(ValueError, match="needs 2 coordinates"):
+                q.evaluate_at(point)
 
 
 class TestBvCount:

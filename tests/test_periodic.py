@@ -18,7 +18,7 @@ from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
                                 pper_mult, pper_project)
 from zonotopal.polyspace import PsiProjector, p_linear
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi,
-                              exp_series, todd_factor)
+                              exp_series, t_vars, todd_factor)
 from zonotopal.toric import Character, evaluate, evaluate_point, vertices
 
 F = Fraction
@@ -756,3 +756,128 @@ class TestIntegerEvaluation:
             angle = F(point[0], 6) + F(point[1], 4)
             assert evaluate_point(char, point) \
                 == Cyclotomic.from_angle(angle)
+
+
+def evaluate_at_term_by_term(q, point):
+    """q at point as a running Cyclotomic total of e_phi(point) * f_phi(point),
+    one character at a time: the reference for the integer form of
+    `QuasiFunction.evaluate_at`, in value and in declared order."""
+    total = Cyclotomic.zero()
+    for char, poly in q.terms:
+        total = total + evaluate_point(char, point) * poly.evaluate(point)
+    return total
+
+
+# 0, small coordinates of either sign and coordinates of size up to 10^12
+_coordinates = st.one_of(st.just(0), st.integers(-30, 30),
+                         st.integers(-10 ** 12, 10 ** 12),
+                         st.sampled_from([10 ** 12, -10 ** 12]))
+
+
+
+def _polys(vars, orders=(1, 2, 3, 4, 6)):
+    """MPolys over vars with coefficients of the given orders."""
+    exps = st.lists(st.integers(0, 3), min_size=len(vars),
+                    max_size=len(vars)).map(tuple)
+    coeffs = st.sampled_from(orders).flatmap(
+        lambda n: st.lists(st.fractions(-3, 3, max_denominator=12),
+                           min_size=euler_phi(n), max_size=euler_phi(n))
+        .map(lambda cs, n=n: Cyclotomic(n, cs)))
+    return st.dictionaries(exps, coeffs, max_size=5).map(
+        lambda terms: MPoly(vars, terms))
+
+
+@pytest.fixture(scope="module")
+def corpus_quasi_functions(geometry_corpus, zp_list):
+    """Per list of the geometry corpus and zp_list: every chamber's
+    quasi-polynomial at z = 0 and at one interior z (f~_z(D) of the
+    chamber's piece), and the DM(X) basis that `l_map` evaluates."""
+    from zonotopal.brionvergne import _applied, chamber_quasipolynomial
+    from zonotopal.geometry import big_cells, local_piece
+    out = []
+    for x in list(geometry_corpus) + [zp_list]:
+        cells = big_cells(x)
+        out += [chamber_quasipolynomial(x, cell) for cell in cells]
+        interior = lattice_points(x, "interior")
+        if interior:
+            ft = f_tilde(x, x.group.element(interior[-1]))
+            out += [_applied.__wrapped__(ft, local_piece(x, cell))
+                    for cell in cells]
+        out += dm_basis(x)
+    return out
+
+
+@pytest.fixture(scope="module")
+def torsion_lists(mixed_corpus):
+    """Lists of the mixed corpus with a free part and a torsion summand."""
+    return [x for x in mixed_corpus
+            if x.group.invariants and x.group.free_rank]
+
+
+class TestIntegerForm:
+    """At an integer point `QuasiFunction.evaluate_at` sums every term into
+    one vector of integers over zeta_L; the value and its declared order
+    equal the term-by-term total, and its value at the same point read as
+    Fractions."""
+
+    @staticmethod
+    def _check(q, point):
+        want = evaluate_at_term_by_term(q, point)
+        for got in (q.evaluate_at(point),
+                    q.evaluate_at(tuple(F(v) for v in point))):
+            assert got.order == want.order
+            assert got.coeffs == want.coeffs
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_corpus_quasi_functions(self, corpus_quasi_functions, data):
+        q = data.draw(st.sampled_from(corpus_quasi_functions))
+        n = len(q.vars)
+        self._check(q, tuple(data.draw(st.lists(_coordinates, min_size=n,
+                                                max_size=n))))
+
+    def test_corpus_has_characters_and_irrational_coefficients(
+            self, corpus_quasi_functions):
+        # the draws above meet non-trivial roots and coefficients outside Q
+        assert any(not c.is_trivial() for q in corpus_quasi_functions
+                   for c, _ in q.terms)
+        assert any(not v.is_rational() for q in corpus_quasi_functions
+                   for _, p in q.terms for v in p.terms.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_torsion_vertex_characters(self, torsion_lists, data):
+        # characters with a torsion part act on the free coordinates only
+        x = data.draw(st.sampled_from(torsion_lists))
+        vars = t_vars(x.group.free_rank)
+        chars = data.draw(st.lists(st.sampled_from(
+            [v.character for v in vertices(x)]), max_size=4))
+        q = QuasiFunction(vars, [(c, data.draw(_polys(vars))) for c in chars])
+        self._check(q, tuple(data.draw(st.lists(
+            _coordinates, min_size=len(vars), max_size=len(vars)))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_characters_of_order_2_to_12(self, data):
+        # one k per value keeps the term-by-term oracle in Q(zeta_k)
+        vars = ("t1", "t2")
+        k = data.draw(st.integers(2, 12))
+        orders = [n for n in range(1, k + 1) if k % n == 0]
+        terms = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            theta = tuple(F(data.draw(st.integers(0, k - 1)), k)
+                          for _ in vars)
+            terms.append((Character(theta, ()),
+                          data.draw(_polys(vars, orders))))
+        q = QuasiFunction(vars, terms)
+        self._check(q, tuple(data.draw(st.lists(_coordinates, min_size=2,
+                                                max_size=2))))
+
+    def test_zero_and_a_repeated_point(self, zp_list):
+        zero = QuasiFunction(("t1", "t2"))
+        assert zero.evaluate_at((5, -3)) == 0
+        assert zero.evaluate_at((5, -3)).order == 1
+        # a second evaluation reuses the form and gives the same value
+        q = dm_basis(zp_list)[-1]
+        for point in ((0, 0), (10 ** 12, -7), (10 ** 12, -7)):
+            self._check(q, point)

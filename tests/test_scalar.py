@@ -430,6 +430,36 @@ def polynomials(draw):
     return MPoly(vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
 
 
+class TestMPolyHash:
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(), st.data())
+    def test_independent_of_term_order(self, p, data):
+        # the same terms inserted in another order, and the same value
+        # reached by arithmetic; a second call gives the kept hash
+        order = data.draw(st.permutations(list(p.terms.items())))
+        q = MPoly(p.vars, dict(order))
+        r = (p + MPoly.constant(p.vars, 1)) - 1
+        assert list(q.terms) == [e for e, _ in order]
+        assert p == q == r
+        assert hash(p) == hash(q) == hash(r) == hash(q)
+        assert len({p, q, r}) == 1
+
+
+class TestFromPowers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]).flatmap(
+        lambda n: st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n,
+                           max_size=n)), st.integers(1, 100))
+    def test_matches_a_sum_of_roots(self, ints, den):
+        n = len(ints)
+        want = Cyclotomic.zero().embed(n)
+        for j, c in enumerate(ints):
+            want = want + Cyclotomic.root_of_unity(n, j) * Fraction(c, den)
+        got = Cyclotomic.from_powers(n, ints, den)
+        assert got.order == n
+        assert got.coeffs == want.coeffs
+
+
 class TestEvaluate:
     """`MPoly.evaluate` multiplies each monomial out in ints or Fractions
     at a rational point; the value and its declared order (what printing
@@ -462,6 +492,13 @@ class TestTypedChecks:
     def test_exponent_length_matches_variables(self):
         with pytest.raises(ValueError, match=r"exponent \(1,\) does not"):
             MPoly(("s1", "s2"), {(1,): 1})
+
+    def test_evaluate_needs_one_coordinate_per_variable(self):
+        p = MPoly.linear_form(("t1", "t2"), (1, 1))
+        assert p.evaluate((3, 1)) == 4
+        for point in ((3,), (3, 1, 5), (Fraction(3), 1, 5)):
+            with pytest.raises(ValueError, match="needs 2 coordinates"):
+                p.evaluate(point)
 
     def test_division_needs_divisible_leading_coefficient(self):
         with pytest.raises(InternalError, match="does not divide"):
