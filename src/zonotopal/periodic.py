@@ -203,32 +203,29 @@ class QuasiFunction(_CharacterSum):
             return self._form
         except AttributeError:
             pass
-        coeffs = [c for _, poly in self.terms for c in poly.terms.values()]
-        size = math.lcm(*(t.denominator for char, _ in self.terms
-                          for t in char.theta),
-                        *(c.order for c in coeffs))
-        den = math.lcm(*(q.denominator for c in coeffs for q in c.coeffs))
-        exps = sorted({e for _, poly in self.terms for e in poly.terms})
-        index = {e: j for j, e in enumerate(exps)}
-        comps = []
+        size = den = order = 1
+        for char, poly in self.terms:
+            size = math.lcm(size, *(t.denominator for t in char.theta))
+            for c in poly.terms.values():
+                order = math.lcm(order, c.order)
+                den = math.lcm(den, *(q.denominator for q in c.coeffs))
+        size = math.lcm(size, order)
+        index, comps = {}, []
         for char, poly in self.terms:
             parts = {}
             for e, c in poly.terms.items():
+                j = index.setdefault(e, len(index))
                 step = size // c.order
                 for i, q in enumerate(c.coeffs):
                     if q:
                         parts.setdefault(i * step, []).append(
-                            (index[e], q.numerator * (den // q.denominator)))
+                            (j, q.numerator * (den // q.denominator)))
             comps.append((tuple(t.numerator * (size // t.denominator)
-                                for t in char.theta),
-                          tuple((shift, tuple(pairs))
-                                for shift, pairs in sorted(parts.items()))))
-        self._form = (size, den, math.lcm(*(c.order for c in coeffs)),
-                      tuple(max((e[i] for e in exps), default=0)
-                            for i in range(len(self.vars))),
-                      tuple(exps), tuple(comps))
+                                for t in char.theta), tuple(parts.items())))
+        exps = tuple(index)
+        tops = tuple(map(max, zip(*exps))) if exps else (0,) * len(self.vars)
+        self._form = (size, den, order, tops, exps, tuple(comps))
         return self._form
-
 
 # ---------------------------------------------------------------------------
 # bases of the periodic spaces and of DM
