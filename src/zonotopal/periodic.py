@@ -158,6 +158,8 @@ class QuasiFunction(_CharacterSum):
         if len(point) != len(self.vars):
             raise ValueError(f"a point of {self.vars} needs {len(self.vars)} "
                              f"coordinates, got {len(point)}")
+        if not self.terms:
+            return Cyclotomic.zero()
         if not all(type(v) is int for v in point):
             total = Cyclotomic.zero()
             for char, poly in self.terms:
@@ -177,11 +179,8 @@ class QuasiFunction(_CharacterSum):
         for angle, parts in comps:
             k = sum([a * v for a, v in zip(angle, point)]) % size
             order = math.lcm(order, size // math.gcd(k, size))
-            for shift, pairs in parts:
-                acc = 0
-                for j, c in pairs:
-                    acc += c * vals[j]
-                raw[(k + shift) % size] += acc
+            for j, shift, c in parts:
+                raw[(k + shift) % size] += c * vals[j]
         # every power of zeta_size used is a power of zeta_order
         return Cyclotomic.from_powers(order, raw[::size // order], den)
 
@@ -193,11 +192,11 @@ class QuasiFunction(_CharacterSum):
         coefficients' orders, den the lcm of the coefficients'
         denominators, order the lcm of the coefficients' orders, tops the
         top degree of each variable and exps the distinct exponents.  comps
-        holds, per character, its angle numerators theta * size and
-        (shift, [(j, c)]) pairs: den times the coefficient of
-        zeta_size^shift in the character's polynomial is
-        sum_j c * (monomial exps[j]).  Built once and kept, as the value
-        does not change.
+        holds, per character, its angle numerators theta * size and one
+        (j, shift, c) per nonzero rational part of a coefficient: the
+        character's polynomial is the sum of
+        c * zeta_size^shift * (monomial exps[j]) / den.  Built once and
+        kept, as the value does not change.
         """
         try:
             return self._form
@@ -205,27 +204,24 @@ class QuasiFunction(_CharacterSum):
             pass
         size = den = order = 1
         for char, poly in self.terms:
-            size = math.lcm(size, *(t.denominator for t in char.theta))
+            size = math.lcm(size, *[t.denominator for t in char.theta])
             for c in poly.terms.values():
                 order = math.lcm(order, c.order)
-                den = math.lcm(den, *(q.denominator for q in c.coeffs))
+                den = math.lcm(den, *[q.denominator for q in c.coeffs])
         size = math.lcm(size, order)
-        index, comps = {}, []
-        for char, poly in self.terms:
-            parts = {}
-            for e, c in poly.terms.items():
-                j = index.setdefault(e, len(index))
-                step = size // c.order
-                for i, q in enumerate(c.coeffs):
-                    if q:
-                        parts.setdefault(i * step, []).append(
-                            (j, q.numerator * (den // q.denominator)))
-            comps.append((tuple(t.numerator * (size // t.denominator)
-                                for t in char.theta), tuple(parts.items())))
+        index = {}
+        comps = tuple(
+            (tuple(t.numerator * (size // t.denominator) for t in char.theta),
+             tuple((index.setdefault(e, len(index)), i * (size // c.order),
+                    q.numerator * (den // q.denominator))
+                   for e, c in poly.terms.items()
+                   for i, q in enumerate(c.coeffs) if q))
+            for char, poly in self.terms)
         exps = tuple(index)
-        tops = tuple(map(max, zip(*exps))) if exps else (0,) * len(self.vars)
-        self._form = (size, den, order, tops, exps, tuple(comps))
+        self._form = (size, den, order, tuple(map(max, zip(*exps))), exps,
+                      comps)
         return self._form
+
 
 # ---------------------------------------------------------------------------
 # bases of the periodic spaces and of DM
