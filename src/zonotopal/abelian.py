@@ -319,7 +319,7 @@ class GList:
                                  f"{group.spec_string()}")
         self._memo = {}
 
-    def memo(self, key: str, build):
+    def memo(self, key, build):
         """build(self), computed on the first call for ``key`` and kept for
         the list's lifetime.  The list does not change after __init__, so a
         kept value stays valid; a build that raises keeps nothing."""

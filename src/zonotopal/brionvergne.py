@@ -76,14 +76,13 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     whose closure holds u (w-independence); otherwise it is taken on the one
     cell toward w.  The result must be a rational integer.
 
-    f~_z depends on X and z only, so it comes from `_f_tilde_at`, a table
-    of the last 16 (list, z) pairs keyed on the list's value, and
-    f~_z(D) piece comes from `apply_periodic`'s table of the last 64: a
-    repeated query on one list, z and chamber only evaluates at u.  Neither
-    table is kept on the list (`GList.memo`), which would hold f~_z for as
-    long as any caller holds the list.  The facts of the list itself (the
-    pointed certificate, the cone's facets, the zonotope's H-rep) are kept
-    on it.
+    f~_z and whether z is interior to the zonotope depend on X and z only:
+    they are found once per (list value, z) and kept in
+    `periodic.list_facts`, and f~_z(D) piece comes from `apply_periodic`'s
+    table of the last 64.  So a repeated query on one list, z and chamber
+    tests u against the cone and evaluates at u.  The facts of the list
+    itself (the pointed certificate, the cone's facets, the zonotope's
+    H-rep) are kept on it.
     """
     require_pointed(x)
     if not in_cone(x, u):
@@ -92,9 +91,13 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
         cells = big_cells(x)
     if pieces is None:
         pieces = {id(c): local_piece(x, c) for c in cells}
-    zel = z if isinstance(z, GElement) else x.group.element(tuple(z))
-    ft = _f_tilde_at(x.group, x.elems, zel)
-    interior = zonotope_hrep(x).contains(zel.free, strict=True)
+    key = z if isinstance(z, GElement) else tuple(z)
+    at_z = periodic.list_facts(x.group, x.elems).memo("bv_count", lambda _: {})
+    if key not in at_z:
+        zel = z if isinstance(z, GElement) else x.group.element(key)
+        at_z[key] = (f_tilde(x, zel),
+                     zonotope_hrep(x).contains(zel.free, strict=True))
+    ft, interior = at_z[key]
     if interior:
         adj = cells_at(x, cells, u)
         if not adj:
@@ -119,21 +122,10 @@ def chamber_quasipolynomial(x: GList, cell: Cell) -> QuasiFunction:
     local piece of T_X on Omega (the improved Brion-Vergne formula).
 
     It equals `vpf_count` at every lattice point of (Omega - Z(X)), the u
-    whose translate u + Z(X) meets Omega.
+    whose translate u + Z(X) meets Omega.  The chambers share f~_0, which
+    `f_tilde` keeps per list value.
     """
-    return _applied(_f_tilde_at(x.group, x.elems, x.group.zero()),
-                    local_piece(x, cell))
-
-
-@lru_cache(maxsize=16)
-def _f_tilde_at(group, elems, z: GElement) -> PeriodicPoly:
-    """f_tilde of the list (group, elems) at z, shared by every caller.
-
-    The key is the list's value, not a list, so the table keeps no
-    caller's list and its `GList.memo` alive.  Each miss looks f_tilde up
-    on `periodic`, where a wrapper around it sees the call.
-    """
-    return periodic.f_tilde(GList(group, elems), z)
+    return _applied(f_tilde(x, x.group.zero()), local_piece(x, cell))
 
 
 def _eval_count(ft: PeriodicPoly, piece: MPoly, u) -> int:
@@ -159,12 +151,10 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
             raise HasColoop(f"x_{i} = {list(x.elems[i].free)} is a coloop; "
                             f"the partition of unity needs a coloop-free "
                             f"list")
-    points = lattice_points(x, "interior")
-    values = [bx_value(x, z) for z in points]
     total = PeriodicPoly(s_vars(x.group.free_rank), [])
-    for b, fz in zip(values, f_tilde(x, tuple(x.group.element(z)
-                                                for z in points))):
-        total = total + fz.scale(b)
+    for z in lattice_points(x, "interior"):
+        b = bx_value(x, z)   # with torsion a domain error, before element()
+        total = total + f_tilde(x, x.group.element(z)).scale(b)
     return total
 
 
@@ -260,11 +250,12 @@ def box_delta_check(x: GList, w=None) -> dict:
         require_short(x, w)
     support = lattice_points(x, "shifted", w=[_F0] * x.group.free_rank)
     polys = [_alcove_polynomial(x, lam, w) for lam in support]
-    zs = lattice_points(x, "shifted", w=w)
-    fzs = f_tilde(x, tuple(x.group.element(z) for z in zs))
-    return {z: {lam: apply_periodic(fz, poly, lam)
-                for lam, poly in zip(support, polys)}
-            for z, fz in zip(zs, fzs)}
+    out = {}
+    for z in lattice_points(x, "shifted", w=w):
+        fz = f_tilde(x, x.group.element(z))
+        out[z] = {lam: apply_periodic(fz, poly, lam)
+                  for lam, poly in zip(support, polys)}
+    return out
 
 
 def box_interpolant(x: GList, values: dict) -> MPoly:
@@ -274,9 +265,9 @@ def box_interpolant(x: GList, values: dict) -> MPoly:
         raise NotUnimodular("interpolation needs a unimodular list")
     coeffs = {z: Fraction(values.get(tuple(z), 0))
               for z in lattice_points(x, "interior")}
-    zs = [z for z, c in coeffs.items() if c]
     combo = MPoly(s_vars(x.group.free_rank))
-    for z, fz in zip(zs, f_tilde(x, tuple(x.group.element(z) for z in zs))):
+    for z in [z for z, c in coeffs.items() if c]:
+        fz = f_tilde(x, x.group.element(z))
         if len(fz.terms) > 1:
             raise InternalError(f"f_z at z = {list(z)} of a unimodular list "
                                 f"has {len(fz.terms)} vertex components")

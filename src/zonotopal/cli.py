@@ -18,7 +18,8 @@ from .brionvergne import (box_deconvolution_check, box_delta_check, bv_count,
                           chamber_quasipolynomial, continuity_check,
                           partition_of_unity, wall_jump_check, walls)
 from .corpus import CorpusLimits, corpus
-from .errors import DomainError, InternalError, NotInCone
+from .errors import (DomainError, InternalError, NotInCone,
+                     TorsionUnsupported)
 from .geometry import (big_cells, bx_value, cells_at, lattice_points,
                        short_regular, tx_value, vpf_count, zonotope_hrep)
 from .matroid import arithmetic_tutte, tutte
@@ -168,6 +169,10 @@ def _cmd_f_tilde(args):
 
 def _cmd_count(args):
     x = _parse_x(args)
+    if x.group.invariants:
+        # vpf_count reads only the free coordinates, and --u has no residues
+        raise TorsionUnsupported(
+            "lattice-point counts require a torsion-free group")
     c = vpf_count(x, _parse_vec(args, "u", x))
     _emit(args, {"count": c}, str(c))
 

@@ -6,8 +6,8 @@ the same with t-polynomials and is evaluated on the lattice as
 sum_phi e_phi(lambda) f_phi(lambda).
 
 f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
-series only up to psi_X's top degree n - d; one vertex enumeration serves
-the series and the projection.
+series only up to psi_X's top degree n - d.  The f~_z of one list share
+psi_X, the vertices and the Todd parts, kept once per list (`list_facts`).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .abelian import GList, contract, rank_of, snf
@@ -274,29 +275,54 @@ def dm_basis(x: GList) -> list:
 # periodic Todd operators and their projections
 # ---------------------------------------------------------------------------
 
-def periodic_todd(x: GList, z, cap: int | None = None, verts=None):
+@lru_cache(maxsize=4)
+def list_facts(group, elems) -> GList:
+    """A list of the value (group, elems), owned by this table of the last 4
+    values; its `GList.memo` keeps psi_X, the vertices, the Todd parts per
+    cap, every f~_z found and `bv_count`'s facts of each z.  The table holds
+    no caller's `GList`, and an equal list built again finds the entry."""
+    return GList(group, elems)
+
+
+def periodic_todd(x: GList, z, cap: int | None = None) -> PeriodicSeries:
     """sum_phi e_phi e_phi(-z) e^{-p_z} prod_x p_x / (1 - e_phi(-x) e^{-p_x}).
 
-    ``z`` is a group element, or a tuple of them; the return mirrors it.
     Torsion elements use the marker variable s0 as their linear form when the
     vertex moves them (e_phi(x) != 1) and contribute a factor 1 otherwise.
-    The default cap is n - d + 1.  ``verts`` are the toric vertices of x when
-    the caller has them already.
+    The default cap is n - d + 1.
 
     Each factor is lead * p_x^v * exp(log), with v = 1 exactly when the
     vertex moves x (`scalar.todd_log`).  So a vertex component is
     e_phi(-z) * lead_phi * p_{X \\ X_phi} * exp(L_phi - p_z), where lead_phi
-    is the product of the leads and L_phi the sum of the logs, both built
-    once per vertex; per z it costs one exp, to the cap less the degree r
-    of the prefactor, and one product.  A vertex with r > cap keeps a zero
-    series.
+    is the product of the leads and L_phi the sum of the logs, kept once per
+    list value and cap (`_todd_parts`); per z a vertex costs one exp, to the
+    cap less the degree r of the prefactor, and one product.  A vertex with
+    r > cap keeps a zero series.
     """
     if cap is None:
         cap = max(len(x) - x.group.free_rank + 1, 0)
+    parts = list_facts(x.group, x.elems).memo(
+        ("todd_parts", cap), lambda own: _todd_parts(own, cap))
+    vars = _pper_vars(x)
+    pz = p_linear(z, vars)
+    terms = []
+    for char, lead, log, prefactor, room in parts:
+        body = MPoly(vars)
+        if room >= 0:
+            body = exp_series(log - pz, room).body \
+                * (evaluate(char, -z) * lead) * prefactor
+        terms.append((char, TruncatedSeries(body, cap)))
+    return PeriodicSeries(vars, terms)
+
+
+def _todd_parts(x: GList, cap: int) -> tuple:
+    """(character, lead, log, prefactor, room) per vertex: the parts of
+    `periodic_todd` that do not depend on z, with room the cap less the
+    prefactor's degree."""
     vars = _pper_vars(x)
     s0_form = MPoly.variable(vars, 0) if "s0" in vars else None
     parts = []
-    for v in vertices(x) if verts is None else verts:
+    for v in x.memo("vertices", vertices):
         lead, log = Cyclotomic.one(), MPoly(vars)
         prefactor = MPoly.constant(vars, 1)
         for elem in x.elems:
@@ -312,24 +338,12 @@ def periodic_todd(x: GList, z, cap: int | None = None, verts=None):
                 prefactor = prefactor * form
         parts.append((v.character, lead, log, prefactor,
                       cap - prefactor.total_degree()))
-    out = []
-    for zi in z if isinstance(z, tuple) else (z,):
-        pz = p_linear(zi, vars)
-        terms = []
-        for char, lead, log, prefactor, room in parts:
-            body = MPoly(vars)
-            if room >= 0:
-                body = exp_series(log - pz, room).body \
-                    * (evaluate(char, -zi) * lead) * prefactor
-            terms.append((char, TruncatedSeries(body, cap)))
-        out.append(PeriodicSeries(vars, terms))
-    return tuple(out) if isinstance(z, tuple) else out[0]
+    return tuple(parts)
 
 
-def f_tilde(x: GList, z, cap: int | None = None):
-    """Projection of the periodic Todd operator into Pper(X).
+def f_tilde(x: GList, z, cap: int | None = None) -> PeriodicPoly:
+    """Projection of the periodic Todd operator at z into Pper(X).
 
-    ``z`` is a group element, or a tuple of them; the return mirrors it.
     Each vertex component is projected by psi_X of the full list; the result
     is checked divisible by the prefactor p_{X \\ X_phi} (hard failure
     otherwise: it would indicate a truncation-cap bug).
@@ -337,41 +351,27 @@ def f_tilde(x: GList, z, cap: int | None = None):
     psi_X keeps no degree above its top degree n - d, so the Todd series is
     truncated there; an explicit ``cap`` above it changes nothing, and one
     below it is a ValueError.
+
+    psi_X, the vertices and the Todd parts are kept once per list value
+    with every f~_z found (`list_facts`), so a new z costs one exp and one
+    projection per vertex.  The value is shared: callers must not change it.
     """
     if x.group.invariants:
         raise TorsionUnsupported(
             "the Todd projection is defined over lattices")
-    x.require_full_rank()
-    if isinstance(z, tuple):
-        return _f_tilde_many(x, z, cap)
-    return _f_tilde_many(x, (z,), cap)[0]
-
-
-def _f_tilde_many(x: GList, zs: tuple, cap) -> tuple:
-    """f_tilde at each z of zs.  psi_X, the vertices and each vertex's lead,
-    Todd log and prefactor are built once for all of zs: `periodic_todd`
-    takes the tuple, and each z then costs one exp per vertex."""
-    if not zs:
-        return ()
-    vars = _pper_vars(x)
-    psi = PsiProjector(x, vars)
+    own = list_facts(x.group, x.elems)
+    # psi_X holds its list: on a twin of own it closes no cycle, so an
+    # evicted entry is freed at once, not at the next full collection
+    psi = own.memo("psi",
+                   lambda own: PsiProjector(GList(own.group, own.elems)))
     cap = psi.top if cap is None else min(cap, psi.top)
-    verts = vertices(x)
-    prefactors = [(v.character,
-                   [p_linear(x.elems[i], vars) for i in range(len(x))
-                    if i not in v.x_phi]) for v in verts]
-    out = []
-    for todd in periodic_todd(x, zs, cap, verts):
-        terms = []
-        for char, prefactor in prefactors:
-            proj = psi(todd.component(char))
-            if proj:
-                rem = proj
-                for form in prefactor:
-                    rem = divide_by_linear(rem, form)
-                terms.append((char, proj))
-        out.append(PeriodicPoly(vars, terms))
-    return tuple(out)
+    found = own.memo("f_tilde", lambda _: {})
+    if (z, cap) not in found:
+        todd = periodic_todd(own, z, cap)
+        ft = PeriodicPoly(psi.vars, [(c, psi(s)) for c, s in todd.terms])
+        pper_decompose(own, ft)
+        found[z, cap] = ft
+    return found[z, cap]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def _periodic_rank(elems) -> int:
 
 def pper_decompose(x: GList, p: PeriodicPoly):
     """Write each phi-component as p_{X \\ X_phi} * q_phi (exact division)."""
-    verts = {v.character: v for v in vertices(x)}
+    verts = {v.character: v for v in x.memo("vertices", vertices)}
     out = []
     for char, poly in p.terms:
         v = verts.get(char)

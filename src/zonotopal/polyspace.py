@@ -193,10 +193,10 @@ class PsiProjector:
             monos, pcols, g = self._solver(deg)
             rhs_cyc = [slice_.coefficient(e) for e in monos]
             order = math.lcm(*(c.order for c in rhs_cyc))
+            rhs = [c.embed(order).coeffs for c in rhs_cyc]
             proj = MPoly(self.vars)
             for j in range(euler_phi(order)):
-                comp = [(i, c.embed(order).coeffs[j])
-                        for i, c in enumerate(rhs_cyc)]
+                comp = [(i, c[j]) for i, c in enumerate(rhs)]
                 comp = [(i, v) for i, v in comp if v]
                 if not comp:
                     continue

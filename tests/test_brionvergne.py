@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from spans import span_contains
 from zonotopal.abelian import FgGroup, GList
-from zonotopal.brionvergne import (_applied, _f_tilde_at, apply_periodic,
+from zonotopal import periodic
+from zonotopal.brionvergne import (_applied, apply_periodic,
                                    box_deconvolution_check, box_delta_check,
                                    box_interpolant, bv_count,
                                    chamber_quasipolynomial, continuity_check,
@@ -17,8 +18,8 @@ from zonotopal.errors import NotUnimodular
 from zonotopal.geometry import (big_cells, cells_at, in_cone,
                                 lattice_points, local_piece, short_regular,
                                 vpf_count)
-from zonotopal.periodic import (PeriodicPoly, f_tilde, pper_basis,
-                                pper_internal_basis)
+from zonotopal.periodic import (PeriodicPoly, f_tilde, list_facts,
+                                pper_basis, pper_internal_basis)
 from zonotopal.scalar import Cyclotomic, MPoly, t_vars
 from zonotopal.toric import Character
 
@@ -58,8 +59,7 @@ class TestApplyPeriodic:
         assert q.evaluate_at((3, 1)) == 2
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
             q.evaluate_at((3, 1, 5))
-        ft = _f_tilde_at(self.X111.group, self.X111.elems,
-                         self.X111.group.zero())
+        ft = f_tilde(self.X111, self.X111.group.zero())
         piece = local_piece(self.X111, self._chamber())
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
             apply_periodic(ft, piece, (3, 1, 5))
@@ -140,8 +140,8 @@ def count_lists(long_geometry_corpus):
     """Per corpus list with interior lattice points: (x, its interior
     points, the u in [0, 12)^d inside cone(X), those of them on a wall,
     big cells, pieces).  The walls are the origin at d = 1 and the lines
-    through the columns at d = 2.  The (list, z) pairs outnumber the f~_z
-    table's bound."""
+    through the columns at d = 2.  The lists outnumber the bound of the
+    table that keeps f~_z per list."""
     out = []
     for x in long_geometry_corpus:
         interior = lattice_points(x, "interior")
@@ -157,28 +157,29 @@ def count_lists(long_geometry_corpus):
         cells = big_cells(x)
         out.append((x, interior, box, on_walls, cells,
                     {id(c): local_piece(x, c) for c in cells}))
-    assert sum(len(c[1]) for c in out) > _f_tilde_at.cache_info().maxsize
+    assert len(out) > list_facts.cache_info().maxsize
     return out
 
 
 class TestFTildeTable:
-    """bv_count and chamber_quasipolynomial take f~_z from `_f_tilde_at`,
-    one bounded table keyed on the list's value and z."""
+    """f~_z comes from `periodic.list_facts`, one bounded table keyed on
+    the list's value, which keeps psi_X, the vertices, the Todd parts and
+    every f~_z of a list, and bv_count's facts of each z beside them."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Each call of periodic.f_tilde as (x, z, result), on an empty
-        table that is emptied again afterwards."""
-        from zonotopal import periodic
+        """Each f~_z built, as the (x, z) of its periodic_todd call, on an
+        empty table that is emptied again afterwards."""
         calls = []
+        todd = periodic.periodic_todd
 
         def counted(x, z, cap=None):
-            calls.append((x, z, f_tilde(x, z, cap)))
-            return calls[-1][2]
-        monkeypatch.setattr(periodic, "f_tilde", counted)
-        _f_tilde_at.cache_clear()
+            calls.append((x, z))
+            return todd(x, z, cap)
+        monkeypatch.setattr(periodic, "periodic_todd", counted)
+        list_facts.cache_clear()
         yield calls
-        _f_tilde_at.cache_clear()
+        list_facts.cache_clear()
 
     def test_miss_builds_once_and_hit_builds_nothing(self, x124, built):
         assert bv_count(x124, [1], [6]) == 4
@@ -190,20 +191,31 @@ class TestFTildeTable:
         assert len(built) == 1
         assert bv_count(x124, [2], [6]) == vpf_count(x124, [4])
         assert len(built) == 2
+        assert list_facts.cache_info().currsize == 1
 
-    def test_bound_evicts_the_oldest(self, x12, built):
-        bound = _f_tilde_at.cache_info().maxsize
-        for z in range(bound + 3):
-            bv_count(x12, [z], [30])
+    def test_bound_evicts_the_oldest(self, built):
+        bound = list_facts.cache_info().maxsize
+        lists = [GList.from_rows([[1, k]]) for k in range(2, bound + 4)]
+        for x in lists:
+            assert bv_count(x, [1], [30]) == vpf_count(x, [29])
+        assert len(built) == bound + 2
+        assert list_facts.cache_info().currsize == bound
+        bv_count(lists[-1], [1], [31])
+        assert len(built) == bound + 2
+        assert bv_count(lists[0], [1], [31]) == vpf_count(lists[0], [30])
         assert len(built) == bound + 3
-        assert _f_tilde_at.cache_info().currsize == bound
-        bv_count(x12, [bound + 2], [31])
-        assert len(built) == bound + 3
-        bv_count(x12, [0], [31])
-        assert len(built) == bound + 4
-        assert _f_tilde_at.cache_info().currsize == bound
+        assert list_facts.cache_info().currsize == bound
 
-    def test_shared_values_stay_unchanged(self, long_geometry_corpus, built):
+    def test_shared_values_stay_unchanged(self, long_geometry_corpus,
+                                          monkeypatch):
+        from zonotopal import brionvergne
+        handed = []
+
+        def recorded(x, z, cap=None):
+            handed.append((x, z, f_tilde(x, z, cap)))
+            return handed[-1][2]
+        monkeypatch.setattr(brionvergne, "f_tilde", recorded)
+        list_facts.cache_clear()
         for x in long_geometry_corpus[:12]:
             cells = big_cells(x)
             pieces = {id(c): local_piece(x, c) for c in cells}
@@ -212,11 +224,42 @@ class TestFTildeTable:
                 for u in itertools.product(range(4), repeat=x.group.free_rank):
                     if in_cone(x, u):
                         bv_count(x, z, u, cells=cells, pieces=pieces)
-        assert len(built) > _f_tilde_at.cache_info().maxsize
-        for x, z, ft in built:
+        bound = list_facts.cache_info().maxsize
+        recent = list(dict.fromkeys(x.elems for x, _, _ in reversed(handed)))
+        assert len(recent) > bound
+        # the entries still held hand out the very values handed out last
+        latest = {(x.elems, z): (x, ft) for x, z, ft in handed}
+        for (elems, z), (x, ft) in latest.items():
+            if elems in recent[:bound]:
+                assert f_tilde(x, z) is ft
+        # and each value handed out equals one built afresh
+        list_facts.cache_clear()
+        for x, z, ft in handed:
             assert ft == f_tilde(x, z)
-        for x, z, ft in built[-_f_tilde_at.cache_info().maxsize:]:
-            assert _f_tilde_at(x.group, x.elems, z) is ft
+        list_facts.cache_clear()
+
+    def test_one_psi_and_vertex_build_for_six_z(self, monkeypatch):
+        builds = []
+        for name in ("PsiProjector", "vertices"):
+            build = getattr(periodic, name)
+
+            def wrapper(*args, name=name, build=build):
+                builds.append(name)
+                return build(*args)
+            monkeypatch.setattr(periodic, name, wrapper)
+        list_facts.cache_clear()
+        x = GList.from_rows([[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]])
+        cells = big_cells(x)
+        pieces = {id(c): local_piece(x, c) for c in cells}
+        interior = lattice_points(x, "interior")
+        assert len(interior) >= 6
+        for z in interior[:6]:
+            for u in ((20, 21), (31, 29)):
+                diff = [a - b for a, b in zip(u, z)]
+                assert bv_count(x, z, u, cells=cells, pieces=pieces) \
+                    == vpf_count(x, diff)
+        assert sorted(builds) == ["PsiProjector", "vertices"]
+        list_facts.cache_clear()
 
 
 class TestAppliedTable:
@@ -370,20 +413,22 @@ class TestBoxDelta:
         assert sorted(builds) == ["_fiber", "_hyperplanes"]
 
     def test_one_todd_pass_for_all_z(self, monkeypatch):
-        from zonotopal import periodic
+        # psi_X, the vertices and the Todd parts are built once for the
+        # list, across z and across the two checks
         builds = []
-        for name in ("periodic_todd", "PsiProjector"):
+        for name in ("_todd_parts", "PsiProjector", "vertices"):
             build = getattr(periodic, name)
 
             def wrapper(*args, name=name, build=build):
                 builds.append(name)
                 return build(*args)
             monkeypatch.setattr(periodic, name, wrapper)
+        list_facts.cache_clear()
         x = GList.from_rows([[1, 0, 1, 0], [0, 1, 1, 1]])
         assert len(box_delta_check(x)) == 5
         assert partition_of_unity(x) == PeriodicPoly.one(x)
-        assert sorted(builds) == ["PsiProjector", "PsiProjector",
-                                  "periodic_todd", "periodic_todd"]
+        assert sorted(builds) == ["PsiProjector", "_todd_parts", "vertices"]
+        list_facts.cache_clear()
 
 
 class TestBoxInterpolant:
@@ -408,8 +453,7 @@ class TestBoxInterpolant:
         two = f_tilde(x11, x11.group.element((1,))) \
             + PeriodicPoly.single(("s1",), Character((F(1, 2),), ()),
                                   MPoly.constant(("s1",), 1))
-        monkeypatch.setattr(brionvergne, "f_tilde",
-                            lambda x, zs: tuple(two for _ in zs))
+        monkeypatch.setattr(brionvergne, "f_tilde", lambda x, z: two)
         with pytest.raises(InternalError, match="2 vertex components"):
             box_interpolant(x11, {(1,): 1})
 

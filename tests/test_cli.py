@@ -178,16 +178,17 @@ class TestExitCodes:
         # check-unity on a list with a coloop
         for x in ("[[1]]", "[[1,1,0],[0,0,1]]"):
             assert main(["check-unity", "--x", x]) == 2
-        # spline values on a list over a group with torsion
+        # spline values and counts on a list over a group with torsion
         tors = ["--x", "[[1,1],[0,1]]", "--group", "Z+Z/2"]
         for argv in (["box", *tors, "--u", "[1]"],
-                     ["volume", *tors, "--u", "[1]"], ["check-unity", *tors]):
+                     ["volume", *tors, "--u", "[1]"], ["check-unity", *tors],
+                     ["count", *tors, "--u", "[2]"]):
             assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("is not short") == 4
         assert err.count("is a coloop") == 2
-        assert err.count("require a torsion-free group") == 3
+        assert err.count("require a torsion-free group") == 4
         code, out = run_cli("check-delta", "--x", "[[1,1]]", "--w", '["1/2"]')
         assert (code, out) == (0, "delta interpolation: pass\n")
 
