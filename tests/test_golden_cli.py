@@ -10,7 +10,9 @@ the chamber lookup on a ray shared by two chambers, and ``wall-jump`` and
 ``check-continuity`` on the walls of a cone holding the negative x-axis
 and of a d = 1 list with its piece on the negative side (``WALLS``), and
 count queries far from the origin with the chamber quasi-polynomial they
-evaluate (``QUERIES``); each runs in text and in ``--json`` form.
+evaluate (``QUERIES``), and arithmetic Tutte polynomials whose subsets
+span lattices of full rank and below it (``ARITH_TUTTE``); each runs in text
+and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -117,6 +119,14 @@ QUERIES = [
     ["quasipoly", "--x", "[[1,1,1],[0,2,3]]", "--u", "[2,3]"],
 ]
 
+# multiplicities of full-rank lattices (index 2 and 4 in Z^2 + Z/2) and of
+# lattices below full rank, and a list whose free part has rank 1 in Z^2
+ARITH_TUTTE = [
+    ["arith-tutte", "--x", "[[1,0,1,2],[0,1,1,0],[1,0,1,1]]",
+     "--group", "Z^2 + Z/2"],
+    ["arith-tutte", "--x", "[[1,2],[2,4]]"],
+]
+
 
 def run(argv):
     buf = io.StringIO()
@@ -139,7 +149,8 @@ def corpus_jobs():
 def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
-            + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS + QUERIES:
+            + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS + QUERIES \
+            + ARITH_TUTTE:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])
