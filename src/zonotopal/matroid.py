@@ -6,9 +6,11 @@ so both Tutte polynomials come from one table over the distinct lattices,
 built one column at a time: each lattice keeps its number of subsets of
 each size and one subset that spans it.  The work grows with n times the
 number of distinct lattices, not with 2^n.  The rank is read off the
-lattice's Hermite normal form, and the multiplicity is computed once per
-lattice.  The direct subset sum, with `rank_of` and `multiplicity` for every
-subset, is kept in the tests as the oracle.
+lattice's Hermite normal form, and so is the multiplicity of a lattice of
+full rank: the product of its pivots.  Only a lattice below full rank takes
+a Smith normal form, once per lattice.  The direct subset sum, with
+`rank_of` and `multiplicity` for every subset, is kept in the tests as the
+oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
+from operator import add
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import InternalError, NotABasis, RankDeficient
@@ -206,25 +208,38 @@ def external_activity(x: GList, b) -> frozenset:
 def tutte(x: GList) -> BivarPoly:
     """Tutte polynomial of the matroid of free parts (torsion = loops)."""
     r = rank_of(x, range(len(x)))
-    return _tutte_sum(_size_rank_table(x, lambda subset: 1), r)
+    return _tutte_sum(_size_rank_table(x, lambda lattice, subset: 1), r)
 
 
 def arithmetic_tutte(x: GList) -> BivarPoly:
-    """Subset sum with multiplicities; exponent d is the group rank."""
-    return _tutte_sum(_size_rank_table(x, partial(multiplicity, x)),
-                      x.group.free_rank)
+    """Subset sum with multiplicities; exponent d is the group rank.
+
+    m(S) is the torsion order of Z^(d+t)/L_S.  When L_S has full rank d+t,
+    that is its index, the product of its Hermite pivots; a lattice below
+    full rank takes the Smith normal form of `multiplicity`.
+    """
+    full = x.group.ncoords
+
+    def weight(lattice, subset):
+        if len(lattice) == full:
+            return math.prod(row[i] for i, row in enumerate(lattice))
+        return multiplicity(x, subset)
+
+    return _tutte_sum(_size_rank_table(x, weight), x.group.free_rank)
 
 
 def _size_rank_table(x: GList, weight) -> dict:
-    """{(|S|, rank S): sum of weight(S)} over every subset S of indices,
-    for a weight that depends only on the lattice L_S.
+    """{(|S|, rank S): sum of weight(L_S, S)} over every subset S of
+    indices, for a weight that depends only on the lattice L_S.
 
     L_S is the lattice spanned by lift(S) and the torsion relations
     k_j e_(d+j), in the canonical form of `hnf_insert`.  One pass over the
     columns keeps, for each distinct L_S, the number of its subsets of each
     size and one subset that spans it; column i keeps every state and adds
     it grown by lift(x_i).  The relations span the t torsion coordinates,
-    so the free rank of S is the row count of L_S minus t.
+    so the free rank of S is the row count of L_S minus t.  The weight is
+    called once per distinct L_S, with L_S (the `hnf_insert` rows) and the
+    subset kept for it.
     """
     g = x.group
     n, t = len(x), len(g.invariants)
@@ -244,12 +259,11 @@ def _size_rank_table(x: GList, weight) -> dict:
             if state is None:
                 state = grown[key] = ([0] * (n + 1), subset + (i,))
             into = state[0]
-            for size in range(i + 1):
-                into[size + 1] += counts[size]
+            into[1:i + 2] = map(add, into[1:i + 2], counts)
         states = grown
     table = {}
     for lattice, (counts, subset) in states.items():
-        w, rk = weight(subset), len(lattice) - t
+        w, rk = weight(lattice, subset), len(lattice) - t
         for size, c in enumerate(counts):
             if c:
                 table[size, rk] = table.get((size, rk), 0) + w * c

@@ -367,6 +367,53 @@ class TestLatticeTable:
         assert 0 < len(calls) < 2 ** 14 // 4
 
 
+def walk_lattices(x):
+    """{L_S: the subset kept for it} over the lattices of the table walk."""
+    from zonotopal import matroid
+    kept = {}
+
+    def weight(lattice, subset):
+        kept[lattice] = subset
+        return 1
+
+    matroid._size_rank_table(x, weight)
+    return kept
+
+
+class TestMultiplicityFromHnf:
+    """A full-rank L_S gives m(S) as the product of its Hermite pivots; only
+    a lattice below full rank reaches `multiplicity` and its SNF."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tutte_lists())
+    def test_pivot_product_is_multiplicity(self, x):
+        full = x.group.ncoords
+        for lattice, subset in walk_lattices(x).items():
+            if len(lattice) < full:
+                continue
+            product = 1
+            for i, row in enumerate(lattice):
+                assert not any(row[:i]) and row[i] > 0
+                product *= row[i]
+            assert product == multiplicity(x, subset), (lattice, subset)
+
+    def test_multiplicity_only_below_full_rank(self, monkeypatch):
+        from zonotopal import matroid
+        x = GList.from_columns(
+            [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 2], [1, 1, 0, 3],
+             [2, 0, 0, 0], [0, 2, 1, 1], [1, 1, 1, 2], [0, 0, 0, 2]],
+            FgGroup(3, (4,)))
+        kept = walk_lattices(x)
+        below = [s for lat, s in kept.items() if len(lat) < x.group.ncoords]
+        assert 0 < len(below) < len(kept)
+        calls = []
+        monkeypatch.setattr(matroid, "multiplicity",
+                            lambda x, subset: calls.append(tuple(subset))
+                            or multiplicity(x, subset))
+        assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x)
+        assert sorted(calls) == sorted(below)
+
+
 @pytest.mark.parametrize("case, arithmetic", [
     ("mixed_corpus", True),
     ("special", True),
