@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InternalError, RankDeficient
 from .linalg import adjugate, rank as qrank
@@ -215,6 +216,21 @@ class FgGroup:
     def ncoords(self) -> int:
         return self.free_rank + len(self.invariants)
 
+    @property
+    def relations(self) -> tuple:
+        """The torsion relations k_j e_(d+j) in Z^(d+t), one row each, in
+        increasing pivot column: already the `hnf_insert` form."""
+        n, d = self.ncoords, self.free_rank
+        return tuple(tuple(k if r == d + j else 0 for r in range(n))
+                     for j, k in enumerate(self.invariants))
+
+    def presentation(self, lifts) -> list:
+        """The matrix [lifts | relations], one column per lift and per
+        torsion relation: its columns generate the subgroup of the lifts
+        inside Z^(d+t) with the relations."""
+        cols = [*lifts, *self.relations]
+        return [[col[r] for col in cols] for r in range(self.ncoords)]
+
     def element(self, free=(), tors=()) -> "GElement":
         return GElement(self, tuple(free), tuple(tors))
 
@@ -317,16 +333,17 @@ class GList:
                 raise ValueError(f"{e} is an element of "
                                  f"{e.group.spec_string()}, not of "
                                  f"{group.spec_string()}")
-        self._memo = {}
 
     def memo(self, key, build):
-        """build(self), computed on the first call for ``key`` and kept for
-        the list's lifetime.  The list does not change after __init__, so a
-        kept value stays valid; a build that raises keeps nothing."""
+        """build(self), computed on the first call for ``key`` on a list of
+        this value and kept in its `list_facts` entry.  The list does not
+        change after __init__, so a kept value stays valid; a build that
+        raises keeps nothing."""
+        facts = list_facts(self)
         try:
-            return self._memo[key]
+            return facts[key]
         except KeyError:
-            value = self._memo[key] = build(self)
+            value = facts[key] = build(self)
             return value
 
     # -- constructors ------------------------------------------------------
@@ -400,6 +417,15 @@ class GList:
         return (isinstance(other, GList) and self.group == other.group
                 and self.elems == other.elems)
 
+    def __hash__(self):
+        """Equal lists hash equal.  Computed once and kept, as the list
+        does not change."""
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.group, self.elems))
+            return self._hash
+
     def to_json(self):
         cols = [e.lift() for e in self.elems]
         return {"group": self.group.spec_string(), "columns": cols}
@@ -408,6 +434,16 @@ class GList:
     def from_json(obj) -> "GList":
         group = FgGroup.parse(obj["group"])
         return GList.from_columns(obj["columns"], group)
+
+
+@lru_cache(maxsize=4)
+def list_facts(x: GList) -> dict:
+    """The facts `GList.memo` keeps for the last 4 list values: the
+    geometry of X, psi_X, the vertices, the Todd parts and every f~_z.
+    They depend only on X, so equal lists share one entry.  No list holds
+    its entry, so psi_X, which holds its list, closes no reference cycle
+    and an evicted entry is freed at once."""
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +459,11 @@ def rank_of(x: GList, indices) -> int:
     return qrank([[Fraction(v) for v in c] for c in cols])
 
 
-def _relation_columns(x: GList, indices):
-    """Columns of [lift(S) | torsion relations] presenting <S> inside G."""
-    g = x.group
-    n = g.ncoords
-    cols = [x.elems[i].lift() for i in indices]
-    for j, k in enumerate(g.invariants):
-        col = [0] * n
-        col[g.free_rank + j] = k
-        cols.append(col)
-    return [[col[i] for col in cols] for i in range(n)] if cols else []
-
-
 def multiplicity(x: GList, indices) -> int:
     """m(S) = torsion order of G/<S>: product of nonzero invariant factors."""
-    mat = _relation_columns(x, list(indices))
-    if not mat:
-        return 1
     out = 1
-    for d in snf_diagonal(mat):
+    for d in snf_diagonal(x.group.presentation(
+            [x.elems[i].lift() for i in indices])):
         out *= d
     return out
 
@@ -486,13 +508,7 @@ def contract(x: GList, i: int):
         moduli = (0,) * g.free_rank + g.invariants
         qm = QuotientMap(g, g, ident, moduli, ident)
         return GList(g, [e for j, e in enumerate(x.elems) if j != i]), qm
-    cols = [pivot.lift()]
-    for j, k in enumerate(g.invariants):
-        col = [0] * n
-        col[g.free_rank + j] = k
-        cols.append(col)
-    mat = [[col[r] for col in cols] for r in range(n)]
-    u, d, _ = snf(mat)
+    u, d, _ = snf(g.presentation([pivot.lift()]))
     uinv, det = adjugate(u) or (None, 0)
     if det != 1:
         raise InternalError(f"the SNF transform {u} is not unimodular")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import periodic
 from .abelian import FgGroup, GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
@@ -56,9 +55,9 @@ def _applied(p: PeriodicPoly, f: MPoly) -> QuasiFunction:
     every count query at one (list, z, chamber) after the first is a lookup
     and one evaluation.  The key is the pair's value, not a list: p and f
     are immutable values that hash by value, and neither carries its list,
-    so the table keeps no caller's `GList` or its `GList.memo` alive and an
-    equal list built again finds the entry.  The returned value is shared:
-    callers must not change it.
+    so the table keeps no caller's `GList` alive and an equal list built
+    again finds the entry.  The returned value is shared: callers must not
+    change it.
     """
     return QuasiFunction(f.vars, [(char, q.apply_diff(f))
                                   for char, q in p.terms])
@@ -77,12 +76,11 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     cell toward w.  The result must be a rational integer.
 
     f~_z and whether z is interior to the zonotope depend on X and z only:
-    they are found once per (list value, z) and kept in
-    `periodic.list_facts`, and f~_z(D) piece comes from `apply_periodic`'s
-    table of the last 64.  So a repeated query on one list, z and chamber
-    tests u against the cone and evaluates at u.  The facts of the list
-    itself (the pointed certificate, the cone's facets, the zonotope's
-    H-rep) are kept on it.
+    they are found once per (list value, z) and kept with the list's other
+    facts (the pointed certificate, the cone's facets, the zonotope's
+    H-rep) by `GList.memo`, and f~_z(D) piece comes from
+    `apply_periodic`'s table of the last 64.  So a repeated query on one
+    list, z and chamber tests u against the cone and evaluates at u.
     """
     require_pointed(x)
     if not in_cone(x, u):
@@ -92,7 +90,7 @@ def bv_count(x: GList, z, u, w=None, cells=None, pieces=None) -> int:
     if pieces is None:
         pieces = {id(c): local_piece(x, c) for c in cells}
     key = z if isinstance(z, GElement) else tuple(z)
-    at_z = periodic.list_facts(x.group, x.elems).memo("bv_count", lambda _: {})
+    at_z = x.memo("bv_count", lambda _: {})
     if key not in at_z:
         zel = z if isinstance(z, GElement) else x.group.element(key)
         at_z[key] = (f_tilde(x, zel),
@@ -170,7 +168,7 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     of p0 is sum_v c_v P_v(t - v), with P_v the T_X piece on the chamber of
     p0 - v.  p0 is off every affine hyperplane and v is integral, so the
     signs of eta.(p0 - v) name that chamber: the shifts are grouped by it,
-    and `local_piece` keeps each chamber's piece on the list.
+    and `local_piece` keeps each chamber's piece per list value.
     """
     normals = hyperplane_normals(x)
     # step keeping (point, point + 2 eps0 w] inside one alcove
@@ -460,15 +458,19 @@ def box_deconvolution_check(x: GList, w=None) -> dict:
     """lim_w ToddB(X)(D_pw) B_X over the support lattice; expect delta_0.
 
     w must lie in cone(X) (`NotInCone` otherwise) and be affine regular
-    (`SingularGram` otherwise).  The translation factors
+    (`SingularGram` otherwise); the default is a short one inside the
+    cone.  The translation factors
     (1 - e_phi(-x) tau_x) / (1 - tau_x) are expanded as finite geometric
     sums on the compact support of B_X.
     """
     require_pointed(x)
     if x.group.invariants:
         raise NotUnimodular("box deconvolution runs over lattices")
+    x.require_full_rank()
     if w is None:
-        w = short_regular(x)
+        # the sum of the columns is interior to the pointed cone(X)
+        w = short_regular(x, in_cone_of=[sum(c) for c in
+                                         zip(*(e.free for e in x.elems))])
     elif not in_cone(x, w):
         # the limit at lambda = 0 is delta_0 only from inside cone(X)
         raise NotInCone(f"w = [{', '.join(map(str, w))}] is outside "

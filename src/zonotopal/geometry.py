@@ -9,8 +9,8 @@ admissible normals eta, and a spanning list's cone is cut out by its facet
 normals.  A chamber is named by its sign vector, the signs of eta.y over
 the admissible normals at any y inside it.  The polynomial piece of T_X on
 a chamber comes from one triangulation of the fiber at a sample point,
-whose vertices are affine in u, and is kept on the list under the
-chamber's sign vector; the pieces of B_X on its alcoves are sums of
+whose vertices are affine in u, and is kept per list value (`GList.memo`)
+under the chamber's sign vector; the pieces of B_X on its alcoves are sums of
 translates of these (`brionvergne`).
 """
 
@@ -40,7 +40,7 @@ _F1 = Fraction(1)
 class HPolytope:
     """{y : A y <= b} with rational data; may be empty or lower-dimensional.
 
-    A and b are kept as tuples, so a polytope kept on a list cannot be
+    A and b are kept as tuples, so a polytope kept for a list cannot be
     changed through a caller's reference.  Integer rows and an integer
     point are compared in integers.
     """
@@ -158,7 +158,7 @@ def is_pointed(x: GList) -> bool:
 
 def pointed_certificate(x: GList):
     """A rational eta with eta . x_i >= 1 for every column, as a tuple, or
-    None.  Found once per list and kept on it."""
+    None.  Found once per list value and kept (`GList.memo`)."""
     return x.memo("pointed_certificate", _pointed_certificate)
 
 
@@ -237,7 +237,8 @@ def hyperplanes(x: GList) -> tuple:
     """The admissible hyperplanes, one per normal, sorted by normal.
 
     For d = 1 the single "hyperplane" {0} has normal (1,).  A list that
-    does not span has none.  Built once per list and kept on it.
+    does not span has none.  Built once per list value and kept
+    (`GList.memo`).
     """
     return x.memo("hyperplanes", _hyperplanes)
 
@@ -269,7 +270,7 @@ def hyperplane_normals(x: GList) -> list:
 def zonotope_hrep(x: GList) -> HPolytope:
     """Facet description: for each admissible normal eta,
     -sum max(-eta.x, 0) <= eta.u <= sum max(eta.x, 0).  The rows are
-    integers; built once per list and kept on it."""
+    integers; built once per list value and kept (`GList.memo`)."""
     return x.memo("zonotope_hrep", _zonotope_hrep)
 
 
@@ -499,7 +500,7 @@ class Fiber:
 
 def fiber(x: GList) -> Fiber:
     """The `Fiber` of a pointed, torsion-free, full-rank list, built once per
-    list and kept on it."""
+    list value and kept (`GList.memo`)."""
     return x.memo("fiber", _fiber)
 
 
@@ -692,16 +693,20 @@ def short_regular(x: GList, in_cone_of=None):
     """A short affine regular w: 0 < |eta.w| < 1 for every admissible eta,
     so the segment (0, w] crosses no affine admissible hyperplane.
 
-    With ``in_cone_of`` set, w is additionally taken inside the first big
-    cell (scaled from its sample point).
+    w is (1/q, 1/q^2, ..., 1/q^d) for the first q that works.  With
+    ``in_cone_of`` a point b interior to cone(X), w is b scaled down plus a
+    smaller such term, and lies in cone(X) as well.
+
+    A few small primes are tried first; past them q = (2M + 2) d L always
+    works, M the largest |eta_i| and L the lcm of b's denominators: the
+    first nonzero term of eta.w then decides its sign, and |eta.w| < 1.
     """
     d = x.group.free_rank
     normals = hyperplane_normals(x)
-    if in_cone_of is not None:
-        base = [Fraction(v) for v in in_cone_of]
-    else:
-        base = None
-    for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    base = None if in_cone_of is None else [Fraction(v) for v in in_cone_of]
+    top = max((abs(v) for eta in normals for v in eta), default=0)
+    lcm = math.lcm(*(v.denominator for v in base or ()))
+    for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, (2 * top + 2) * d * lcm):
         if base is None:
             cand = [Fraction(1, q ** (i + 1)) for i in range(d)]
         else:
@@ -824,8 +829,8 @@ def require_value(piece: MPoly, u, value):
 
 def local_piece(x: GList, cell: Cell) -> MPoly:
     """Homogeneous degree-(N-d) polynomial agreeing with T_X on the cell,
-    checked against `tx_value` at the cell's sample.  Kept on the list under
-    the cell's sign vector, so each chamber's piece is built once."""
+    checked against `tx_value` at the cell's sample.  Kept per list value
+    under the cell's sign vector, so each chamber's piece is built once."""
     store = x.memo("chamber_pieces", lambda _: {})
     piece = store.get(cell.signs)
     if piece is None:

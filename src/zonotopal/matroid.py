@@ -243,12 +243,7 @@ def _size_rank_table(x: GList, weight) -> dict:
     """
     g = x.group
     n, t = len(x), len(g.invariants)
-    relations = ()
-    for j, k in enumerate(g.invariants):
-        col = [0] * g.ncoords
-        col[g.free_rank + j] = k
-        relations = hnf_insert(relations, col)
-    states = {relations: ([1] + [0] * n, ())}
+    states = {g.relations: ([1] + [0] * n, ())}
     for i, e in enumerate(x.elems):
         lift = e.lift()
         grown = {lattice: (list(counts), subset)

@@ -7,7 +7,8 @@ sum_phi e_phi(lambda) f_phi(lambda).
 
 f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
 series only up to psi_X's top degree n - d.  The f~_z of one list share
-psi_X, the vertices and the Todd parts, kept once per list (`list_facts`).
+psi_X, the vertices and the Todd parts, kept once per list value
+(`GList.memo`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .abelian import GList, contract, rank_of, snf
@@ -275,15 +275,6 @@ def dm_basis(x: GList) -> list:
 # periodic Todd operators and their projections
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def list_facts(group, elems) -> GList:
-    """A list of the value (group, elems), owned by this table of the last 4
-    values; its `GList.memo` keeps psi_X, the vertices, the Todd parts per
-    cap, every f~_z found and `bv_count`'s facts of each z.  The table holds
-    no caller's `GList`, and an equal list built again finds the entry."""
-    return GList(group, elems)
-
-
 def periodic_todd(x: GList, z, cap: int | None = None) -> PeriodicSeries:
     """sum_phi e_phi e_phi(-z) e^{-p_z} prod_x p_x / (1 - e_phi(-x) e^{-p_x}).
 
@@ -301,8 +292,7 @@ def periodic_todd(x: GList, z, cap: int | None = None) -> PeriodicSeries:
     """
     if cap is None:
         cap = max(len(x) - x.group.free_rank + 1, 0)
-    parts = list_facts(x.group, x.elems).memo(
-        ("todd_parts", cap), lambda own: _todd_parts(own, cap))
+    parts = x.memo(("todd_parts", cap), lambda x: _todd_parts(x, cap))
     vars = _pper_vars(x)
     pz = p_linear(z, vars)
     terms = []
@@ -353,23 +343,19 @@ def f_tilde(x: GList, z, cap: int | None = None) -> PeriodicPoly:
     below it is a ValueError.
 
     psi_X, the vertices and the Todd parts are kept once per list value
-    with every f~_z found (`list_facts`), so a new z costs one exp and one
+    with every f~_z found (`GList.memo`), so a new z costs one exp and one
     projection per vertex.  The value is shared: callers must not change it.
     """
     if x.group.invariants:
         raise TorsionUnsupported(
             "the Todd projection is defined over lattices")
-    own = list_facts(x.group, x.elems)
-    # psi_X holds its list: on a twin of own it closes no cycle, so an
-    # evicted entry is freed at once, not at the next full collection
-    psi = own.memo("psi",
-                   lambda own: PsiProjector(GList(own.group, own.elems)))
+    psi = x.memo("psi", PsiProjector)
     cap = psi.top if cap is None else min(cap, psi.top)
-    found = own.memo("f_tilde", lambda _: {})
+    found = x.memo("f_tilde", lambda _: {})
     if (z, cap) not in found:
-        todd = periodic_todd(own, z, cap)
+        todd = periodic_todd(x, z, cap)
         ft = PeriodicPoly(psi.vars, [(c, psi(s)) for c, s in todd.terms])
-        pper_decompose(own, ft)
+        pper_decompose(x, ft)
         found[z, cap] = ft
     return found[z, cap]
 

@@ -490,10 +490,6 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(vars) -> "MPoly":
-        return MPoly(vars)
-
-    @staticmethod
     def constant(vars, c) -> "MPoly":
         return MPoly(vars, {(0,) * len(vars): _as_cyc(c)})
 

@@ -99,13 +99,8 @@ def _characters_killing(x: GList, basis) -> list:
     """All characters of G annihilating <B>, via SNF of the presentation."""
     g = x.group
     n = g.ncoords
-    cols = [x.elems[i].lift() for i in sorted(basis)]
-    for j, k in enumerate(g.invariants):
-        col = [0] * n
-        col[g.free_rank + j] = k
-        cols.append(col)
-    mat = [[col[r] for col in cols] for r in range(n)]
-    u, d, _ = snf(mat)
+    u, d, _ = snf(g.presentation([x.elems[i].lift()
+                                  for i in sorted(basis)]))
     diag = [d[r][r] if r < min(len(d), len(d[0])) else 0 for r in range(n)]
     if not all(diag):
         raise InternalError(f"the basis {sorted(basis)} does not have "

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,12 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.domains import ZZ
 
 from zonotopal import linalg
+from zonotopal import geometry
 from zonotopal.abelian import (FgGroup, GList, contract, hnf_insert,
-                               multiplicity, rank_of, snf, snf_diagonal)
+                               list_facts, multiplicity, rank_of, snf,
+                               snf_diagonal)
+from zonotopal.geometry import big_cells, fiber, local_piece, zonotope_hrep
+from zonotopal.periodic import f_tilde
 
 
 def _matmul(a, b):
@@ -115,7 +121,57 @@ def _random_glist(rng, g, n):
                      for _ in range(n)])
 
 
+class TestListFacts:
+    """`GList.memo` keeps a list's facts in `list_facts`, one bounded table
+    keyed on the list's value; no list holds its entry."""
+
+    ROWS = [[1, 0, 1, 1], [0, 1, 1, 2]]
+
+    def test_hash_agrees_with_equality(self):
+        x, again = GList.from_rows(self.ROWS), GList.from_rows(self.ROWS)
+        assert x is not again and x == again and hash(x) == hash(again)
+        other = GList.from_rows(self.ROWS, FgGroup(1, (3,)))
+        assert other != x and {x: 1, again: 2, other: 3} == {x: 2, other: 3}
+
+    def test_equal_list_shares_the_geometry(self, monkeypatch):
+        list_facts.cache_clear()
+        x = GList.from_rows(self.ROWS)
+        cells = big_cells(x)
+        pieces = [local_piece(x, c) for c in cells]
+        built = []
+        monkeypatch.setattr(geometry, "piece_at",
+                            lambda *args: built.append(args))
+        again = GList.from_rows(self.ROWS)
+        assert zonotope_hrep(again) is zonotope_hrep(x)
+        assert fiber(again) is fiber(x)
+        assert all(local_piece(again, c) is p for c, p in zip(cells, pieces))
+        assert built == []
+        assert list_facts.cache_info().currsize == 1
+        list_facts.cache_clear()
+
+    def test_evicted_psi_is_freed_without_a_collection(self):
+        list_facts.cache_clear()
+        x = GList.from_rows(self.ROWS)
+        gc.disable()
+        try:
+            f_tilde(x, x.group.zero())
+            psi = weakref.ref(list_facts(x)["psi"])
+            assert psi() is not None
+            for k in range(list_facts.cache_info().maxsize):
+                GList.from_rows([[1, k + 2]]).memo("k", lambda _: k)
+            # x is still alive, and its psi_X, which holds x, is gone
+            assert x.elems and psi() is None
+        finally:
+            gc.enable()
+            list_facts.cache_clear()
+
+
 class TestHnf:
+    def test_relations_are_their_own_form(self):
+        for g in (FgGroup(2), FgGroup(1, (2,)), FgGroup(2, (2, 6, 12))):
+            assert g.relations == tuple(map(tuple, _relations(g)))
+            assert _hnf(_relations(g)) == g.relations
+
     GROUPS = (FgGroup(2), FgGroup(3), FgGroup(1, (2,)), FgGroup(2, (3,)),
               FgGroup(2, (2, 4)), FgGroup(0, (6,)))
 

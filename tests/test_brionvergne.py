@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from spans import span_contains
-from zonotopal.abelian import FgGroup, GList
+from zonotopal.abelian import FgGroup, GList, list_facts
 from zonotopal import periodic
 from zonotopal.brionvergne import (_applied, apply_periodic,
                                    box_deconvolution_check, box_delta_check,
@@ -18,7 +18,7 @@ from zonotopal.errors import NotUnimodular
 from zonotopal.geometry import (big_cells, cells_at, in_cone,
                                 lattice_points, local_piece, short_regular,
                                 vpf_count)
-from zonotopal.periodic import (PeriodicPoly, f_tilde, list_facts,
+from zonotopal.periodic import (PeriodicPoly, f_tilde,
                                 pper_basis, pper_internal_basis)
 from zonotopal.scalar import Cyclotomic, MPoly, t_vars
 from zonotopal.toric import Character
@@ -162,7 +162,7 @@ def count_lists(long_geometry_corpus):
 
 
 class TestFTildeTable:
-    """f~_z comes from `periodic.list_facts`, one bounded table keyed on
+    """f~_z comes from `abelian.list_facts`, one bounded table keyed on
     the list's value, which keeps psi_X, the vertices, the Todd parts and
     every f~_z of a list, and bv_count's facts of each z beside them."""
 
@@ -622,3 +622,14 @@ class TestDeconvolution:
     def test_2d(self):
         x = GList.from_rows([[1, 0, 1], [0, 1, 1]])
         self._expect_delta(box_deconvolution_check(x))
+
+    def test_default_w_inside_the_cone(self, geometry_corpus):
+        # the default w lies in cone(X), also on the lists whose cone misses
+        # (1/7, 1/49, ...), and at d = 3, where big_cells needs samples
+        outside = 0
+        for x in [GList.from_rows([[0, 1], [1, 2]]),
+                  GList.from_rows([[0, 0, 1, 1], [1, 0, 2, 1], [0, 1, 0, 1]]),
+                  *geometry_corpus]:
+            outside += not in_cone(x, short_regular(x))
+            self._expect_delta(box_deconvolution_check(x))
+        assert outside >= 3

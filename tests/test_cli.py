@@ -80,6 +80,19 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_default_w_outside_the_old_range(self):
+        # check-deconv's default w lies in cone(X); the default short w of
+        # a list with a normal (50, -1) comes from past the small primes
+        for cmd, x in (("check-deconv", "[[0,1],[1,2]]"),
+                       ("check-deconv", "[[0,1],[1,50]]"),
+                       ("check-delta", "[[0,1],[1,50]]")):
+            code, out = run_cli(cmd, "--x", x, "--json")
+            assert (code, json.loads(out)["status"]) == (0, "pass")
+        code, out = run_cli("l-map", "--x", "[[0,1],[1,50]]", "--z", "[0,1]",
+                            "--json")
+        assert code == 0
+        assert json.loads(out)["l_map"]
+
     def test_quasipoly(self):
         code, out = run_cli("quasipoly", "--x", "[[1,2]]", "--json")
         assert code == 0
@@ -178,6 +191,9 @@ class TestExitCodes:
         # check-unity on a list with a coloop
         for x in ("[[1]]", "[[1,1,0],[0,0,1]]"):
             assert main(["check-unity", "--x", x]) == 2
+        # check-deconv on a list that does not span
+        for x in ("[[1,1],[1,1]]", "[[1,2],[2,4]]"):
+            assert main(["check-deconv", "--x", x]) == 2
         # spline values and counts on a list over a group with torsion
         tors = ["--x", "[[1,1],[0,1]]", "--group", "Z+Z/2"]
         for argv in (["box", *tors, "--u", "[1]"],

@@ -663,6 +663,20 @@ class TestCells:
                 v = sum(F(e) * c for e, c in zip(eta, w))
                 assert v != 0 and abs(v) < 1
 
+    def test_short_regular_past_the_small_primes(self):
+        # the normal (50, -1) puts 50/q - 1/q^2 >= 1 for every q <= 41, so
+        # w comes from q = (2M + 2) d L; also inside cone(X) from a point
+        # interior to it, there (1/3, 50/3) on the hyperplane of (50, -1)
+        for rows, point in (([[0, 1], [1, 50]], (1, 52)),
+                            ([[0, 1, 1], [1, 50, 49]], (F(1, 3), F(50, 3)))):
+            x = GList.from_rows(rows)
+            for base in (None, point):
+                w = short_regular(x, in_cone_of=base)
+                for eta in hyperplane_normals(x):
+                    v = sum(F(e) * c for e, c in zip(eta, w))
+                    assert v != 0 and abs(v) < 1
+                assert base is None or in_cone(x, w)
+
     def test_d3_requires_samples(self):
         x = GList.from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
         with pytest.raises(SamplesRequired):

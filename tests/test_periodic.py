@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from accessors import coefficients_reversed, homogeneous_slice
 from spans import span_equal
 from zonotopal import linalg
-from zonotopal.abelian import FgGroup, GList, contract
+from zonotopal.abelian import FgGroup, GList, contract, list_facts
 from zonotopal.errors import TorsionPivot, TorsionUnsupported
 from zonotopal.geometry import lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
 from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
                                 QuasiFunction, dm_basis,
-                                f_tilde, hilbert, l_map, list_facts,
-                                pair_pper_dm,
+                                f_tilde, hilbert, l_map, pair_pper_dm,
                                 periodic_todd, pper_basis,
                                 pper_internal_basis, pper_membership,
                                 pper_mult, pper_project)
