@@ -163,7 +163,7 @@ def _cmd_todd(args):
 
 def _cmd_f_tilde(args):
     x = _parse_x(args)
-    ft = f_tilde(x, _parse_element(args, x), args.cap)
+    ft = f_tilde(x, _parse_element(args, x))
     _emit(args, {"f_tilde": ft.to_json()}, repr(ft))
 
 
@@ -360,7 +360,7 @@ _COMMANDS = {
     "pper-internal": (_cmd_pper_internal, ()),
     "dm-basis": (_cmd_dm_basis, ()),
     "todd": (_cmd_todd, ("z", "cap")),
-    "f-tilde": (_cmd_f_tilde, ("z!", "cap")),
+    "f-tilde": (_cmd_f_tilde, ("z!",)),
     "count": (_cmd_count, ("u!",)),
     "bv-count": (_cmd_bv_count, ("z!", "u!", "w")),
     "volume": (_cmd_volume, ("u!",)),

@@ -23,8 +23,9 @@ from fractions import Fraction
 
 from . import linalg
 from .abelian import GList
-from .errors import (DegenerateSample, InternalError, NotPointed, NotShort,
-                     SamplesRequired, SingularGram, TorsionUnsupported)
+from .errors import (DegenerateSample, InternalError, NotInCone, NotPointed,
+                     NotShort, SamplesRequired, SingularGram,
+                     TorsionUnsupported)
 from .matroid import corank_one_flats
 from .scalar import MPoly, rat_str, t_vars
 
@@ -245,18 +246,13 @@ def hyperplanes(x: GList) -> tuple:
 
 def _hyperplanes(x: GList) -> tuple:
     d = x.group.free_rank
-    if d == 0:
-        return ()
-    if d == 1:
-        normals = [(1,)]
-    else:
-        normals = set()
-        for flat in corank_one_flats(x):
-            cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
-                    if any(x.elems[i].free)]
-            null = linalg.nullspace(cols, ncols=d)
-            if len(null) == 1:
-                normals.add(linalg.primitive(null[0]))
+    normals = set()
+    for flat in corank_one_flats(x):
+        cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
+                if any(x.elems[i].free)]
+        null = linalg.nullspace(cols, ncols=d)
+        if len(null) == 1:
+            normals.add(linalg.primitive(null[0]))
     return tuple(Hyperplane(eta, sum(1 for e in x.elems
                                      if linalg.dot(eta, e.free)))
                  for eta in sorted(normals))
@@ -694,8 +690,8 @@ def short_regular(x: GList, in_cone_of=None):
     so the segment (0, w] crosses no affine admissible hyperplane.
 
     w is (1/q, 1/q^2, ..., 1/q^d) for the first q that works.  With
-    ``in_cone_of`` a point b interior to cone(X), w is b scaled down plus a
-    smaller such term, and lies in cone(X) as well.
+    ``in_cone_of`` a point b interior to cone(X) (`NotInCone` otherwise), w
+    is b scaled down plus a smaller such term, and lies in cone(X) as well.
 
     A few small primes are tried first; past them q = (2M + 2) d L always
     works, M the largest |eta_i| and L the lcm of b's denominators: the
@@ -704,6 +700,13 @@ def short_regular(x: GList, in_cone_of=None):
     d = x.group.free_rank
     normals = hyperplane_normals(x)
     base = None if in_cone_of is None else [Fraction(v) for v in in_cone_of]
+    if base is not None:
+        # on the boundary eta.b = 0 for a facet, and no q steps inside
+        facets = x.memo("cone_facets", _cone_facets)
+        if facets is None or any(linalg.dot(eta, base) <= 0
+                                 for eta in facets):
+            raise NotInCone(f"[{', '.join(map(str, base))}] is not interior "
+                            f"to cone(X)")
     top = max((abs(v) for eta in normals for v in eta), default=0)
     lcm = math.lcm(*(v.denominator for v in base or ()))
     for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, (2 * top + 2) * d * lcm):

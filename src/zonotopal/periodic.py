@@ -5,6 +5,11 @@ for torsion) to each vertex of the toric arrangement; a QuasiFunction does
 the same with t-polynomials and is evaluated on the lattice as
 sum_phi e_phi(lambda) f_phi(lambda).
 
+A component of Pper(X) has the normal form
+e_phi s0^tors(phi) p_{X \\ X_phi \\ X_t} q_phi with q_phi in s1..sd:
+`pper_basis` builds it, and `pper_decompose` alone takes it apart, for the
+pairing, the membership test and the contraction map.
+
 f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
 series only up to psi_X's top degree n - d.  The f~_z of one list share
 psi_X, the vertices and the Todd parts, kept once per list value
@@ -245,12 +250,16 @@ def pper_basis(x: GList) -> list:
             drop = set(b) | (ext & set(v.x_phi)) | tors
             poly = p_product(x, [i for i in range(len(x)) if i not in drop],
                              vars)
-            if "s0" in vars and v.tors_count:
-                e0 = [0] * len(vars)
-                e0[vars.index("s0")] = v.tors_count
-                poly = poly * MPoly(vars, {tuple(e0): Cyclotomic.one()})
-            out.append((v.character, poly))
+            out.append((v.character, poly * _s0_power(vars, v.tors_count)))
     return [PeriodicPoly.single(vars, c, p) for c, p in out]
+
+
+def _s0_power(vars, k: int) -> MPoly:
+    """s0^k, the degree marker of k torsion columns; 1 when k = 0."""
+    e = [0] * len(vars)
+    if k:
+        e[vars.index("s0")] = k
+    return MPoly(vars, {tuple(e): Cyclotomic.one()})
 
 
 def dm_basis(x: GList) -> list:
@@ -331,16 +340,13 @@ def _todd_parts(x: GList, cap: int) -> tuple:
     return tuple(parts)
 
 
-def f_tilde(x: GList, z, cap: int | None = None) -> PeriodicPoly:
+def f_tilde(x: GList, z) -> PeriodicPoly:
     """Projection of the periodic Todd operator at z into Pper(X).
 
-    Each vertex component is projected by psi_X of the full list; the result
-    is checked divisible by the prefactor p_{X \\ X_phi} (hard failure
-    otherwise: it would indicate a truncation-cap bug).
-
+    Each vertex component is projected by psi_X of the full list and must
+    be divisible by its prefactor p_{X \\ X_phi} (`pper_decompose`).
     psi_X keeps no degree above its top degree n - d, so the Todd series is
-    truncated there; an explicit ``cap`` above it changes nothing, and one
-    below it is a ValueError.
+    truncated there.
 
     psi_X, the vertices and the Todd parts are kept once per list value
     with every f~_z found (`GList.memo`), so a new z costs one exp and one
@@ -350,14 +356,13 @@ def f_tilde(x: GList, z, cap: int | None = None) -> PeriodicPoly:
         raise TorsionUnsupported(
             "the Todd projection is defined over lattices")
     psi = x.memo("psi", PsiProjector)
-    cap = psi.top if cap is None else min(cap, psi.top)
     found = x.memo("f_tilde", lambda _: {})
-    if (z, cap) not in found:
-        todd = periodic_todd(x, z, cap)
+    if z not in found:
+        todd = periodic_todd(x, z, psi.top)
         ft = PeriodicPoly(psi.vars, [(c, psi(s)) for c, s in todd.terms])
         pper_decompose(x, ft)
-        found[z, cap] = ft
-    return found[z, cap]
+        found[z] = ft
+    return found[z]
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +476,31 @@ def _periodic_rank(elems) -> int:
 # pairing with DM and the duality map L
 # ---------------------------------------------------------------------------
 
-def pper_decompose(x: GList, p: PeriodicPoly):
-    """Write each phi-component as p_{X \\ X_phi} * q_phi (exact division)."""
+def pper_decompose(x: GList, p: PeriodicPoly) -> list:
+    """Each component of p in the normal form of Pper(X), as (vertex, q_phi).
+
+    A component of Pper(X) is e_phi s0^tors(phi) p_{X \\ X_phi \\ X_t} q_phi
+    with q_phi in s1..sd (`pper_basis`); the torsion columns X_t have no
+    linear form, so they are counted by the s0 marker.  Raises NonMember
+    when a character is not a vertex, when a prefactor leaves a remainder,
+    or when the s0 exponent is not tors(phi).
+    """
     verts = {v.character: v for v in x.memo("vertices", vertices)}
+    plain = s_vars(x.group.free_rank)
     out = []
     for char, poly in p.terms:
         v = verts.get(char)
         if v is None:
             raise NonMember(f"character {char} is not a vertex")
         q = poly
-        for i in range(len(x)):
-            if i not in v.x_phi:
-                q = divide_by_linear(q, p_linear(x.elems[i], p.vars))
+        for i, elem in enumerate(x.elems):
+            if i not in v.x_phi and not elem.is_torsion():
+                q = divide_by_linear(q, p_linear(elem, p.vars))
+        if "s0" in q.vars:
+            if any(e[0] != v.tors_count for e in q.terms):
+                raise NonMember(f"{poly} at {char} does not carry "
+                                f"s0^{v.tors_count}")
+            q = MPoly(plain, {e[1:]: c for e, c in q.terms.items()})
         out.append((v, q))
     return out
 
@@ -548,112 +566,48 @@ def l_map(x: GList, p: PeriodicPoly, w) -> LClass:
 # ---------------------------------------------------------------------------
 
 def pper_mult(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
-    """Multiplication map Pper(X \\ x_i) -> Pper(X) by the linear form of x_i."""
+    """Multiplication map Pper(X \\ x_i) -> Pper(X) by the linear form of x_i.
+
+    X \\ x_i has the group of X, so p is in the variables of Pper(X).
+    """
     if x.elems[i].is_torsion():
         raise TorsionPivot("multiplication pivot must be non-torsion")
     vars = _pper_vars(x)
     form = p_linear(x.elems[i], vars)
-    terms = []
-    for char, poly in p.terms:
-        lifted = _change_vars(poly, vars)
-        terms.append((char, lifted * form))
-    return PeriodicPoly(vars, terms)
-
-
-def _change_vars(poly: MPoly, vars) -> MPoly:
-    if poly.vars == tuple(vars):
-        return poly
-    # same variables up to the presence of the s0 marker
-    old = poly.vars
-    mapping = []
-    for v in old:
-        mapping.append(vars.index(v) if v in vars else None)
-    terms = {}
-    for e, c in poly.terms.items():
-        ne = [0] * len(vars)
-        for j, k in enumerate(e):
-            if k:
-                if mapping[j] is None:
-                    raise ValueError(f"variable {old[j]} absent from {vars}")
-                ne[mapping[j]] = k
-        terms[tuple(ne)] = c
-    return MPoly(vars, terms)
+    return PeriodicPoly(vars, [(char, poly * form) for char, poly in p.terms])
 
 
 def pper_project(x: GList, i: int, p: PeriodicPoly) -> PeriodicPoly:
     """Projection map Pper(X) -> Pper(X/x_i).
 
-    Components whose character moves x_i die; the rest are pushed through
-    the quotient descriptor, with prefactor elements that become torsion
-    converted into s0 markers.
+    p is taken apart by `pper_decompose`.  Components whose character moves
+    x_i die; the rest are rebuilt in the quotient's normal form: the
+    character pushed to G/<x_i>, q_phi through the quotient map, and the
+    prefactor columns that become torsion turned into s0 markers.
     """
     if x.elems[i].is_torsion():
         raise TorsionPivot("projection pivot must be non-torsion")
+    comps = pper_decompose(x, p)
     quotient, qm = contract(x, i)
     tvars = _pper_vars(quotient)
-    verts = {v.character: v for v in vertices(x)}
-    svars = _pper_vars(x)
-    # images of the source s-variables in the quotient's s-variables
-    d_src = x.group.free_rank
-    images = []
-    if "s0" in svars:
-        images.append(MPoly(tvars))     # s0 of the source has no image; see below
+    # images of s1..sd in the quotient's s-variables, 0 on its s0
+    lead = [_F0] if "s0" in tvars else []
     free_rows = [row for row, m in zip(qm.matrix, qm.moduli) if m == 0]
-    for j in range(d_src):
-        coeffs = [Fraction(row[j]) for row in free_rows]
-        if "s0" in tvars:
-            coeffs = [_F0] + coeffs
-        images.append(MPoly.linear_form(tvars, coeffs))
-    tors_set = set(x.torsion_indices())
+    images = [MPoly.linear_form(tvars, lead + [Fraction(row[j])
+                                               for row in free_rows])
+              for j in range(x.group.free_rank)]
     out_terms = []
-    for char, poly in p.terms:
-        v = verts.get(char)
-        if v is None:
-            raise NonMember(f"character {char} is not a vertex")
-        if not evaluate(char, x.elems[i]).is_one():
+    for v, q in comps:
+        if i not in v.x_phi:
             continue
-        # decompose: strip the full prefactor (non-X_phi, non-torsion part)
-        pre_idx = [j for j in range(len(x))
-                   if j not in v.x_phi and j not in tors_set]
-        q = poly
-        for j in pre_idx:
-            q = divide_by_linear(q, p_linear(x.elems[j], svars))
-        # s0 exponent of q is tors(phi), uniform per component; strip it
-        s0_exp = 0
-        if "s0" in svars:
-            s0_pos = svars.index("s0")
-            exps = {e[s0_pos] for e in q.terms}
-            if len(exps) > 1:
-                raise NonMember("mixed s0 exponents in one component")
-            s0_exp = exps.pop() if exps else 0
-            stripped = {}
-            for e, c in q.terms.items():
-                ne = list(e)
-                ne[s0_pos] = 0
-                stripped[tuple(ne)] = c
-            q = MPoly(svars, stripped)
-        # new character on the quotient
-        new_char = _push_character(char, qm)
-        # new prefactor: old prefactor elements that stay non-torsion
-        surviving = []
-        becoming_s0 = 0
-        for j in pre_idx:
-            jj = j if j < i else j - 1
-            img = quotient.elems[jj]
-            if img.is_torsion():
-                becoming_s0 += 1
-            else:
-                surviving.append(jj)
-        new_poly = p_product(quotient, surviving, tvars)
-        qq = q.substitute(tvars, images)
-        new_poly = new_poly * qq
-        total_s0 = s0_exp + becoming_s0
-        if total_s0:
-            e0 = [0] * len(tvars)
-            e0[tvars.index("s0")] = total_s0
-            new_poly = new_poly * MPoly(tvars, {tuple(e0): Cyclotomic.one()})
-        if new_poly:
-            out_terms.append((new_char, new_poly))
+        # the prefactor columns, indexed in the quotient
+        pre = [j - (j > i) for j, e in enumerate(x.elems)
+               if j not in v.x_phi and not e.is_torsion()]
+        kept = [j for j in pre if not quotient.elems[j].is_torsion()]
+        new_poly = p_product(quotient, kept, tvars) \
+            * q.substitute(tvars, images) \
+            * _s0_power(tvars, v.tors_count + len(pre) - len(kept))
+        out_terms.append((_push_character(v.character, qm), new_poly))
     return PeriodicPoly(tvars, out_terms)
 
 
@@ -672,25 +626,12 @@ def _push_character(char: Character, qm) -> Character:
 
 
 def pper_membership(x: GList, p: PeriodicPoly) -> bool:
-    """Is p in Pper(X)?  Divisibility by prefactors plus psi-invariance."""
+    """Is p in Pper(X)?  Each component in the normal form
+    (`pper_decompose`), with q_phi fixed by psi_{X_phi}."""
     try:
         comps = pper_decompose(x, p)
     except NonMember:
         return False
-    svars = _pper_vars(x)
     plain = s_vars(x.group.free_rank)
-    for v, q in comps:
-        if "s0" in svars:
-            s0_pos = svars.index("s0")
-            for e in q.terms:
-                if e[s0_pos] != v.tors_count:
-                    return False
-            q = MPoly(plain, {tuple(e[:s0_pos] + e[s0_pos + 1:]): c
-                              for e, c in q.terms.items()})
-        else:
-            q = _change_vars(q, plain)
-        sub = x.sublist(v.x_phi)
-        proj = PsiProjector(sub, plain)(q)
-        if proj != q:
-            return False
-    return True
+    return all(PsiProjector(x.sublist(v.x_phi), plain)(q) == q
+               for v, q in comps)

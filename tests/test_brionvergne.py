@@ -211,8 +211,8 @@ class TestFTildeTable:
         from zonotopal import brionvergne
         handed = []
 
-        def recorded(x, z, cap=None):
-            handed.append((x, z, f_tilde(x, z, cap)))
+        def recorded(x, z):
+            handed.append((x, z, f_tilde(x, z)))
             return handed[-1][2]
         monkeypatch.setattr(brionvergne, "f_tilde", recorded)
         list_facts.cache_clear()

@@ -677,6 +677,14 @@ class TestCells:
                     assert v != 0 and abs(v) < 1
                 assert base is None or in_cone(x, w)
 
+    def test_short_regular_from_the_boundary_is_not_in_cone(self):
+        # (1, 50) is the column x_2, on a ray of cone(X): no w near it is
+        # regular and inside the cone
+        x = GList.from_rows([[0, 1], [1, 50]])
+        for base in ((1, 50), (0, 1), (-1, 0)):
+            with pytest.raises(NotInCone, match="not interior"):
+                short_regular(x, in_cone_of=base)
+
     def test_d3_requires_samples(self):
         x = GList.from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
         with pytest.raises(SamplesRequired):

@@ -7,13 +7,14 @@ from accessors import coefficients_reversed, homogeneous_slice
 from spans import span_equal
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, list_facts
-from zonotopal.errors import TorsionPivot, TorsionUnsupported
+from zonotopal.corpus import CorpusLimits, corpus
+from zonotopal.errors import NonMember, TorsionPivot, TorsionUnsupported
 from zonotopal.geometry import lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
 from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
                                 QuasiFunction, dm_basis,
                                 f_tilde, hilbert, l_map, pair_pper_dm,
-                                periodic_todd, pper_basis,
+                                periodic_todd, pper_basis, pper_decompose,
                                 pper_internal_basis, pper_membership,
                                 pper_mult, pper_project)
 from zonotopal.polyspace import PsiProjector, p_linear
@@ -24,9 +25,10 @@ from zonotopal.toric import Character, evaluate, evaluate_point, vertices
 F = Fraction
 
 
-def _pper_span_equal(a, b):
-    keys = sorted({c for p in a + b for c, _ in p.terms})
-    monos = sorted({e for p in a + b for _, poly in p.terms
+def _pper_rows(ps):
+    """One coefficient row per periodic polynomial, over common columns."""
+    keys = sorted({c for p in ps for c, _ in p.terms})
+    monos = sorted({e for p in ps for _, poly in p.terms
                     for e in poly.terms})
 
     def row(p):
@@ -39,7 +41,22 @@ def _pper_span_equal(a, b):
                            else Cyclotomic.zero())
         return out
 
-    return span_equal([row(p) for p in a], [row(p) for p in b])
+    return [row(p) for p in ps]
+
+
+def _pper_span_equal(a, b):
+    rows = _pper_rows(a + b)
+    return span_equal(rows[:len(a)], rows[len(a):])
+
+
+def _with_torsion_column(x):
+    """x with the torsion column (0; 1) appended, over Z^d + Z/2 when x is
+    torsion-free."""
+    d, group = x.group.free_rank, x.group
+    cols = [e.lift() for e in x.elems]
+    if not group.invariants:
+        cols, group = [c + [0] for c in cols], FgGroup(d, (2,))
+    return GList.from_columns(cols + [[0] * d + [1]], group)
 
 
 # prefixes of (1,0),(0,1),(1,1),(1,2),(2,1),(1,3),(3,1): d = 2 lists of
@@ -296,33 +313,23 @@ class TestFTilde:
         for x, z in ((x124, (1,)), (x124, (3,)), (x12, (2,))):
             assert pper_membership(x, f_tilde(x, x.group.element(z)))
 
-    def test_top_degree_cap_changes_nothing(self, geometry_corpus,
-                                            unity_corpus, zp_list):
+    def test_matches_the_projected_todd_series(self, geometry_corpus,
+                                               unity_corpus, zp_list):
+        # f~_z stops the Todd series at psi_X's top degree n - d; the
+        # oracle projects the series at its own default cap n - d + 1
         for x in list(geometry_corpus) + list(unity_corpus) + [zp_list] \
                 + TODD_LISTS:
             n, d = len(x), x.group.free_rank
-            zs = [x.group.element(z) for z in
-                  [(0,) * d, (1,) * d, (-1,) + (2,) * (d - 1)]]
-            # each cap on an empty table, so each builds its own values
-            fts = []
-            for cap in (None, n - d + 1, n - d + 4):
-                list_facts.cache_clear()
-                fts.append([f_tilde(x, z, cap) for z in zs])
-            assert fts[0] == fts[1] == fts[2]
-            if n <= 6:
-                assert fts[0][-1] == f_tilde_projected(x, zs[-1])
-
-    def test_cap_below_top_degree_is_value_error(self, x124, zp_list):
-        for x in (x124, zp_list):
-            top = len(x) - x.group.free_rank
-            with pytest.raises(ValueError, match="below top degree"):
-                f_tilde(x, x.group.zero(), top - 1)
+            if n > 6:
+                continue
+            z = x.group.element((-1,) + (2,) * (d - 1))
+            assert f_tilde(x, z) == f_tilde_projected(x, z)
 
     def test_one_vertex_pass_and_series_at_top_degree(self, zp_list,
                                                        monkeypatch):
         # psi_X drops every degree above n - d, so the Todd series stops
-        # there; the vertices are enumerated once per list, and a cap
-        # above n - d finds the value built at n - d
+        # there; the vertices are enumerated once per list, and a second
+        # call at one z finds the value already built
         from zonotopal import periodic
         calls, caps = [], []
         build, todd = periodic.vertices, periodic.periodic_todd
@@ -339,7 +346,7 @@ class TestFTilde:
         list_facts.cache_clear()
         zs = [zp_list.group.element(z) for z in [(0, 0), (1, 2)]]
         fts = [f_tilde(zp_list, z) for z in zs]
-        assert f_tilde(zp_list, zs[0], 7) is fts[0]
+        assert f_tilde(zp_list, zs[0]) is fts[0]
         assert len(calls) == 1
         assert caps == [2, 2]
         list_facts.cache_clear()
@@ -551,6 +558,40 @@ class TestPairingAndL:
             l_map(zp_list, p, short_regular(zp_list))
 
 
+class TestNormalForm:
+    """`pper_decompose` takes a component apart as
+    e_phi s0^tors(phi) p_{X \\ X_phi \\ X_t} q_phi; the membership test and
+    the contraction map go through it."""
+
+    def test_torsion_basis_elements_are_members(self):
+        lists = [GList.from_rows([[1, 0, 2], [0, 1, 1]], FgGroup(1, (2,)))]
+        lists += [_with_torsion_column(x) for x in
+                  corpus(5, CorpusLimits(max_dim=2, max_len=4))]
+        for x in lists:
+            for p in pper_basis(x):
+                assert pper_membership(x, p)
+
+    def test_wrong_s0_exponent_is_non_member(self):
+        x = GList.from_rows([[1, 0, 2], [0, 1, 1]], FgGroup(1, (2,)))
+        for p in pper_basis(x):
+            s0 = MPoly.variable(p.vars, 0)
+            bad = PeriodicPoly(p.vars, [(c, poly * s0) for c, poly in p.terms])
+            with pytest.raises(NonMember, match="s0"):
+                pper_decompose(x, bad)
+            assert not pper_membership(x, bad)
+            with pytest.raises(NonMember):
+                pper_project(x, 0, bad)
+
+    def test_projecting_a_non_member_raises(self, x12):
+        # the constant at e[1/2] is not divisible by its prefactor s1,
+        # also where the character moves the pivot and the component dies
+        half = Character((F(1, 2),), ())
+        p = _make(x12, [(half, MPoly.constant(("s1",), 1))])
+        for i in range(len(x12)):
+            with pytest.raises(NonMember):
+                pper_project(x12, i, p)
+
+
 class TestDeletionContraction:
     def test_contraction_sequence_maps(self):
         x = GList.from_rows([[1, 0, 0], [0, 2, 1]])
@@ -577,6 +618,28 @@ class TestDeletionContraction:
         p = _make(x12, [(half, s)])
         # contracting x1 = (1): e_phi(1) = -1 != 1 -> dies
         assert not pper_project(x12, 0, p)
+
+    @pytest.mark.parametrize("cols, group", [
+        ([[1, 0], [0, 1], [2, 1]], FgGroup(1, (2,))),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]], FgGroup(2, (2,))),
+    ])
+    def test_exact_sequence_with_a_torsion_column(self, cols, group):
+        # 0 -> Pper(X \ x_i) -> Pper(X) -> Pper(X / x_i) -> 0, by ranks
+        x = GList.from_columns(cols, group)
+        basis = pper_basis(x)
+        done = 0
+        for i in range(len(x)):
+            if x.elems[i].is_torsion() or is_coloop(x, i):
+                continue
+            quot, _ = contract(x, i)
+            mult = [pper_mult(x, i, p) for p in pper_basis(x.delete(i))]
+            assert not any(pper_project(x, i, m) for m in mult)
+            proj = [q for q in (pper_project(x, i, p) for p in basis) if q]
+            assert _pper_span_equal(proj, pper_basis(quot))
+            assert (linalg.rank(_pper_rows(mult)) + len(pper_basis(quot))
+                    == len(basis))
+            done += 1
+        assert done >= 2
 
     def test_torsion_pivot_rejected(self):
         x = GList.from_columns([[2, 0], [0, 1]], FgGroup(1, (2,)))
