@@ -1,18 +1,23 @@
 """Exact linear algebra over integer, Fraction or Cyclotomic entries.
 
-Plain list-of-lists matrices and Gaussian elimination with deterministic
-pivoting (first nonzero in column order).  `rref`, `solve` and `nullspace`
-serve Fraction and Cyclotomic entries alike; entries only need +, -, *, /,
-bool and an ``inv``-compatible division.  Integer matrices take the
-fraction-free routines instead: `bareiss` for rank and determinant (a
-rational matrix is scaled row by row to integers for `det`) and `adjugate`
-for the inverse.
+Plain list-of-lists matrices with deterministic pivoting (first nonzero in
+column order).  Integer data stays integer: a matrix of ints and Fractions
+is scaled row by row to integers by the lcm of each row's denominators, and
+one fraction-free elimination, `_eliminate` (Bareiss, with optional
+Gauss-Jordan), runs behind `rref`, `solve`, `nullspace`, `rank`, `det`,
+`bareiss` and `adjugate`.  `rref` then divides by the last pivot once per
+entry; the reduced form is unique, so it equals the field elimination's.
+Cyclotomic matrices take the field elimination, which needs only +, -, *,
+bool and ``inv``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+_F0 = Fraction(0)
+_RATIONAL = frozenset((int, Fraction))
 
 
 def mat_copy(m):
@@ -23,8 +28,64 @@ def identity(n, one=Fraction(1), zero=Fraction(0)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _integer_rows(m):
+    """(rows, dens): each row of ints and Fractions times the lcm of its
+    denominators, as ints, and those lcms."""
+    dens = [math.lcm(*(v.denominator for v in row)) for row in m]
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row, den in zip(m, dens)], dens
+
+
+def _eliminate(rows, jordan):
+    """Fraction-free elimination of an integer matrix, in place; returns
+    (pivot columns, signed last pivot).
+
+    Bareiss (Math. Comp. 1968): each step sets row i to
+    (p * row_i - f * pivot row) / previous pivot, an exact division.  Without
+    ``jordan`` only the rows below the pivot are cleared, so every entry
+    below k pivots is a (k+1)-minor: row echelon form.  With ``jordan`` the
+    rows above are cleared too, and each pivot row ends with the last pivot
+    p at its pivot column and zero at the others': p times the reduced row
+    echelon form.  The signed last pivot carries the sign of the row swaps:
+    it is det m when m is square and nonsingular.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * a - f * b) // prev
+                           for a, b in zip(rows[i], top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign * prev
+
+
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
+    if not all(type(v) in _RATIONAL for row in m for v in row):
+        return _rref_field(m)
+    rows, _ = _integer_rows(m)
+    pivots, _ = _eliminate(rows, jordan=True)
+    p = rows[0][pivots[0]] if pivots else 1
+    return [[Fraction(a, p) if a else _F0 for a in r] for r in rows], pivots
+
+
+def _rref_field(m):
+    """`rref` by division, for entries in a field beyond Q."""
     m = mat_copy(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -95,7 +156,7 @@ def solve(m, rhs):
             return None
     sols = []
     for k in range(len(cols)):
-        zero = cols[k][0] - cols[k][0] if cols[k] else Fraction(0)
+        zero = red[0][n + k] - red[0][n + k] if red else _F0
         x = [zero] * n
         for r, pc in enumerate(pivots):
             x[pc] = red[r][n + k]
@@ -115,67 +176,38 @@ def det(m):
     if all(type(v) is int for row in m for v in row):
         r, last = bareiss(m)
         return last if r == n else 0
-    dens = [math.lcm(*(v.denominator for v in row)) for row in m]
-    r, last = bareiss([[v.numerator * (den // v.denominator) for v in row]
-                       for row, den in zip(m, dens)])
+    rows, dens = _integer_rows(m)
+    r, last = bareiss(rows)
     return Fraction(last if r == n else 0, math.prod(dens))
 
 
 def bareiss(m):
     """(rank, last pivot) of an integer matrix by fraction-free elimination
-    (Bareiss, Math. Comp. 1968).
+    (`_eliminate` without Gauss-Jordan).
 
-    Row echelon form with the first nonzero entry of each column as pivot.
-    After k pivots every entry below them is a (k+1)-minor of m, so the
-    division by the previous pivot is exact.  The last pivot carries the
-    sign of the row swaps: it is det m when m is square and nonsingular.
+    The last pivot carries the sign of the row swaps: it is det m when m is
+    square and nonsingular.
     """
-    rows = [list(r) for r in m]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    prev, sign, r = 1, 1, 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        top = rows[r]
-        p = top[c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r, sign * prev
+    pivots, last = _eliminate([list(r) for r in m], jordan=False)
+    return len(pivots), last
 
 
 def adjugate(m):
     """(adj, det) of a square integer matrix with adj m = det I and det > 0
     (the sign of det moved into adj), or None when m is singular.
 
-    Fraction-free Gauss-Jordan on [m | I]: every division is exact, and the
-    last pivot is +-det(m) with the right block its adjugate times the sign.
+    Fraction-free Gauss-Jordan on [m | I]: each pivot row ends as p e_k
+    followed by p m^-1, where the last pivot p is +-det(m); so the right
+    block is the adjugate times the sign of p.
     """
     n = len(m)
     rows = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            return None
-        rows[k], rows[piv] = rows[piv], rows[k]
-        p = rows[k][k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * a - f * c) // prev
-                           for a, c in zip(rows[i], rows[k])]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [[sign * v for v in r[n:]] for r in rows], sign * prev
+    pivots, _ = _eliminate(rows, jordan=True)
+    if pivots != list(range(n)):
+        return None
+    p = rows[0][0] if n else 1
+    sign = 1 if p > 0 else -1
+    return [[sign * v for v in r[n:]] for r in rows], sign * p
 
 
 def dot(a, b):

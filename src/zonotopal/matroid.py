@@ -147,8 +147,7 @@ def corank_one_flats(x: GList) -> list:
     cols = [x.elems[i].free for i in range(n)]
     flats = set()
     for comb in itertools.combinations(range(n), r - 1):
-        normals = nullspace([[Fraction(v) for v in cols[i]] for i in comb],
-                            ncols=d)
+        normals = nullspace([cols[i] for i in comb], ncols=d)
         if len(normals) != d - r + 1:
             continue
         flats.add(frozenset(

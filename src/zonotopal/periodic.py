@@ -465,6 +465,31 @@ def hilbert(space: list) -> list:
 
 
 def _periodic_rank(elems) -> int:
+    """Rank of the coefficient rows of elems.
+
+    When every element lives at a single character the rows are
+    block-diagonal by character, so the rank is the sum of the blocks'
+    ranks, each taken over Q when its coefficients are rational.  Other
+    lists take `_stacked_rank`.
+    """
+    if not all(len(p.terms) == 1 for p in elems):
+        return _stacked_rank(elems)
+    blocks = {}
+    for p in elems:
+        (char, poly), = p.terms
+        blocks.setdefault(char, []).append(poly)
+    total = 0
+    for polys in blocks.values():
+        monos = sorted({e for poly in polys for e in poly.terms})
+        rows = [[poly.coefficient(e) for e in monos] for poly in polys]
+        if all(c.is_rational() for row in rows for c in row):
+            rows = [[c.to_rational() for c in row] for row in rows]
+        total += linalg.rank(rows)
+    return total
+
+
+def _stacked_rank(elems) -> int:
+    """Rank of the coefficient rows of elems over every character at once."""
     chars = sorted({c for p in elems for c, _ in p.terms})
     monos = sorted({e for p in elems for _, poly in p.terms
                     for e in poly.terms})

@@ -399,11 +399,17 @@ def test_criterion_12():
                             MPoly.constant(svq, 1))]),
         PeriodicPoly(svq, [(Character((F(0),), (F(1, 2),)),
                             MPoly.linear_form(svq, (1, 0)))])])
-    # exactness: image of multiplication = kernel of projection,
-    # projection surjective
-    mult_images = [pper_mult(x, 1, p) for p in pper_basis(x.delete(1))]
-    kernel = [p for p in pper_basis(x) if not pper_project(x, 1, p)]
-    assert _pper_span_equal(mult_images, kernel)
-    proj_images = [q for q in (pper_project(x, 1, p) for p in pper_basis(x))
-                   if q]
-    assert _pper_span_equal(proj_images, pper_basis(quot))
+    # exactness by ranks: projection after multiplication is zero, the
+    # projection is onto, and rank(mult) + dim Pper(X/x_i) = dim Pper(X);
+    # the basis elements the projection kills need not span its kernel
+    xt = GList.from_columns([[1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]],
+                            FgGroup(2, (2,)))
+    for y, i in ((x, 1), (xt, 2)):
+        quot, _ = contract(y, i)
+        mult_images = [pper_mult(y, i, p) for p in pper_basis(y.delete(i))]
+        assert not any(pper_project(y, i, m) for m in mult_images)
+        proj_images = [q for q in (pper_project(y, i, p)
+                                   for p in pper_basis(y)) if q]
+        assert _pper_span_equal(proj_images, pper_basis(quot))
+        assert (linalg.rank(_pper_rows(mult_images)) + len(pper_basis(quot))
+                == len(pper_basis(y)))

@@ -12,7 +12,8 @@ from zonotopal.errors import NonMember, TorsionPivot, TorsionUnsupported
 from zonotopal.geometry import lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
 from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
-                                QuasiFunction, dm_basis,
+                                QuasiFunction, _periodic_rank,
+                                _stacked_rank, dm_basis,
                                 f_tilde, hilbert, l_map, pair_pper_dm,
                                 periodic_todd, pper_basis, pper_decompose,
                                 pper_internal_basis, pper_membership,
@@ -170,6 +171,29 @@ class TestPperBasis:
             h = hilbert(basis)
             h += [0] * (n - d + 1 - len(h))
             assert h == coefficients_reversed(m, n - d, 1)
+
+    def test_d3_hilbert_series(self):
+        # 659 elements at 555 vertices, past the test corpus's volume cap
+        x = GList.from_rows([[3, 1, -2, -1, -3, -3], [-2, 0, 2, -2, 3, -3],
+                             [-1, -3, -3, -3, -3, 2]])
+        m = arithmetic_tutte(x)
+        assert hilbert(pper_basis(x)) == coefficients_reversed(m, 3, 1) \
+            == [1, 3, 45, 610]
+
+    def test_block_rank_is_stacked_rank(self):
+        # every third element scaled by a cube root of unity, so that some
+        # character blocks are rational and some are not
+        zeta = Cyclotomic.root_of_unity(3)
+        lists = [y for seed in (5, 11)
+                 for y in corpus(seed, CorpusLimits(max_dim=2, max_len=4))]
+        lists += [_with_torsion_column(y) for y in lists]
+        for x in lists:
+            by_degree = {}
+            for k, p in enumerate(pper_basis(x)):
+                by_degree.setdefault(p.total_degree(), []).append(
+                    p.scale(zeta) if k % 3 == 1 else p)
+            for elems in by_degree.values():
+                assert _periodic_rank(elems) == _stacked_rank(elems)
 
 
 class TestDmBasis:
@@ -592,20 +616,28 @@ class TestNormalForm:
                 pper_project(x12, i, p)
 
 
+def _assert_exact_at(x, i):
+    """0 -> Pper(X \\ x_i) -> Pper(X) -> Pper(X / x_i) -> 0, by ranks: pi o mu
+    = 0, pi maps onto Pper(X / x_i), and rank mu + dim Pper(X / x_i) =
+    dim Pper(X).  The basis elements that pi kills span only part of ker pi
+    in general, so im mu is compared with ker pi by rank."""
+    basis = pper_basis(x)
+    quot, _ = contract(x, i)
+    mult = [pper_mult(x, i, p) for p in pper_basis(x.delete(i))]
+    assert not any(pper_project(x, i, m) for m in mult)
+    proj = [q for q in (pper_project(x, i, p) for p in basis) if q]
+    assert _pper_span_equal(proj, pper_basis(quot))
+    assert (linalg.rank(_pper_rows(mult)) + len(pper_basis(quot))
+            == len(basis))
+
+
 class TestDeletionContraction:
     def test_contraction_sequence_maps(self):
-        x = GList.from_rows([[1, 0, 0], [0, 2, 1]])
-        basis = pper_basis(x)
-        images = [pper_project(x, 1, p) for p in basis]
-        quot, _ = contract(x, 1)
-        expect = pper_basis(quot)
-        nonzero = [p for p in images if p]
-        assert _pper_span_equal(nonzero, expect)
-        # kernel of the projection = image of multiplication
-        deleted = x.delete(1)
-        mult_images = [pper_mult(x, 1, p) for p in pper_basis(deleted)]
-        kernel = [p for p in basis if not pper_project(x, 1, p)]
-        assert _pper_span_equal(mult_images, kernel)
+        # on the second list the basis elements that pi kills span a
+        # smaller space than im mu
+        _assert_exact_at(GList.from_rows([[1, 0, 0], [0, 2, 1]]), 1)
+        _assert_exact_at(GList.from_columns(
+            [[1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]], FgGroup(2, (2,))), 2)
 
     def test_mult_lands_in_pper(self, x124):
         deleted = x124.delete(2)
@@ -624,20 +656,12 @@ class TestDeletionContraction:
         ([[1, 0, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1]], FgGroup(2, (2,))),
     ])
     def test_exact_sequence_with_a_torsion_column(self, cols, group):
-        # 0 -> Pper(X \ x_i) -> Pper(X) -> Pper(X / x_i) -> 0, by ranks
         x = GList.from_columns(cols, group)
-        basis = pper_basis(x)
         done = 0
         for i in range(len(x)):
             if x.elems[i].is_torsion() or is_coloop(x, i):
                 continue
-            quot, _ = contract(x, i)
-            mult = [pper_mult(x, i, p) for p in pper_basis(x.delete(i))]
-            assert not any(pper_project(x, i, m) for m in mult)
-            proj = [q for q in (pper_project(x, i, p) for p in basis) if q]
-            assert _pper_span_equal(proj, pper_basis(quot))
-            assert (linalg.rank(_pper_rows(mult)) + len(pper_basis(quot))
-                    == len(basis))
+            _assert_exact_at(x, i)
             done += 1
         assert done >= 2
 
