@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import add
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
@@ -188,8 +187,8 @@ def external_activity(x: GList, b) -> frozenset:
     rest = [j for j in range(n) if j not in b]
     coords = None
     if len(b) == d and all(0 <= i < n for i in b):
-        free = [[Fraction(v) for v in e.free] for e in x.elems]
-        unit = identity(d)
+        free = [e.free for e in x.elems]
+        unit = identity(d, 1, 0)
         coords = solve([[free[i][r] for i in b] for r in range(d)],
                        [[free[j][r] for j in rest] + unit[r]
                         for r in range(d)])

@@ -10,6 +10,11 @@ e_phi s0^tors(phi) p_{X \\ X_phi \\ X_t} q_phi with q_phi in s1..sd:
 `pper_basis` builds it, and `pper_decompose` alone takes it apart, for the
 pairing, the membership test and the contraction map.
 
+The Hilbert series of Pper(X) and of its internal space are the count per
+degree of an independent basis (`hilbert`, from `polyspace`):
+`pper_basis` is checked independent one character at a time when it is
+built, and `pper_internal_basis` is independent by construction.
+
 f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
 series only up to psi_X's top degree n - d.  The f~_z of one list share
 psi_X, the vertices and the Todd parts, kept once per list value
@@ -28,7 +33,8 @@ from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
 from .geometry import hyperplanes, lattice_points
 from .matroid import arithmetic_tutte, bases, external_activity
-from .polyspace import PsiProjector, d_basis, p_linear, p_product, pair
+from .polyspace import (GradedSpan, PsiProjector, d_basis, hilbert,
+                        p_linear, p_product, pair)
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
                      exp_series, s_vars, t_vars, todd_log)
 from .toric import Character, evaluate, evaluate_point, vertices
@@ -235,7 +241,12 @@ class QuasiFunction(_CharacterSum):
 
 def pper_basis(x: GList) -> list:
     """Homogeneous basis: e_phi s0^tors(phi) p_{X \\ (B u (E(B) cap X_phi) u X_t)}
-    over vertices phi and bases B of X_phi."""
+    over vertices phi and bases B of X_phi.
+
+    Elements at distinct characters are independent, so the basis is
+    checked one character at a time: each vertex's polynomials form a
+    `GradedSpan`, which raises InternalError when they are dependent.
+    """
     x.require_full_rank()
     vars = _pper_vars(x)
     tors = set(x.torsion_indices())
@@ -245,13 +256,16 @@ def pper_basis(x: GList) -> list:
         if rank_of(sub, range(len(sub))) != x.group.free_rank:
             raise InternalError("vertex sublist does not span")
         phi_bases = [frozenset(v.x_phi[i] for i in b) for b in bases(sub)]
+        s0 = _s0_power(vars, v.tors_count)
+        polys = []
         for b in sorted(phi_bases, key=sorted):
             ext = external_activity(x, b)
             drop = set(b) | (ext & set(v.x_phi)) | tors
-            poly = p_product(x, [i for i in range(len(x)) if i not in drop],
-                             vars)
-            out.append((v.character, poly * _s0_power(vars, v.tors_count)))
-    return [PeriodicPoly.single(vars, c, p) for c, p in out]
+            polys.append(p_product(
+                x, [i for i in range(len(x)) if i not in drop], vars) * s0)
+        GradedSpan(polys, vars)  # InternalError when dependent
+        out += [PeriodicPoly.single(vars, v.character, p) for p in polys]
+    return out
 
 
 def _s0_power(vars, k: int) -> MPoly:
@@ -376,6 +390,11 @@ def pper_internal_basis(x: GList) -> list:
     torsion): group the vertices by the restriction of their character to
     the subgroup H; within each class the sum of D_eta^(m(H)-1) applied to
     the polynomial components must vanish.
+
+    The elements are independent by construction: `linalg.nullspace` gives
+    one vector per free column, with a 1 there and 0 at the other free
+    columns, and each vector combines the independent `pper_basis`
+    elements of one degree.  So `hilbert` counts them.
     """
     x.require_full_rank()
     vars = _pper_vars(x)
@@ -403,21 +422,12 @@ def pper_internal_basis(x: GList) -> list:
                 monos = sorted({e for c in cols for e in c.terms})
                 for e in monos:
                     rows.append([c.coefficient(e) for c in cols])
-        if rows:
-            null = linalg.nullspace(rows, ncols=len(elems),
-                                    one=Cyclotomic.one(),
-                                    zero=Cyclotomic.zero())
-        else:
-            null = [[Cyclotomic.one() if i == j else Cyclotomic.zero()
-                     for j in range(len(elems))] for i in range(len(elems))]
-        for vec in null:
-            combo = None
-            for c, b in zip(vec, elems):
-                if c:
-                    term = b.scale(c)
-                    combo = term if combo is None else combo + term
-            if combo:
-                out.append(combo)
+        null = linalg.nullspace(rows, ncols=len(elems), one=Cyclotomic.one(),
+                                zero=Cyclotomic.zero())
+        out += [PeriodicPoly(vars, [(char, poly * c)
+                                    for c, b in zip(vec, elems) if c
+                                    for char, poly in b.terms])
+                for vec in null]
     return out
 
 
@@ -444,57 +454,6 @@ def _eta_power(eta, order: int, vars) -> MPoly:
     marker) gets coefficient 0."""
     form = MPoly.linear_form(vars, [0] * (len(vars) - len(eta)) + list(eta))
     return math.prod([form] * order, start=MPoly.constant(vars, 1))
-
-
-# ---------------------------------------------------------------------------
-# Hilbert series
-# ---------------------------------------------------------------------------
-
-def hilbert(space: list) -> list:
-    """Hilbert series coefficients (grading: total degree incl. s0)."""
-    by_degree = {}
-    for p in space:
-        if not p.is_homogeneous():
-            raise ValueError("hilbert requires a homogeneous-by-degree list")
-        by_degree.setdefault(max(p.total_degree(), 0), []).append(p)
-    top = max(by_degree, default=-1)
-    out = [0] * (top + 1)
-    for deg, elems in by_degree.items():
-        out[deg] = _periodic_rank(elems)
-    return out
-
-
-def _periodic_rank(elems) -> int:
-    """Rank of the coefficient rows of elems.
-
-    When every element lives at a single character the rows are
-    block-diagonal by character, so the rank is the sum of the blocks'
-    ranks, each taken over Q when its coefficients are rational.  Other
-    lists take `_stacked_rank`.
-    """
-    if not all(len(p.terms) == 1 for p in elems):
-        return _stacked_rank(elems)
-    blocks = {}
-    for p in elems:
-        (char, poly), = p.terms
-        blocks.setdefault(char, []).append(poly)
-    total = 0
-    for polys in blocks.values():
-        monos = sorted({e for poly in polys for e in poly.terms})
-        rows = [[poly.coefficient(e) for e in monos] for poly in polys]
-        if all(c.is_rational() for row in rows for c in row):
-            rows = [[c.to_rational() for c in row] for row in rows]
-        total += linalg.rank(rows)
-    return total
-
-
-def _stacked_rank(elems) -> int:
-    """Rank of the coefficient rows of elems over every character at once."""
-    chars = sorted({c for p in elems for c, _ in p.terms})
-    monos = sorted({e for p in elems for _, poly in p.terms
-                    for e in poly.terms})
-    return linalg.rank([[p.component(c).coefficient(e)
-                         for c in chars for e in monos] for p in elems])
 
 
 # ---------------------------------------------------------------------------

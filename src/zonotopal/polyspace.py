@@ -42,14 +42,8 @@ class GradedSpan:
         return len(self.basis)
 
     def hilbert(self) -> list:
-        """Coefficients of the Hilbert series (requires homogeneous basis)."""
-        top = max((p.total_degree() for p in self.basis), default=-1)
-        out = [0] * (top + 1)
-        for p in self.basis:
-            if not p.is_homogeneous():
-                raise ValueError("hilbert requires a homogeneous basis")
-            out[max(p.total_degree(), 0)] += 1
-        return out
+        """Coefficients of the Hilbert series (`hilbert`)."""
+        return hilbert(self.basis)
 
     def by_degree(self, k: int) -> list:
         return [p for p in self.basis if p.total_degree() == k]
@@ -57,6 +51,26 @@ class GradedSpan:
     def to_json(self):
         return [{"degree": p.total_degree(), "poly": p.to_json()}
                 for p in self.basis]
+
+
+def hilbert(basis) -> list:
+    """Coefficients of the Hilbert series of span(basis): the number of
+    elements in each degree (grading: total degree, s0 included).
+
+    The count is the dimension of each degree only for a basis that was
+    checked independent when it was built: a `GradedSpan`, each character
+    block of `periodic.pper_basis`, or `periodic.pper_internal_basis`.
+    Every element must be homogeneous.
+    """
+    degs = []
+    for p in basis:
+        if not p.is_homogeneous():
+            raise ValueError("hilbert requires a homogeneous basis")
+        degs.append(max(p.total_degree(), 0))
+    out = [0] * (max(degs, default=-1) + 1)
+    for k in degs:
+        out[k] += 1
+    return out
 
 
 def _monomials(vars, degree):
@@ -249,12 +263,7 @@ def d_basis(x: GList, vars=None) -> GradedSpan:
             rows.append(row)
         # nullspace of the map candidate -> constraint values
         mat = [list(col) for col in zip(*rows)] if rows and rows[0] else []
-        if mat:
-            null = linalg.nullspace(mat, ncols=len(cands))
-        else:
-            null = [[Fraction(int(i == j)) for j in range(len(cands))]
-                    for i in range(len(cands))]
-        for vec in null:
+        for vec in linalg.nullspace(mat, ncols=len(cands)):
             poly = MPoly(vars)
             for c, cand in zip(vec, cands):
                 if c:

@@ -1,5 +1,5 @@
-"""Row spans and the psi projection as plain functions: the oracles that
-tests of spaces and of external activity compare against.
+"""Row spans, ranks and the psi projection as plain functions: the oracles
+that tests of spaces and of external activity compare against.
 
 No test-framework imports, as in `alcoves`.
 """
@@ -28,3 +28,13 @@ def span_equal(rows_a, rows_b) -> bool:
 def psi_project(x, f):
     """psi_X(f) from a fresh projector."""
     return PsiProjector(x)(f)
+
+
+def stacked_rank(elems) -> int:
+    """Rank of periodic polynomials: one coefficient row per element, one
+    column per (character, monomial), over every character at once."""
+    chars = sorted({c for p in elems for c, _ in p.terms})
+    monos = sorted({e for p in elems for _, poly in p.terms
+                    for e in poly.terms})
+    return rank([[p.component(c).coefficient(e)
+                  for c in chars for e in monos] for p in elems])

@@ -183,17 +183,14 @@ def test_criterion_04(mixed_corpus):
             assert len(lattice_points(x, "interior")) == m.evaluate(0, 1)
             assert sum(
                 abs(_det_of(x, b)) for b in bases(x)) == m.evaluate(1, 1)
-        if d <= 2:
-            internal = pper_internal_basis(x)
-            assert len(internal) == m.evaluate(0, 1)
-            hc = hilbert(central)
-            hc += [0] * (n - d + 1 - len(hc))
-            assert hc == coefficients_reversed(m, n - d, 1)
-            hi = hilbert(internal)
-            hi += [0] * (n - d + 1 - len(hi))
-            assert hi == coefficients_reversed(m, n - d, 0)
-        else:
-            assert len(pper_internal_basis(x)) == m.evaluate(0, 1)
+        internal = pper_internal_basis(x)
+        assert len(internal) == m.evaluate(0, 1)
+        hc = hilbert(central)
+        hc += [0] * (n - d + 1 - len(hc))
+        assert hc == coefficients_reversed(m, n - d, 1)
+        hi = hilbert(internal)
+        hi += [0] * (n - d + 1 - len(hi))
+        assert hi == coefficients_reversed(m, n - d, 0)
         for i in range(len(x)):
             if x.elems[i].is_torsion() or is_coloop(x, i):
                 continue

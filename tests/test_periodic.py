@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from accessors import coefficients_reversed, homogeneous_slice
-from spans import span_equal
+from spans import span_equal, stacked_rank
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, list_facts
 from zonotopal.corpus import CorpusLimits, corpus
-from zonotopal.errors import NonMember, TorsionPivot, TorsionUnsupported
+from zonotopal.errors import (InternalError, NonMember, TorsionPivot,
+                              TorsionUnsupported)
 from zonotopal.geometry import lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
+from zonotopal import periodic
 from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
-                                QuasiFunction, _periodic_rank,
-                                _stacked_rank, dm_basis,
+                                QuasiFunction, dm_basis,
                                 f_tilde, hilbert, l_map, pair_pper_dm,
                                 periodic_todd, pper_basis, pper_decompose,
                                 pper_internal_basis, pper_membership,
@@ -180,20 +181,27 @@ class TestPperBasis:
         assert hilbert(pper_basis(x)) == coefficients_reversed(m, 3, 1) \
             == [1, 3, 45, 610]
 
-    def test_block_rank_is_stacked_rank(self):
-        # every third element scaled by a cube root of unity, so that some
-        # character blocks are rational and some are not
-        zeta = Cyclotomic.root_of_unity(3)
+    def test_hilbert_count_is_stacked_rank(self):
+        # hilbert counts elements; the rank over every character at once
+        # says the count is the dimension, for both spaces
         lists = [y for seed in (5, 11)
                  for y in corpus(seed, CorpusLimits(max_dim=2, max_len=4))]
         lists += [_with_torsion_column(y) for y in lists]
         for x in lists:
-            by_degree = {}
-            for k, p in enumerate(pper_basis(x)):
-                by_degree.setdefault(p.total_degree(), []).append(
-                    p.scale(zeta) if k % 3 == 1 else p)
-            for elems in by_degree.values():
-                assert _periodic_rank(elems) == _stacked_rank(elems)
+            for basis in (pper_basis(x), pper_internal_basis(x)):
+                ranks = []
+                for deg in range(len(hilbert(basis))):
+                    ranks.append(stacked_rank(
+                        [p for p in basis if p.total_degree() == deg]))
+                assert hilbert(basis) == ranks
+
+    def test_dependent_block_is_internal_error(self, x12, monkeypatch):
+        # every product 1: the trivial character's two bases {0} and {1}
+        # give the same polynomial
+        monkeypatch.setattr(periodic, "p_product",
+                            lambda x, idx, vars: MPoly.constant(vars, 1))
+        with pytest.raises(InternalError, match="dependent"):
+            pper_basis(x12)
 
 
 class TestDmBasis:
@@ -471,8 +479,6 @@ class TestInternal:
 
     def test_dims_match_tutte(self, mixed_corpus):
         for x in mixed_corpus:
-            if x.group.free_rank > 2:
-                continue
             basis = pper_internal_basis(x)
             m = arithmetic_tutte(x)
             assert len(basis) == m.evaluate(0, 1)
@@ -480,6 +486,14 @@ class TestInternal:
             h = hilbert(basis)
             h += [0] * (n - d + 1 - len(h))
             assert h == coefficients_reversed(m, n - d, 0)
+
+    def test_d3_hilbert_series(self):
+        x = GList.from_rows([[-1, -2, 2, -1, 0, 1], [0, -2, -2, -1, 2, -1],
+                             [-2, 1, 0, -2, -1, 2]])
+        m = arithmetic_tutte(x)
+        assert hilbert(pper_basis(x)) == coefficients_reversed(m, 3, 1)
+        assert hilbert(pper_internal_basis(x)) \
+            == coefficients_reversed(m, 3, 0)
 
     def test_d3_dimension_checks(self, mixed_corpus):
         seen = 0
