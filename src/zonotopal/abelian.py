@@ -232,7 +232,11 @@ class FgGroup:
         return [[col[r] for col in cols] for r in range(self.ncoords)]
 
     def element(self, free=(), tors=()) -> "GElement":
-        return GElement(self, tuple(free), tuple(tors))
+        """The element with these free coordinates and torsion residues
+        (reduced modulo the invariants).  Equal elements are shared: they
+        come from one table of the last 1024 built, so a list whose values
+        repeat holds each value once."""
+        return _shared_element(self, tuple(free), tuple(tors))
 
     def zero(self) -> "GElement":
         return self.element((0,) * self.free_rank,
@@ -322,8 +326,15 @@ class GElement:
         return repr(tuple(self.free) + tuple(f"{t}~" for t in self.tors))
 
 
+@lru_cache(maxsize=1024)
+def _shared_element(group: FgGroup, free: tuple, tors: tuple) -> GElement:
+    return GElement(group, free, tors)
+
+
 class GList:
     """Ordered list of group elements; order is semantically significant."""
+
+    __slots__ = ("group", "elems", "_hash")
 
     def __init__(self, group: FgGroup, elems):
         self.group = group
@@ -439,7 +450,8 @@ class GList:
 @lru_cache(maxsize=4)
 def list_facts(x: GList) -> dict:
     """The facts `GList.memo` keeps for the last 4 list values: the
-    geometry of X, psi_X, the vertices, the Todd parts and every f~_z.
+    lattice walk of both Tutte polynomials, the geometry of X, psi_X, the
+    vertices, the Todd parts and every f~_z.
     They depend only on X, so equal lists share one entry.  No list holds
     its entry, so psi_X, which holds its list, closes no reference cycle
     and an evicted entry is freed at once."""

@@ -2,15 +2,17 @@
 
 Bases, cocircuits, external activity, and both Tutte polynomials.  Rank
 and multiplicity of a subset depend only on the integer lattice it spans,
-so both Tutte polynomials come from one table over the distinct lattices,
+so both Tutte polynomials come from one walk over the distinct lattices,
 built one column at a time: each lattice keeps its number of subsets of
 each size and one subset that spans it.  The work grows with n times the
-number of distinct lattices, not with 2^n.  The rank is read off the
-lattice's Hermite normal form, and so is the multiplicity of a lattice of
-full rank: the product of its pivots.  Only a lattice below full rank takes
-a Smith normal form, once per lattice.  The direct subset sum, with
-`rank_of` and `multiplicity` for every subset, is kept in the tests as the
-oracle.
+number of distinct lattices, not with 2^n.  The walk is made once per list
+value and kept in its `list_facts` entry, so whichever polynomial runs
+second reads it; only the weights are found per call.  The rank is read
+off the lattice's Hermite normal form, and so is the multiplicity of a
+lattice of full rank: the product of its pivots.  Only a lattice below full
+rank takes a Smith normal form, once per lattice and call.  The direct
+subset sum, with `rank_of` and `multiplicity` for every subset, is kept in
+the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -230,17 +232,34 @@ def _size_rank_table(x: GList, weight) -> dict:
     """{(|S|, rank S): sum of weight(L_S, S)} over every subset S of
     indices, for a weight that depends only on the lattice L_S.
 
+    The lattices come from `_lattice_walk`, built once per list value and
+    kept by `GList.memo`, so both Tutte polynomials of one list share one
+    walk.  The relations span the t torsion coordinates, so the free rank
+    of S is the row count of L_S minus t.  The weight is called once per
+    distinct L_S, with L_S (the `hnf_insert` rows) and the subset kept for
+    it.
+    """
+    t = len(x.group.invariants)
+    table = {}
+    for lattice, counts, subset in x.memo("lattices", _lattice_walk):
+        w, rk = weight(lattice, subset), len(lattice) - t
+        for size, c in enumerate(counts):
+            if c:
+                table[size, rk] = table.get((size, rk), 0) + w * c
+    return table
+
+
+def _lattice_walk(x: GList) -> tuple:
+    """One (L_S, counts, subset) per distinct lattice L_S over the subsets
+    S of indices: counts[k] is the number of such S of size k, and subset
+    is one S that spans L_S.
+
     L_S is the lattice spanned by lift(S) and the torsion relations
     k_j e_(d+j), in the canonical form of `hnf_insert`.  One pass over the
-    columns keeps, for each distinct L_S, the number of its subsets of each
-    size and one subset that spans it; column i keeps every state and adds
-    it grown by lift(x_i).  The relations span the t torsion coordinates,
-    so the free rank of S is the row count of L_S minus t.  The weight is
-    called once per distinct L_S, with L_S (the `hnf_insert` rows) and the
-    subset kept for it.
+    columns keeps every state; column i adds each one grown by lift(x_i).
     """
     g = x.group
-    n, t = len(x), len(g.invariants)
+    n = len(x)
     states = {g.relations: ([1] + [0] * n, ())}
     for i, e in enumerate(x.elems):
         lift = e.lift()
@@ -254,13 +273,8 @@ def _size_rank_table(x: GList, weight) -> dict:
             into = state[0]
             into[1:i + 2] = map(add, into[1:i + 2], counts)
         states = grown
-    table = {}
-    for lattice, (counts, subset) in states.items():
-        w, rk = weight(lattice, subset), len(lattice) - t
-        for size, c in enumerate(counts):
-            if c:
-                table[size, rk] = table.get((size, rk), 0) + w * c
-    return table
+    return tuple((lattice, tuple(counts), subset)
+                 for lattice, (counts, subset) in states.items())
 
 
 def _tutte_sum(table, top: int) -> BivarPoly:

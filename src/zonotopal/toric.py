@@ -35,6 +35,12 @@ class Character:
                            tuple(Fraction(t) % 1 for t in self.theta))
         object.__setattr__(self, "tors",
                            tuple(Fraction(t) % 1 for t in self.tors))
+        object.__setattr__(self, "_hash", hash((self.theta, self.tors)))
+
+    def __hash__(self):
+        """Equal characters hash equal, as their reduced data are equal.
+        Computed once and kept, as the character does not change."""
+        return self._hash
 
     @staticmethod
     def trivial(group: FgGroup) -> "Character":

@@ -166,6 +166,33 @@ class TestListFacts:
             list_facts.cache_clear()
 
 
+class TestSharedElements:
+    """`FgGroup.element` gives equal elements as one object, from a table
+    of bounded size."""
+
+    def test_equal_columns_give_one_element(self):
+        cols = [[1, 0, 2], [0, 1, 1], [1, 0, 2]]
+        x, again = GList.from_columns(cols), GList.from_columns(cols)
+        assert x.elems[0] is x.elems[2]
+        assert all(a is b for a, b in zip(x.elems, again.elems))
+
+    def test_other_group_or_unreduced_residue(self):
+        free, tors = FgGroup(3), FgGroup(2, (3,))
+        e = free.element((1, 0, 2))
+        assert (e.group, e.free, e.tors) == (free, (1, 0, 2), ())
+        for r in (2, 5, -1, 8):
+            e = tors.element((1, 0), (r,))
+            assert (e.group, e.free, e.tors) == (tors, (1, 0), (2,))
+            assert e == tors.element((1, 0), (2,))
+        other = FgGroup(2, (6,)).element((1, 0), (8,))
+        assert (other.group.invariants, other.tors) == ((6,), (2,))
+        assert other != tors.element((1, 0), (2,))
+        x = GList.from_columns([[1, 0, 2], [1, 0, 5]], tors)
+        y = GList.from_columns([[1, 0, 2], [1, 0, 5]], FgGroup(2, (6,)))
+        assert x.elems[0] == x.elems[1] and y.elems[0] != y.elems[1]
+        assert all(e.group == y.group for e in y.elems)
+
+
 class TestHnf:
     def test_relations_are_their_own_form(self):
         for g in (FgGroup(2), FgGroup(1, (2,)), FgGroup(2, (2, 6, 12))):

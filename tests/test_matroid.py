@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from accessors import free_columns
 from spans import span_contains
-from zonotopal.abelian import (FgGroup, GList, contract, multiplicity,
-                               rank_of)
+from torus import basis_lcm, good_primes, point_count, tutte_side
+from zonotopal.abelian import (FgGroup, GList, contract, list_facts,
+                               multiplicity, rank_of)
 from zonotopal.errors import InternalError, NotABasis, RankDeficient
 from zonotopal.matroid import (BivarPoly, arithmetic_tutte, bases, cocircuits,
                                corank_one_flats, external_activity, is_coloop,
@@ -328,6 +329,41 @@ def tutte_lists(draw):
     return GList.from_columns(cols, group)
 
 
+# The most points of a torus (Z/N)^d that `test_torus_point_count` counts.
+_TORUS_POINTS = 5000
+
+
+def _count_hnf_inserts(monkeypatch) -> list:
+    """A list that gets one entry per `hnf_insert` call of the walk."""
+    from zonotopal import matroid
+    calls = []
+    hnf_insert = matroid.hnf_insert
+    monkeypatch.setattr(matroid, "hnf_insert",
+                        lambda basis, v: calls.append(1)
+                        or hnf_insert(basis, v))
+    return calls
+
+
+@st.composite
+def long_lattice_lists(draw):
+    """Lattice lists of full rank with d = 1-3 and n = 16-30, some columns
+    repeated or zero.  Row r has entries in [-b_r, b_r] with b = (6,),
+    (1, 3) or (1, 1, 1), so every |det B| is at most 6, 6 or 4, and the
+    torus of `basis_lcm` has at most 60, 3600 or 1728 points."""
+    bounds = draw(st.sampled_from([(6,), (1, 3), (1, 1, 1)]))
+    cols = []
+    for _ in range(draw(st.integers(16, 30))):
+        kind = draw(st.sampled_from(["fresh"] * 8 + ["zero", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append(list(draw(st.sampled_from(cols))))
+        elif kind == "zero":
+            cols.append([0] * len(bounds))
+        else:
+            cols.append([draw(st.integers(-b, b)) for b in bounds])
+    assume(basis_lcm(cols))
+    return cols
+
+
 class TestLatticeTable:
     """Both Tutte polynomials come from one table of subset counts per
     distinct lattice; the subset-sum oracles visit every subset."""
@@ -348,36 +384,73 @@ class TestLatticeTable:
         assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x)
 
     def test_work_grows_with_lattices_not_subsets(self, monkeypatch):
-        from zonotopal import matroid
-        calls = []
-        hnf_insert = matroid.hnf_insert
-        monkeypatch.setattr(matroid, "hnf_insert",
-                            lambda basis, v: calls.append(1)
-                            or hnf_insert(basis, v))
+        calls = _count_hnf_inserts(monkeypatch)
         cols = [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 0], [1, 1, 0, 1],
                 [1, 0, 1, 2], [0, 1, 1, 0], [1, 1, 1, 1], [1, -1, 0, 0],
                 [0, 1, -1, 2], [2, 1, 0, 1], [1, 0, 2, 0], [0, 2, 1, 1],
                 [1, 1, -1, 2], [2, 0, 1, 0]]
         x = GList.from_columns(cols, FgGroup(3, (3,)))
+        list_facts.cache_clear()
         # T(2, 2) counts every subset
         assert tutte(x).evaluate(2, 2) == 2 ** 14
         assert 0 < len(calls) < 2 ** 14 // 4
+        # the second polynomial reads the walk the first one made
         calls.clear()
         arithmetic_tutte(x)
-        assert 0 < len(calls) < 2 ** 14 // 4
+        assert calls == []
+
+    COLS = [[1, 0, 2], [0, 1, 1], [1, 1, 0], [2, -1, 1], [1, 0, 2],
+            [0, 0, 1]]
+
+    def test_equal_list_shares_the_walk(self, monkeypatch):
+        list_facts.cache_clear()
+        x = GList.from_columns(self.COLS)
+        arithmetic_tutte(x)
+        calls = _count_hnf_inserts(monkeypatch)
+        again = GList.from_columns(self.COLS)
+        assert again is not x
+        assert tutte(again) == tutte_oracle(again)
+        assert calls == []
+        assert again.memo("lattices", None) is x.memo("lattices", None)
+        list_facts.cache_clear()
+
+    def test_evicted_walk_is_built_again(self, monkeypatch):
+        list_facts.cache_clear()
+        x = GList.from_columns(self.COLS)
+        expect = arithmetic_tutte(x)
+        for k in range(list_facts.cache_info().maxsize):
+            tutte(GList.from_columns([[1, k + 2], [0, 1]]))
+        calls = _count_hnf_inserts(monkeypatch)
+        assert arithmetic_tutte(x) == expect
+        assert calls
+        list_facts.cache_clear()
+
+    @settings(max_examples=25, deadline=None)
+    @given(long_lattice_lists())
+    def test_torus_point_count(self, cols):
+        """Both polynomials at n = 16-30 against the torus point count of
+        `torus`, which enumerates no subsets.  tutte runs first, so
+        arithmetic_tutte reads its walk."""
+        x = GList.from_columns(cols)
+        d, n = len(cols[0]), len(cols)
+        plain = tutte(x)
+        arith = arithmetic_tutte(x)
+        modulus = basis_lcm(cols)
+        for k in range(1, d + 2):
+            if (k * modulus) ** d <= _TORUS_POINTS:
+                assert (point_count(cols, k * modulus)
+                        == tutte_side(arith, d, k * modulus, n))
+        primes = good_primes(modulus, d, _TORUS_POINTS)
+        assert primes
+        for q in primes:
+            assert point_count(cols, q) == tutte_side(plain, d, q, n)
 
 
 def walk_lattices(x):
-    """{L_S: the subset kept for it} over the lattices of the table walk."""
+    """{L_S: the subset kept for it} over the lattices of the walk."""
     from zonotopal import matroid
-    kept = {}
-
-    def weight(lattice, subset):
-        kept[lattice] = subset
-        return 1
-
-    matroid._size_rank_table(x, weight)
-    return kept
+    return {lattice: subset
+            for lattice, _, subset in matroid._lattice_walk(x)}
 
 
 class TestMultiplicityFromHnf:

@@ -13,6 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "zonotopal"
 
 CACHE_TABLES = {
+    "abelian._shared_element": 1024,
     "abelian.list_facts": 4,
     "brionvergne._applied": 64,
     "cli.build_parser": None,

@@ -77,6 +77,25 @@ class TestVertices:
                 seen.add(key)
 
 
+class TestCharacterHash:
+    def test_forms_of_one_character_hash_equal(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        forms = [Character((half, -third), (Fraction(3, 4),)),
+                 Character((3 * half, 2 * third), (Fraction(-1, 4),)),
+                 Character(("-5/10", "8/12"), ("7/4",)),
+                 Character((half, Fraction(4, 6)), (Fraction(6, 8),))]
+        assert all(c == forms[0] for c in forms)
+        assert {hash(c) for c in forms} == {hash(forms[0])}
+        assert len(set(forms)) == 1
+        other = Character((half, third), (Fraction(3, 4),))
+        assert other != forms[0] and len({other, *forms}) == 2
+
+    def test_trivial_from_integers(self):
+        c = Character((0, 1), (2,))
+        assert c == Character.trivial(FgGroup(2, (3,)))
+        assert hash(c) == hash(Character.trivial(FgGroup(2, (3,))))
+
+
 class TestEvaluate:
     def test_half_half_at_ones(self):
         c = Character((Fraction(1, 2), Fraction(1, 2)), ())
