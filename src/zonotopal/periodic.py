@@ -205,7 +205,7 @@ class QuasiFunction(_CharacterSum):
         denominators, order the lcm of the coefficients' orders, tops the
         top degree of each variable and exps the distinct exponents.  comps
         holds, per character, its angle numerators theta * size and one
-        (j, shift, c) per nonzero rational part of a coefficient: the
+        (j, shift, c) per nonzero numerator of a coefficient: the
         character's polynomial is the sum of
         c * zeta_size^shift * (monomial exps[j]) / den.  Built once and
         kept, as the value does not change.
@@ -219,15 +219,15 @@ class QuasiFunction(_CharacterSum):
             size = math.lcm(size, *[t.denominator for t in char.theta])
             for c in poly.terms.values():
                 order = math.lcm(order, c.order)
-                den = math.lcm(den, *[q.denominator for q in c.coeffs])
+                den = math.lcm(den, c.den)
         size = math.lcm(size, order)
         index = {}
         comps = tuple(
             (tuple(t.numerator * (size // t.denominator) for t in char.theta),
              tuple((index.setdefault(e, len(index)), i * (size // c.order),
-                    q.numerator * (den // q.denominator))
+                    v * (den // c.den))
                    for e, c in poly.terms.items()
-                   for i, q in enumerate(c.coeffs) if q))
+                   for i, v in enumerate(c.nums) if v))
             for char, poly in self.terms)
         exps = tuple(index)
         self._form = (size, den, order, tuple(map(max, zip(*exps))), exps,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .abelian import GElement, GList, rank_of
@@ -88,6 +87,15 @@ def _monomials(vars, degree):
     return list(rec(degree, n)) if n else ([()] if degree == 0 else [])
 
 
+def _integer_terms(p: MPoly) -> list:
+    """(monomial, int) over the terms of a polynomial with rational
+    coefficients, scaled by the lcm of their denominators."""
+    if not all(c.is_rational() for c in p.terms.values()):
+        raise ValueError(f"not a rational polynomial: {p}")
+    den = math.lcm(*(c.den for c in p.terms.values()))
+    return [(e, c.nums[0] * (den // c.den)) for e, c in p.terms.items()]
+
+
 def _to_matrix(polys, monos=None):
     """Coefficient rows of homogeneous same-degree polynomials."""
     if monos is None:
@@ -102,9 +110,9 @@ def _to_matrix(polys, monos=None):
 
 def p_linear(g: GElement, vars) -> MPoly:
     """Linear form of the free part of g (zero on a leading s0)."""
-    coeffs = [Fraction(v) for v in g.free]
+    coeffs = list(g.free)
     if len(vars) == len(coeffs) + 1:      # leading s0 present
-        coeffs = [Fraction(0)] + coeffs
+        coeffs = [0] + coeffs
     return MPoly.linear_form(vars, coeffs)
 
 
@@ -167,8 +175,9 @@ def _ideal_gens(x: GList, cocs, degree: int, vars) -> list:
 class PsiProjector:
     """Degreewise projection Sym(U) = P(X) + J(X) -> P(X).
 
-    Per degree the decomposition is factored once as a rational linear
-    system; cyclotomic inputs are split into power-basis components so the
+    Per degree the decomposition is factored once as an integer linear
+    system, kept as int numerators over one denominator.  A cyclotomic
+    input is projected one power-basis slot at a time, in integers, so the
     elimination stays over Q.  The cocircuits are found once, when the
     projector is built, and every degree's ideal generators come from them.
     """
@@ -183,44 +192,96 @@ class PsiProjector:
         self._solvers = {}
 
     def _solver(self, degree):
-        """(monomials, P columns, G): the P part of one solution of
-        [P | J] y = b is G b for every b.  [P | J] spans the degree slice, so
-        one elimination against the identity gives G."""
+        """(index, pcols, rows, den): the P part of one solution of
+        [P | J] y = b is G b for every b, with P and J scaled to integer
+        columns.  [P | J] spans the degree slice, so one elimination
+        against the identity gives G.
+
+        index maps each monomial of the degree to its row, pcols holds each
+        integer P column as (monomial, int) pairs, and G is rows / den: one
+        tuple of int numerators per P column over one positive den."""
         if degree in self._solvers:
             return self._solvers[degree]
         monos = _monomials(self.vars, degree)
+        index = {e: i for i, e in enumerate(monos)}
         pcols = self.pspan.by_degree(degree)
-        cols = pcols + _ideal_gens(self.x, self._cocircuits, degree,
-                                   self.vars)
-        mat = [[c.coefficient(e).to_rational() for c in cols] for e in monos]
-        inv = linalg.solve(mat, linalg.identity(len(monos)))
+        cols = [_integer_terms(c) for c in pcols + _ideal_gens(
+            self.x, self._cocircuits, degree, self.vars)]
+        mat = [[0] * len(cols) for _ in monos]
+        for k, col in enumerate(cols):
+            for e, v in col:
+                mat[index[e]][k] = v
+        inv = linalg.solve(mat, linalg.identity(len(monos), 1, 0))
         if inv is None:
             raise InternalError(f"P(X) + J(X) does not span degree {degree}")
-        self._solvers[degree] = (monos, pcols, inv[:len(pcols)])
+        g = inv[:len(pcols)]
+        den = math.lcm(*(q.denominator for row in g for q in row))
+        rows = [tuple(q.numerator * (den // q.denominator) for q in row)
+                for row in g]
+        self._solvers[degree] = (index, cols[:len(pcols)], rows, den)
         return self._solvers[degree]
 
     def project_poly(self, f: MPoly) -> MPoly:
-        out = MPoly(self.vars)
-        for deg, slice_ in f.slices().items():
+        """psi_X(f), degree by degree.
+
+        Each P-basis coefficient is one integer dot product per power-basis
+        slot of the embedded input.  The coefficients are then summed into
+        the output slot by slot, column by column, and each output term
+        keeps the order of the sum zeta^j * coefficient * column taken in
+        that sequence: the lcm of the reduced orders of zeta^j over the
+        summands since the term last summed to zero."""
+        parts = {}
+        for e, c in f.terms.items():
+            parts.setdefault(sum(e), []).append((e, c))
+        terms = {}
+        for deg in sorted(parts):
             if deg > self.top:
                 continue
-            monos, pcols, g = self._solver(deg)
-            rhs_cyc = [slice_.coefficient(e) for e in monos]
-            order = math.lcm(*(c.order for c in rhs_cyc))
-            rhs = [c.embed(order).coeffs for c in rhs_cyc]
-            proj = MPoly(self.vars)
-            for j in range(euler_phi(order)):
-                comp = [(i, c[j]) for i, c in enumerate(rhs)]
-                comp = [(i, v) for i, v in comp if v]
-                if not comp:
-                    continue
-                unit = Cyclotomic.root_of_unity(order, j) if j \
-                    else Cyclotomic.one()
-                for col, grow in zip(pcols, g):
-                    coef = sum(grow[i] * v for i, v in comp)
-                    if coef:
-                        proj = proj + col * (unit * coef)
-            out = out + proj
+            index, pcols, rows, gden = self._solver(deg)
+            part = parts[deg]
+            order = math.lcm(*(c.order for _, c in part))
+            den = math.lcm(*(c.den for _, c in part))
+            rhs = [(index[e], c.embed(order).nums, den // c.den)
+                   for e, c in part]
+            phi = euler_phi(order)
+            slots = [[(i, v[j] * s) for i, v, s in rhs if v[j]]
+                     for j in range(phi)]
+            coefs = [[sum([g[i] * v for i, v in slot]) for slot in slots]
+                     for g in rows]
+            # monomial -> [slot numerators, count of nonzero slots, order]
+            live = {}
+            for j in range(phi):
+                oj = order // math.gcd(j, order)
+                for a, col in zip(coefs, pcols):
+                    a = a[j]
+                    if not a:
+                        continue
+                    for e, p in col:
+                        term = live.get(e)
+                        if term is None:
+                            vec = [0] * phi
+                            vec[j] = p * a
+                            live[e] = [vec, 1, oj]
+                            continue
+                        vec = term[0]
+                        before = vec[j]
+                        vec[j] = after = before + p * a
+                        if not after:
+                            term[1] -= 1
+                            if not term[1]:
+                                del live[e]
+                                continue
+                        elif not before:
+                            term[1] += 1
+                        if term[2] % oj:
+                            term[2] = math.lcm(term[2], oj)
+            for e, (vec, _, m) in live.items():
+                step = order // m
+                terms[e] = Cyclotomic.from_powers(
+                    m, [vec[t * step] if t * step < phi else 0
+                        for t in range(euler_phi(m))], gden * den)
+        out = MPoly.__new__(MPoly)
+        out.vars, out.terms = self.vars, terms
         return out
 
     def __call__(self, f) -> MPoly:

@@ -1,14 +1,18 @@
 """Exact arithmetic foundation.
 
-Rationals are ``fractions.Fraction`` (already reduced, positive denominator).
-On top of them: cyclotomic numbers in the power basis of Q(zeta_n), sparse
-multivariate polynomials with cyclotomic coefficients and degree-capped power
-series.  A Todd factor p / (1 - c e^{-p}) is a series in its linear form p
-alone: its coefficients, and those of its log, are found in one variable and
-expanded in powers of p.  Three bounded tables serve it: the coefficients and
-the logs per (c, cap), and the powers of p per (p, cap).  They are keyed on
-the representation (a cyclotomic's order and coefficients), not the value,
-because equal values of different orders print differently.
+A cyclotomic number is a vector of integer numerators over one positive
+denominator in the power basis of Q(zeta_n), so its arithmetic runs on ints
+with one gcd per result; a rational is such a number of order 1.
+``fractions.Fraction`` is where rationals enter and leave (`Cyclotomic`'s
+constructor, `coeffs`, `to_rational` and printing) and in the inverse.  On
+top of them: sparse multivariate polynomials with cyclotomic coefficients
+and degree-capped power series.  A Todd factor p / (1 - c e^{-p}) is a
+series in its linear form p alone: its coefficients, and those of its log,
+are found in one variable and expanded in powers of p.  Three bounded
+tables serve it: the coefficients and the logs per (c, cap), and the powers
+of p per (p, cap).  They are keyed on the representation (a cyclotomic's
+order, numerators and denominator), not the value, because equal values of
+different orders print differently.
 
 All values are immutable; every operation returns a fresh object.
 """
@@ -93,8 +97,7 @@ def _reduction_table(n: int) -> tuple:
     Row k is derived from x^(phi+k) = x * x^(phi+k-1) reduced modulo Phi_n.
     Covers both raw products (up to x^(2*phi-2)) and plain powers up to
     x^(n-1).  Phi_n is monic with integer coefficients, so the rows are
-    integers: a vector of Fractions reduces to Fractions, one of ints to
-    ints.
+    integers and a vector of ints reduces to ints.
     """
     phi = euler_phi(n)
     mod = cyclotomic_polynomial(n)
@@ -113,17 +116,13 @@ def _reduction_table(n: int) -> tuple:
 
 def _convolve(a, b):
     """Polynomial product of coefficient vectors (len = len(a)+len(b)-1)."""
-    out = [None] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            cur = out[i + j]
-            out[i + j] = ai * bj if cur is None else cur + ai * bj
-    zero = a[0] - a[0]
-    return [zero if c is None else c for c in out]
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
 
 
 def _reduce_mod(vec, deg, red_table):
@@ -147,7 +146,8 @@ def _reduce_mod(vec, deg, red_table):
 
 @lru_cache(maxsize=None)
 def _embed_powers(m: int, n: int) -> tuple:
-    """Power-basis expansions in Q(zeta_n) of zeta_m^j, j = 0..phi(m)-1."""
+    """Power-basis expansions in Q(zeta_n) of zeta_m^j, j = 0..phi(m)-1,
+    as integer rows."""
     if n % m:
         raise InternalError(f"order {m} does not divide {n}")
     phi_n = euler_phi(n)
@@ -155,35 +155,50 @@ def _embed_powers(m: int, n: int) -> tuple:
     rows = []
     for j in range(euler_phi(m)):
         e = (j * step) % n
-        vec = [_F0] * max(phi_n, e + 1)
-        vec[e] = _F1
-        vec = _reduce_mod(vec, phi_n, _reduction_table(n))
-        rows.append(tuple(vec))
+        vec = [0] * max(phi_n, e + 1)
+        vec[e] = 1
+        rows.append(tuple(_reduce_mod(vec, phi_n, _reduction_table(n))))
     return tuple(rows)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in the power basis zeta^0..zeta^(phi(n)-1).
+    """sum_j nums[j] zeta_n^j / den in Q(zeta_n), n = order, over the
+    power basis zeta^0..zeta^(phi(n)-1).
 
-    The order is whatever the computation declared; values of different
-    orders are embedded into the lcm on the fly.  Order 1 is the rational
-    fast path used by the vast majority of coefficients.
+    ``nums`` is a tuple of phi(n) ints and ``den`` a positive int with
+    gcd(den, *nums) = 1, so each value has one stored form at each order,
+    and +, -, * and == run on ints with one gcd per result.  ``coeffs``
+    gives the rational coefficients nums[j] / den.  The order is whatever
+    the computation declared; values of different orders are embedded into
+    the lcm on the fly.  Order 1 is the rational fast path used by the vast
+    majority of coefficients.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
-        self.order = order
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != euler_phi(order):
+        """From phi(order) rational coefficients (ints or Fractions)."""
+        coeffs = tuple(coeffs)
+        if len(coeffs) != euler_phi(order):
             raise ValueError(f"order {order} needs {euler_phi(order)} "
-                             f"coefficients, got {len(self.coeffs)}")
+                             f"coefficients, got {len(coeffs)}")
+        den = math.lcm(*[q.denominator for q in coeffs])
+        value = _reduced(order, [q.numerator * (den // q.denominator)
+                                 for q in coeffs], den)
+        self.order, self.nums, self.den = order, value.nums, value.den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "Cyclotomic":
@@ -202,18 +217,17 @@ class Cyclotomic:
         if n == 1:
             return _CYC_ONE
         phi = euler_phi(n)
-        vec = [_F0] * max(phi, k + 1)
-        vec[k] = _F1
-        vec = _reduce_mod(vec, phi, _reduction_table(n))
-        return Cyclotomic(n, vec)
+        vec = [0] * max(phi, k + 1)
+        vec[k] = 1
+        return _make(n, tuple(_reduce_mod(vec, phi, _reduction_table(n))), 1)
 
     @staticmethod
     def from_powers(n: int, ints, den: int = 1) -> "Cyclotomic":
         """sum_j ints[j] * zeta_n^j / den in Q(zeta_n), for n integers
         ints and a positive integer den: one reduction modulo Phi_n in
-        integers, then one division per coefficient."""
-        return Cyclotomic(n, [Fraction(c, den) for c in _reduce_mod(
-            ints, euler_phi(n), _reduction_table(n))])
+        integers, then one division by the gcd."""
+        return _reduced(n, _reduce_mod(ints, euler_phi(n),
+                                       _reduction_table(n)), den)
 
     @staticmethod
     def from_angle(q) -> "Cyclotomic":
@@ -224,39 +238,40 @@ class Cyclotomic:
     # -- structure ---------------------------------------------------------
 
     def embed(self, n: int) -> "Cyclotomic":
-        """Exact embedding into Q(zeta_n); requires order | n."""
+        """Exact embedding into Q(zeta_n); requires order | n.
+
+        Z[zeta_order] is a direct summand of Z[zeta_n], so the numerators'
+        gcd, and with it the lowest terms, carry over."""
         if n == self.order:
             return self
         if n % self.order:
             raise InternalError(f"order {self.order} does not divide {n}")
-        phi_n = euler_phi(n)
-        rows = _embed_powers(self.order, n)
-        out = [_F0] * phi_n
-        for j, c in enumerate(self.coeffs):
+        out = [0] * euler_phi(n)
+        for c, row in zip(self.nums, _embed_powers(self.order, n)):
             if c:
-                row = rows[j]
-                for i in range(phi_n):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return Cyclotomic(n, out)
+                for i, r in enumerate(row):
+                    if r:
+                        out[i] += c * r
+        return _make(n, tuple(out), self.den)
 
     def _common(self, other: "Cyclotomic"):
+        """Both values embedded in Q(zeta_lcm) of the two orders."""
         n = self.order * other.order // math.gcd(self.order, other.order)
-        return self.embed(n), other.embed(n), n
+        return self.embed(n), other.embed(n)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_one(self) -> bool:
-        return self.is_rational() and self.coeffs[0] == 1
+        return self.den == 1 and self.nums[0] == 1 and self.is_rational()
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __hash__(self):
         # A rational value hashes as its Fraction.  Any other value lies in
@@ -265,7 +280,8 @@ class Cyclotomic:
         # of every declared order hash equal and keeps conjugates such as
         # zeta_5 and zeta_5^2 apart.
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(self.nums[0]) if self.den == 1 \
+                else hash(Fraction(self.nums[0], self.den))
         return hash(self._least_form())
 
     def _least_form(self) -> tuple:
@@ -288,51 +304,56 @@ class Cyclotomic:
         if isinstance(x, Cyclotomic):
             return x
         if isinstance(x, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(x),))
+            return _as_cyc(x)
         return NotImplemented
 
     def __add__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],))
-        a, b, n = self._common(other)
-        return Cyclotomic(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if type(other) is not Cyclotomic:
+            other = Cyclotomic._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order \
+            else self._common(other)
+        return _sum(a.order, a.nums, a.den, b.nums, b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
+        return _make(self.order, tuple([-v for v in self.nums]), self.den)
 
     def __sub__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return Cyclotomic(1, (self.coeffs[0] - other.coeffs[0],))
-        a, b, n = self._common(other)
-        return Cyclotomic(n, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if type(other) is not Cyclotomic:
+            other = Cyclotomic._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order \
+            else self._common(other)
+        return _sum(a.order, a.nums, a.den, [-v for v in b.nums], b.den)
 
     def __rsub__(self, other):
         return Cyclotomic._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Cyclotomic:
+            other = Cyclotomic._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.order == 1:
             if other.order == 1:
-                return Cyclotomic(1, (self.coeffs[0] * other.coeffs[0],))
-            c = self.coeffs[0]
-            return Cyclotomic(other.order, [x * c for x in other.coeffs])
+                p, q = self.nums[0] * other.nums[0], self.den * other.den
+                if q != 1:
+                    g = math.gcd(p, q)
+                    if g != 1:
+                        p, q = p // g, q // g
+                return _make(1, (p,), q)
+            return _scaled(other, self.nums[0], self.den)
         if other.order == 1:
-            c = other.coeffs[0]
-            return Cyclotomic(self.order, [x * c for x in self.coeffs])
-        a, b, n = self._common(other)
-        raw = _convolve(a.coeffs, b.coeffs)
-        return Cyclotomic(n, _reduce_mod(raw, euler_phi(n),
-                                                _reduction_table(n)))
+            return _scaled(self, other.nums[0], other.den)
+        a, b = (self, other) if self.order == other.order \
+            else self._common(other)
+        n, phi = a.order, len(a.nums)
+        return _reduced(n, _reduce_mod(_convolve(a.nums, b.nums), phi,
+                                       _reduction_table(n)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -340,11 +361,13 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("inversion of zero cyclotomic")
         if self.order == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
-        u = _poly_xgcd_mod(list(self.coeffs),
-                           [Fraction(c) for c in cyclotomic_polynomial(self.order)])
-        u = u + [_F0] * (euler_phi(self.order) - len(u))
-        return Cyclotomic(self.order, u[: euler_phi(self.order)])
+            p = self.nums[0]
+            return _make(1, (self.den if p > 0 else -self.den,), abs(p))
+        # (nums / den)^-1 = den * nums^-1, nums^-1 found over Q
+        phi = len(self.nums)
+        u = _poly_xgcd_mod(self.nums, cyclotomic_polynomial(self.order))
+        u = u + [_F0] * (phi - len(u))
+        return Cyclotomic(self.order, [q * self.den for q in u[:phi]])
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
@@ -356,17 +379,17 @@ class Cyclotomic:
         return Cyclotomic._coerce(other) * self.inv()
 
     def __eq__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
-        a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
+        if type(other) is not Cyclotomic:
+            other = Cyclotomic._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order \
+            else self._common(other)
+        return a.den == b.den and a.nums == b.nums
 
     def __repr__(self):
         if self.is_rational():
-            return rat_str(self.coeffs[0])
+            return rat_str(Fraction(self.nums[0], self.den))
         parts = []
         for j, c in enumerate(self.coeffs):
             if not c:
@@ -396,8 +419,44 @@ class Cyclotomic:
         return Cyclotomic(order, [Fraction(str(c)) for c in coeffs])
 
 
-_CYC_ZERO = Cyclotomic(1, (_F0,))
-_CYC_ONE = Cyclotomic(1, (_F1,))
+_new = object.__new__
+
+
+def _make(order: int, nums: tuple, den: int) -> Cyclotomic:
+    """The Cyclotomic stored as (order, nums, den), already in lowest
+    terms."""
+    c = _new(Cyclotomic)
+    c.order, c.nums, c.den = order, nums, den
+    return c
+
+
+def _reduced(order: int, nums, den: int) -> Cyclotomic:
+    """sum_j nums[j] zeta^j / den for ints nums and a positive int den,
+    divided once by gcd(den, *nums)."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    return _make(order, tuple(nums), den)
+
+
+def _sum(order: int, a, da: int, b, db: int) -> Cyclotomic:
+    """a / da + b / db for integer vectors a, b at one order."""
+    if da == db:
+        return _reduced(order, [x + y for x, y in zip(a, b)], da)
+    g = math.gcd(da, db)
+    sa, sb = db // g, da // g
+    return _reduced(order, [x * sa + y * sb for x, y in zip(a, b)], da * sa)
+
+
+def _scaled(c: Cyclotomic, p: int, q: int) -> Cyclotomic:
+    """c * p / q for ints p and q > 0."""
+    return _reduced(c.order, [v * p for v in c.nums], c.den * q)
+
+
+_CYC_ZERO = _make(1, (0,), 1)
+_CYC_ONE = _make(1, (1,), 1)
 
 
 def _poly_xgcd_mod(a, mod):
@@ -461,7 +520,10 @@ def t_vars(d: int) -> tuple:
 def _as_cyc(c) -> Cyclotomic:
     if isinstance(c, Cyclotomic):
         return c
-    return Cyclotomic(1, (Fraction(c),))
+    if type(c) is int:
+        return _make(1, (c,), 1)
+    c = Fraction(c)
+    return _make(1, (c.numerator,), c.denominator)
 
 
 class MPoly:
@@ -670,9 +732,9 @@ class MPoly:
         """Exact evaluation at a rational/cyclotomic point.
 
         At a point of ints and Fractions each monomial is one int or
-        Fraction product, which scales its coefficient once, and the
-        rational terms are summed in integers over a common denominator.
-        A point needs one coordinate per variable.
+        Fraction product, which scales its coefficient's numerators once,
+        and the terms of each declared order are summed in integers over a
+        common denominator.  A point needs one coordinate per variable.
         """
         if len(point) != len(self.vars):
             raise ValueError(f"a point of {self.vars} needs {len(self.vars)} "
@@ -686,24 +748,29 @@ class MPoly:
                         v = v * point[i]
                 total = total + v
             return total
-        num, den = 0, 1
+        sums = {}           # order -> (numerators, denominator)
         for e, c in self.terms.items():
             m = 1
             for i, k in enumerate(e):
                 if k:
                     m *= point[i] ** k
-            if c.order != 1:
-                total = total + c * m
-                continue
-            q = c.coeffs[0]
             if type(m) is Fraction:
-                q, m = q * m, 1
-            qd = q.denominator
-            if den % qd:
-                g = qd // math.gcd(den, qd)
-                num, den = num * g, den * g
-            num += q.numerator * (den // qd) * m
-        return total + Fraction(num, den)
+                p, q = m.numerator, m.denominator * c.den
+            else:
+                p, q = m, c.den
+            acc = sums.get(c.order)
+            if acc is None:
+                sums[c.order] = ([v * p for v in c.nums], q)
+                continue
+            nums, den = acc
+            if den % q:
+                g = q // math.gcd(den, q)
+                nums, den = [v * g for v in nums], den * g
+            p *= den // q
+            sums[c.order] = ([a + v * p for a, v in zip(nums, c.nums)], den)
+        for order, (nums, den) in sums.items():
+            total = total + _reduced(order, nums, den)
+        return total
 
     def substitute(self, new_vars, images) -> "MPoly":
         """Ring map sending variable i to images[i] (MPolys over new_vars)."""
@@ -912,8 +979,8 @@ def todd_factor(linear: MPoly, c, cap: int) -> TruncatedSeries:
     one-variable ring, and the powers of p from `_linear_powers`, once per
     (p, cap).  So no multivariate series is inverted or multiplied here.
 
-    The tables are keyed on representations, not values: c as its
-    (order, coeffs) and p as its coefficients.  Equal values of different
+    The tables are keyed on representations, not values: c as its stored
+    (order, nums, den) and p as its coefficients'.  Equal values of different
     orders (an order-2 and an order-1 -1) give the same numbers but print
     different JSON, so each keeps its own entry and the factor's
     coefficients keep c's order.
@@ -921,7 +988,7 @@ def todd_factor(linear: MPoly, c, cap: int) -> TruncatedSeries:
     _check_form(linear, cap)
     c = _as_cyc(c)
     terms = {}
-    for a, power in zip(_todd_coefficients(c.order, c.coeffs, cap),
+    for a, power in zip(_todd_coefficients(c.order, c.nums, c.den, cap),
                         _linear_powers(len(linear.vars), _form_key(linear),
                                        cap)):
         if a:
@@ -944,7 +1011,7 @@ def todd_log(linear: MPoly, c, cap: int) -> tuple:
     """
     _check_form(linear, cap)
     c = _as_cyc(c)
-    lead, v, logs = _todd_logs(c.order, c.coeffs, cap)
+    lead, v, logs = _todd_logs(c.order, c.nums, c.den, cap)
     terms = {}
     for l, power in zip(logs, _linear_powers(len(linear.vars),
                                              _form_key(linear), cap)[1:]):
@@ -957,16 +1024,16 @@ def todd_log(linear: MPoly, c, cap: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _todd_logs(order: int, coeffs: tuple, cap: int) -> tuple:
+def _todd_logs(order: int, nums: tuple, den: int, cap: int) -> tuple:
     """(lead, v, (l_1..l_cap)) with t / (1 - c e^{-t}) = lead t^v
-    exp(sum_k l_k t^k), c = Cyclotomic(order, coeffs).
+    exp(sum_k l_k t^k), c the Cyclotomic stored as (order, nums, den).
 
     The factor comes from `todd_factor` in one variable at cap + 1, so that
     u = factor / (lead t^v) is known to degree cap.  Its log follows from
     u' = (log u)' u, that is k l_k = k u_k - sum_{0<j<k} j l_j u_{k-j}.
     """
     t = MPoly.variable(("t",), 0)
-    body = todd_factor(t, Cyclotomic(order, coeffs), cap + 1).body
+    body = todd_factor(t, _make(order, nums, den), cap + 1).body
     v = 0 if body.constant_term() else 1
     lead = body.coefficient((v,))
     inv = lead.inv()
@@ -988,21 +1055,22 @@ def _check_form(linear: MPoly, cap: int):
 
 
 def _form_key(linear: MPoly) -> tuple:
-    """A linear form as the `_linear_powers` key: (i, order, coeffs) over
-    its nonzero coefficients."""
-    return tuple((e.index(1), a.order, a.coeffs)
+    """A linear form as the `_linear_powers` key: (i, order, nums, den)
+    over its nonzero coefficients."""
+    return tuple((e.index(1), a.order, a.nums, a.den)
                  for e, a in linear.terms.items())
 
 
 @lru_cache(maxsize=256)
-def _todd_coefficients(order: int, coeffs: tuple, cap: int) -> tuple:
-    """a_0..a_cap of t / (1 - c e^{-t}), c = Cyclotomic(order, coeffs).
+def _todd_coefficients(order: int, nums: tuple, den: int, cap: int) -> tuple:
+    """a_0..a_cap of t / (1 - c e^{-t}), c the Cyclotomic stored as
+    (order, nums, den).
 
     c = 1 gives (-1)^k B_k / k! (removable singularity); c != 1 multiplies
     t by the series inverse of 1 - c e^{-t}, whose constant term 1 - c is
     invertible.
     """
-    c = Cyclotomic(order, coeffs)
+    c = _make(order, nums, den)
     if c.is_one():
         return tuple(_as_cyc(bernoulli(k) * Fraction((-1) ** k,
                                                      math.factorial(k)))
@@ -1015,13 +1083,13 @@ def _todd_coefficients(order: int, coeffs: tuple, cap: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def _linear_powers(nvars: int, form: tuple, cap: int) -> tuple:
-    """p^0..p^cap of p = sum alpha_i s_i, given as ((i, order, coeffs), ...)
-    over its nonzero alpha_i.
+    """p^0..p^cap of p = sum alpha_i s_i, given as
+    ((i, order, nums, den), ...) over its nonzero alpha_i.
 
     Row k lists (e, k!/e! alpha^e) over the exponents e with |e| = k, in the
     order repeated multiplication by p first produces them.
     """
-    alphas = [(i, Cyclotomic(order, coeffs)) for i, order, coeffs in form]
+    alphas = [(i, _make(order, nums, den)) for i, order, nums, den in form]
     rows = [(((0,) * nvars, _CYC_ONE),)]
     exps = [(0,) * nvars]
     for k in range(1, cap + 1):

@@ -11,8 +11,9 @@ the chamber lookup on a ray shared by two chambers, and ``wall-jump`` and
 and of a d = 1 list with its piece on the negative side (``WALLS``), and
 count queries far from the origin with the chamber quasi-polynomial they
 evaluate (``QUERIES``), and arithmetic Tutte polynomials whose subsets
-span lattices of full rank and below it (``ARITH_TUTTE``); each runs in text
-and in ``--json`` form.
+span lattices of full rank and below it (``ARITH_TUTTE``), and an f~_z
+whose characters have order 12 and whose coefficients are declared at
+orders 3, 4 and 6 (``ORDERS``); each runs in text and in ``--json`` form.
 
 Print the transcript of the current code (to compare by hand, never to
 overwrite the file after a refactor):
@@ -128,6 +129,14 @@ ARITH_TUTTE = [
 ]
 
 
+# a coefficient's declared order: the vertices of [12, 2, 3] have characters
+# of order 12, and f~_7 prints its coefficients in Q(zeta_4), Q(zeta_3) and
+# Q(zeta_6), not in Q(zeta_12)
+ORDERS = [
+    ["f-tilde", "--x", "[[12,2,3]]", "--z", "[7]"],
+]
+
+
 def run(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -150,7 +159,7 @@ def calls():
     out = []
     for argv in README + [CORPUS] + corpus_jobs() + SHARED_CODE + PER_VERTEX \
             + DELTA + QUASIPOLY + CHAMBER_LOOKUP + WALLS + QUERIES \
-            + ARITH_TUTTE:
+            + ARITH_TUTTE + ORDERS:
         out.append(argv)
         if argv != CORPUS:
             out.append(argv + ["--json"])

@@ -1,15 +1,21 @@
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accessors import coefficients_reversed, is_constant
+from cycfield import psi_by_components
 from spans import psi_project, span_equal
 from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, rank_of
 from zonotopal.matroid import tutte
+from zonotopal.periodic import periodic_todd
 from zonotopal.polyspace import (GradedSpan, PsiProjector, cocircuit_gens,
                                  d_basis, internal_p_basis, p_basis,
                                  p_product, pair)
-from zonotopal.scalar import Cyclotomic, MPoly, exp_series, todd_factor
+from zonotopal.scalar import (Cyclotomic, MPoly, euler_phi, exp_series,
+                              todd_factor)
 
 SV2 = ("s1", "s2")
 
@@ -131,6 +137,74 @@ class TestPsi:
         diff = p - psi(p)
         for f in db.basis:
             assert not pair(diff, f)
+
+
+# d = 1 and d = 2 lists; the vertices of [12, 2, 3] have order up to 12
+_PSI_LISTS = [[[1, 2, 4]], [[12, 2, 3]], [[1, 0, 1, -1], [0, 1, 1, 1]],
+              [[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]]]
+_PROJECTORS = {}
+
+
+def _projector(rows):
+    key = repr(rows)
+    if key not in _PROJECTORS:
+        _PROJECTORS[key] = PsiProjector(GList.from_rows(rows))
+    return _PROJECTORS[key]
+
+
+def _stored(p):
+    """Each term of p as (monomial, order, numerators, denominator), in
+    term order."""
+    return [(e, c.order, c.nums, c.den) for e, c in p.terms.items()]
+
+
+@st.composite
+def _psi_inputs(draw):
+    """(projector, polynomial up to its top degree) with coefficients of
+    orders 1-12 and entries in {-1, 0, 1}, so that sums cancel often."""
+    psi = _projector(draw(st.sampled_from(_PSI_LISTS)))
+    d = len(psi.vars)
+    exps = st.lists(st.integers(0, psi.top), min_size=d, max_size=d).map(
+        tuple).filter(lambda e: sum(e) <= psi.top)
+    coeffs = st.sampled_from([1, 2, 3, 4, 6, 12]).flatmap(
+        lambda n: st.lists(st.sampled_from([-1, 0, 1, Fraction(1, 2)]),
+                           min_size=euler_phi(n), max_size=euler_phi(n))
+        .map(lambda cs, n=n: Cyclotomic(n, cs)))
+    return psi, MPoly(psi.vars, draw(st.dictionaries(exps, coeffs,
+                                                     max_size=8)))
+
+
+class TestPsiInIntegers:
+    """`project_poly` forms each P-basis coefficient as integer dot
+    products; it equals the loop over power-basis components
+    (`cycfield.psi_by_components`) in value, in each term's declared order
+    and in term order."""
+
+    @pytest.mark.parametrize("rows", _PSI_LISTS)
+    def test_todd_series_of_every_vertex(self, rows):
+        psi = _projector(rows)
+        x = psi.x
+        for z in (x.group.element((0,) * len(rows)),
+                  x.group.element(tuple(sum(r) - 1 for r in rows))):
+            for _, series in periodic_todd(x, z, psi.top).terms:
+                got = psi.project_poly(series.body)
+                assert _stored(got) == _stored(psi_by_components(
+                    psi, series.body))
+
+    def test_declared_order_of_an_order_12_vertex(self):
+        psi = _projector([[12, 2, 3]])
+        orders = set()
+        for _, series in periodic_todd(psi.x, psi.x.group.element((7,)),
+                                       psi.top).terms:
+            orders |= {c.order for c in psi(series).terms.values()}
+        assert orders == {1, 3, 4, 6}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_psi_inputs())
+    def test_matches_component_loop(self, case):
+        psi, f = case
+        assert _stored(psi.project_poly(f)) == _stored(
+            psi_by_components(psi, f))
 
 
 class TestDBasis:

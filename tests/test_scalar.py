@@ -12,6 +12,8 @@ from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries,
                               rat_str, s_vars, todd_factor, todd_log)
 from zonotopal.errors import InternalError, NonMember
 
+from cycfield import FracCyclotomic, sympy_reduced, sympy_value
+
 SV = ("s1",)
 
 
@@ -364,7 +366,7 @@ class TestToddLog:
         form = MPoly.linear_form(s_vars(2), (Fraction(1), Fraction(-2)))
         c = Cyclotomic.root_of_unity(3)
         lead, v, log = todd_log(form, c, 4)
-        _, _, logs = _todd_logs(c.order, c.coeffs, 4)
+        _, _, logs = _todd_logs(c.order, c.nums, c.den, 4)
         want = MPoly(form.vars)
         pw = MPoly.constant(form.vars, 1)
         for l in logs:
@@ -458,6 +460,119 @@ class TestFromPowers:
         got = Cyclotomic.from_powers(n, ints, den)
         assert got.order == n
         assert got.coeffs == want.coeffs
+
+
+# every order the oracle tests mix, with small coefficients so that sums
+# and products cancel and reduce often
+_ORACLE_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
+_entries = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3),
+                            Fraction(5, 6)])
+
+
+@st.composite
+def mixed_cyclotomics(draw):
+    order = draw(st.sampled_from(_ORACLE_ORDERS))
+    return Cyclotomic(order, draw(st.lists(
+        _entries, min_size=euler_phi(order), max_size=euler_phi(order))))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(a, b), where b is often a's value at another order, or its
+    negative, so that == and cancellation are exercised."""
+    a = draw(mixed_cyclotomics())
+    kind = draw(st.sampled_from(["any", "embedded", "negated"]))
+    if kind == "any":
+        return a, draw(mixed_cyclotomics())
+    b = a.embed(a.order * draw(st.sampled_from([1, 2, 3, 4])))
+    return a, (b if kind == "embedded" else -b)
+
+
+def assert_canonical(c):
+    assert type(c.den) is int and c.den > 0
+    assert all(type(v) is int for v in c.nums)
+    assert len(c.nums) == euler_phi(c.order)
+    assert math.gcd(c.den, *c.nums) == 1
+
+
+class TestAgainstFractionVectors:
+    """The integer `Cyclotomic` against the Fraction-vector arithmetic of
+    `cycfield` and against sympy (a product reduced with `rem` modulo
+    Phi_n): each result has the reference's order and coefficients, and is
+    stored in lowest terms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_pairs())
+    def test_ring_operations(self, pair):
+        a, b = pair
+        fa, fb = FracCyclotomic.of(a), FracCyclotomic.of(b)
+        for got, want in ((a + b, fa + fb), (a - b, fa - fb),
+                          (a * b, fa * fb), (-a, -fa)):
+            assert_canonical(got)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs)
+        assert (a == b) == (fa == fb) and (b == a) == (fa == fb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_cyclotomics())
+    def test_inverse(self, a):
+        if not a:
+            return
+        got, want = a.inv(), FracCyclotomic.of(a).inv()
+        assert_canonical(got)
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_pairs())
+    def test_matches_sympy(self, pair):
+        a, b = pair
+        n = math.lcm(a.order, b.order)
+        x, y = sympy_value(a.embed(n)), sympy_value(b.embed(n))
+        assert (a * b).coeffs == sympy_reduced(x * y, n)
+        assert (a + b).coeffs == sympy_reduced(x + y, n)
+        assert a.embed(n).coeffs == sympy_reduced(sympy_value(a).subs(
+            sympy.Symbol("x"), sympy.Symbol("x") ** (n // a.order)), n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_cyclotomics(), st.integers(1, 12), st.integers(-7, 7))
+    def test_lowest_terms(self, a, den, k):
+        # the same value from coefficients scaled by k / den and back
+        assert_canonical(a)
+        b = Cyclotomic(a.order, [q * k / den for q in a.coeffs])
+        assert_canonical(b)
+        if k:
+            assert b * Fraction(den, k) == a
+            assert Cyclotomic(a.order, b.coeffs).nums == b.nums
+        else:
+            assert b.den == 1 and not b
+        assert Cyclotomic.from_powers(a.order, [v * 3 for v in a.nums],
+                                      3 * a.den) == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_pairs())
+    def test_hash_contract(self, pair):
+        a, b = pair
+        assert hash(a) == hash(FracCyclotomic.of(a))
+        if a == b:
+            assert hash(a) == hash(b)
+        if a.is_rational():
+            q = a.to_rational()
+            assert hash(a) == hash(q)
+            if q.denominator == 1:
+                assert hash(a) == hash(int(q))
+
+    def test_hash_of_equal_values_at_other_orders(self):
+        z3, z4 = Cyclotomic.root_of_unity(3), Cyclotomic.root_of_unity(4)
+        for a, n in ((z3, 6), (z3 * 2 - Fraction(1, 3), 6), (z4, 12),
+                     (z4 * Fraction(-3, 4) + 5, 12)):
+            b = a.embed(n)
+            assert b.order == n and a == b and hash(a) == hash(b)
+        assert hash(Cyclotomic(2, (Fraction(-3, 4),))) == hash(Fraction(-3, 4))
+        assert hash(Cyclotomic(4, (7, 0))) == hash(7)
+
+    def test_conjugates_hash_apart(self):
+        z5 = Cyclotomic.root_of_unity(5)
+        assert hash(z5) != hash(z5 * z5)
+        assert hash(z5.embed(10)) != hash((z5 * z5).embed(10))
 
 
 class TestEvaluate:
