@@ -450,8 +450,8 @@ class GList:
 @lru_cache(maxsize=4)
 def list_facts(x: GList) -> dict:
     """The facts `GList.memo` keeps for the last 4 list values: the
-    lattice walk of both Tutte polynomials, the geometry of X, psi_X, the
-    vertices, the Todd parts and every f~_z.
+    basis table, the lattice walk of both Tutte polynomials, the geometry
+    of X, psi_X, the vertices, the Todd parts and every f~_z.
     They depend only on X, so equal lists share one entry.  No list holds
     its entry, so psi_X, which holds its list, closes no reference cycle
     and an evicted entry is freed at once."""

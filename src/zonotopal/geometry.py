@@ -328,17 +328,6 @@ def _integer_rows(A, b):
     return out_a, out_b
 
 
-def _subset_adjugates(A, dim) -> tuple:
-    """(S, adj A_S, |det A_S|) for every nonsingular dim-row subset S of the
-    integer matrix A, as `linalg.adjugate` gives them."""
-    out = []
-    for rows in itertools.combinations(range(len(A)), dim):
-        inv = linalg.adjugate([A[i] for i in rows])
-        if inv is not None:
-            out.append((rows, *inv))
-    return tuple(out)
-
-
 def _enumerate_vertices(A, b, dim, subsets=None) -> tuple:
     """The vertices of P = {y : A y <= b} as integer points over one common
     denominator: (den, verts, A, rhs).
@@ -348,17 +337,17 @@ def _enumerate_vertices(A, b, dim, subsets=None) -> tuple:
     ``subsets``.  A is integer and P = {p / den : A p <= rhs} with integer
     rhs, so a row is tight at a vertex iff row . p == rhs_i.
 
-    ``subsets`` is `_subset_adjugates(A, dim)` for an integer A, passed by a
-    caller that keeps A and varies b; without it each row of [A | b] is
-    first scaled so that A is integer.  With b = c / D for integers c and
-    D > 0, each nonsingular subset S gives the candidate vertex
-    y = adj c_S / (det D), and y satisfies every row iff A adj c_S <= det c
-    holds in integers.  The common denominator is D times the lcm of the
-    dets of the subsets that give vertices.
+    ``subsets`` is `linalg.subset_adjugates(A, dim)` for an integer A,
+    passed by a caller that keeps A and varies b; without it each row of
+    [A | b] is first scaled so that A is integer.  With b = c / D for
+    integers c and D > 0, each nonsingular subset S gives the candidate
+    vertex y = adj c_S / (det D), and y satisfies every row iff
+    A adj c_S <= det c holds in integers.  The common denominator is D
+    times the lcm of the dets of the subsets that give vertices.
     """
     if subsets is None:
         A, b = _integer_rows(A, b)
-        subsets = _subset_adjugates(A, dim)
+        subsets = linalg.subset_adjugates(A, dim)
     den = math.lcm(*(beta.denominator for beta in b))
     c = [beta.numerator * (den // beta.denominator) for beta in b]
     found = []
@@ -518,15 +507,15 @@ def _fiber(x: GList) -> Fiber:
     scale = linalg.det(ktk) / abs(linalg.det(big))
     t_facets = tuple(tuple(-k[j] for k in kern) for j in range(n))
     return Fiber(m, tuple(pivots), basis_adj, scale,
-                 t_facets, _subset_adjugates(t_facets, m))
+                 t_facets, linalg.subset_adjugates(t_facets, m))
 
 
 def _box_facets(x: GList) -> tuple:
-    """The B_X facet matrix [-K^T; K^T] and its `_subset_adjugates`."""
+    """The B_X facet matrix [-K^T; K^T] and its `linalg.subset_adjugates`."""
     fib = fiber(x)
     facets = fib.t_facets + tuple(tuple(-v for v in row)
                                   for row in fib.t_facets)
-    return facets, _subset_adjugates(facets, fib.dim)
+    return facets, linalg.subset_adjugates(facets, fib.dim)
 
 
 def tx_value(x: GList, u) -> Fraction:

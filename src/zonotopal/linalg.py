@@ -7,12 +7,16 @@ one fraction-free elimination, `_eliminate` (Bareiss, with optional
 Gauss-Jordan), runs behind `rref`, `solve`, `nullspace`, `rank`, `det`,
 `bareiss` and `adjugate`.  `rref` then divides by the last pivot once per
 entry; the reduced form is unique, so it equals the field elimination's.
+`subset_adjugates` gives (adj, |det|) of every nonsingular square row
+subset of an integer matrix: the one table behind the vertices of
+`geometry`'s polytopes and the bases of `matroid`.
 Cyclotomic matrices take the field elimination, which needs only +, -, *,
 bool and ``inv``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -208,6 +212,18 @@ def adjugate(m):
     p = rows[0][0] if n else 1
     sign = 1 if p > 0 else -1
     return [[sign * v for v in r[n:]] for r in rows], sign * p
+
+
+def subset_adjugates(A, dim) -> tuple:
+    """(S, adj A_S, |det A_S|) for every nonsingular dim-row subset S of the
+    integer matrix A, S a tuple of row indices in lexicographic order, as
+    `adjugate` gives them: A_S^-1 = adj A_S / |det A_S|."""
+    out = []
+    for rows in itertools.combinations(range(len(A)), dim):
+        inv = adjugate([A[i] for i in rows])
+        if inv is not None:
+            out.append((rows, *inv))
+    return tuple(out)
 
 
 def dot(a, b):

@@ -1,6 +1,14 @@
 """Matroid and arithmetic-matroid combinatorics of a list.
 
-Bases, cocircuits, external activity, and both Tutte polynomials.  Rank
+Bases, cocircuits, external activity, and both Tutte polynomials.  The
+bases come from one table per list value, kept in its `list_facts` entry:
+(adj B, |det B|) for each nonsingular d-subset B of the free parts, from
+`linalg.subset_adjugates`.  `bases` returns its keys, `is_unimodular`
+reads |det B| = m(B) and `external_activity` the B-coordinates
+adj B . x_j / |det B|, all in integers; `toric.vertices` and
+`periodic.pper_basis` take their bases from it.  The definitions it
+replaces (a rank per d-subset, a solve per basis, a Smith normal form per
+basis) are kept in the tests as oracles.  Rank
 and multiplicity of a subset depend only on the integer lattice it spans,
 so both Tutte polynomials come from one walk over the distinct lattices,
 built one column at a time: each lattice keeps its number of subsets of
@@ -23,7 +31,7 @@ from operator import add
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import InternalError, NotABasis, RankDeficient
-from .linalg import dot, identity, nullspace, solve
+from .linalg import dot, nullspace, subset_adjugates
 
 
 # Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
@@ -116,22 +124,40 @@ class BivarPoly:
 # ---------------------------------------------------------------------------
 
 def bases(x: GList) -> list:
-    """All d-subsets of full free rank, in lexicographic index order."""
-    d = x.group.free_rank
-    if rank_of(x, range(len(x))) != d:
+    """All d-subsets of full free rank, in lexicographic index order: the
+    keys of the list's basis table (`_spanning_table`)."""
+    return list(_spanning_table(x))
+
+
+def _spanning_table(x: GList) -> dict:
+    """The list's basis table (`_basis_table`), kept by `GList.memo`;
+    RankDeficient when the list does not span."""
+    table = x.memo("bases", _basis_table)
+    if not table:
         raise RankDeficient("list does not span")
-    out = []
-    for comb in itertools.combinations(range(len(x)), d):
-        if rank_of(x, comb) == d:
-            out.append(frozenset(comb))
-    return out
+    return table
+
+
+def _basis_table(x: GList) -> dict:
+    """{B: (adj, det)} over the bases B of X, in lexicographic index order,
+    from one `linalg.subset_adjugates` over the free parts.
+
+    adj is the adjugate of the d x d matrix whose rows are the free parts
+    of B in index order, and det > 0 its |determinant|.  So the coordinates
+    of x_j in B are (x_j . adj[:, k]) / det, and on a lattice m(B) = det.
+    Built once per list value and kept by `GList.memo`; a list that does
+    not span has an empty table.
+    """
+    subsets = subset_adjugates([e.free for e in x.elems], x.group.free_rank)
+    return {frozenset(rows): (adj, det) for rows, adj, det in subsets}
 
 
 def is_unimodular(x: GList) -> bool:
-    """Every basis has multiplicity 1 (and the group is free)."""
+    """Every basis has multiplicity 1 (and the group is free): on a
+    lattice m(B) = |det B|, read from the basis table."""
     if x.group.invariants:
         return False
-    return all(multiplicity(x, b) == 1 for b in bases(x))
+    return all(det == 1 for _, det in _spanning_table(x).values())
 
 
 def corank_one_flats(x: GList) -> list:
@@ -179,26 +205,22 @@ def external_activity(x: GList, b) -> frozenset:
     basis elements that precede it in the list order.
 
     (Equivalently, x_j is the largest index in its fundamental circuit.)
-    One multi-column solve per basis writes every x_j outside B in B's
-    coordinates; x_j is active when its coordinates vanish on every basis
-    element after j.  b must be a basis of x (NotABasis otherwise): the
-    solve also inverts B, which fails for any other index set.
+    The coordinates of x_j in B are adj . x_j / det, read from the basis
+    table (`_basis_table`) in integers; x_j is active when they vanish on
+    every basis element after j, that is when those entries of the integer
+    vector adj . x_j are zero.  b must be a basis of x: any other index set
+    misses the table and raises NotABasis.
     """
-    b = sorted(set(b))
-    n, d = len(x), x.group.free_rank
-    rest = [j for j in range(n) if j not in b]
-    coords = None
-    if len(b) == d and all(0 <= i < n for i in b):
-        free = [e.free for e in x.elems]
-        unit = identity(d, 1, 0)
-        coords = solve([[free[i][r] for i in b] for r in range(d)],
-                       [[free[j][r] for j in rest] + unit[r]
-                        for r in range(d)])
-    if coords is None:
-        raise NotABasis(f"{b} is not a basis of the list")
-    return frozenset(j for col, j in enumerate(rest)
-                     if not any(row[col] for i, row in zip(b, coords)
-                                if i > j))
+    key = frozenset(b)
+    try:
+        adj, _ = x.memo("bases", _basis_table)[key]
+    except KeyError:
+        raise NotABasis(f"{sorted(key)} is not a basis of the list") \
+            from None
+    cols = list(zip(sorted(key), zip(*adj)))
+    return frozenset(j for j, e in enumerate(x.elems)
+                     if j not in key and not any(dot(e.free, col)
+                                                 for i, col in cols if i > j))
 
 
 # ---------------------------------------------------------------------------

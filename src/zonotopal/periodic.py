@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .abelian import GList, contract, rank_of, snf
+# rank_of stays bound here, unused: perfbench/selftest.py checks that the
+# tracer patches this module's binding of it.
+from .abelian import GList, contract, rank_of, snf  # noqa: F401
 from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
 from .geometry import hyperplanes, lattice_points
@@ -243,24 +245,28 @@ def pper_basis(x: GList) -> list:
     """Homogeneous basis: e_phi s0^tors(phi) p_{X \\ (B u (E(B) cap X_phi) u X_t)}
     over vertices phi and bases B of X_phi.
 
-    Elements at distinct characters are independent, so the basis is
-    checked one character at a time: each vertex's polynomials form a
-    `GradedSpan`, which raises InternalError when they are dependent.
+    The bases of X_phi are the bases of X inside X_phi, read from X's basis
+    table (`matroid.bases`) in its lexicographic order; X_phi spans exactly
+    when there is one.  Elements at distinct characters are independent,
+    so the basis is checked one character at a time: each vertex's
+    polynomials form a `GradedSpan`, which raises InternalError when they
+    are dependent.
     """
     x.require_full_rank()
     vars = _pper_vars(x)
     tors = set(x.torsion_indices())
+    x_bases = bases(x)
     out = []
     for v in vertices(x):
-        sub = x.sublist(v.x_phi)
-        if rank_of(sub, range(len(sub))) != x.group.free_rank:
+        phi = set(v.x_phi)
+        phi_bases = [b for b in x_bases if b <= phi]
+        if not phi_bases:
             raise InternalError("vertex sublist does not span")
-        phi_bases = [frozenset(v.x_phi[i] for i in b) for b in bases(sub)]
         s0 = _s0_power(vars, v.tors_count)
         polys = []
-        for b in sorted(phi_bases, key=sorted):
+        for b in phi_bases:
             ext = external_activity(x, b)
-            drop = set(b) | (ext & set(v.x_phi)) | tors
+            drop = set(b) | (ext & phi) | tors
             polys.append(p_product(
                 x, [i for i in range(len(x)) if i not in drop], vars) * s0)
         GradedSpan(polys, vars)  # InternalError when dependent

@@ -1,9 +1,14 @@
 """Vertices of the generalised toric arrangement and character evaluation.
 
-A character is stored by exact rational data: theta for the free part
-(entries mod 1) and one residue per torsion coordinate.  Vertex enumeration
-goes basis by basis through the Smith normal form of the presented quotient,
-so exactly m(B) candidate characters are produced per basis, no search.
+A character is stored as integer numerators over their least common
+denominator (its order): theta for the free part, then one residue per
+torsion coordinate, all reduced mod 1.  It is tested, evaluated and
+ordered on group elements in integers; theta and tors are Fraction views
+of the same data.  Vertex enumeration goes basis by basis, over the bases
+in the list's basis table (`matroid.bases`), through the Smith normal form
+of the presented quotient, so exactly m(B) candidate characters are
+produced per basis, no search; each is built over the lcm of the Smith
+diagonal in integers.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from operator import mul
 
 from .abelian import FgGroup, GElement, GList, snf
 from .errors import InternalError, RankDeficient
@@ -19,56 +26,93 @@ from .matroid import bases
 from .scalar import Cyclotomic, rat_str
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Character:
     """theta . free(g) + tors . tors(g) mod 1, all entries reduced mod 1.
 
-    Equal data means an equal character, so a Character is the key of every
-    per-vertex value; characters sort by (theta, tors).
+    Stored as ``nums`` / ``den``: den the lcm of the denominators (the
+    order) and nums the numerators over it, theta's first (``free_rank``
+    of them), each in [0, den).  Equal data means an equal character, so a
+    Character is the key of every per-vertex value.  Characters sort by
+    (theta, tors), compared in integers; `theta` and `tors` are Fraction
+    views.  ``Character(theta, tors)`` takes any iterables of rationals;
+    `Character.over` builds one from ints.
     """
 
-    theta: tuple
-    tors: tuple
+    den: int
+    nums: tuple
+    free_rank: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta",
-                           tuple(Fraction(t) % 1 for t in self.theta))
-        object.__setattr__(self, "tors",
-                           tuple(Fraction(t) % 1 for t in self.tors))
-        object.__setattr__(self, "_hash", hash((self.theta, self.tors)))
+    def __init__(self, theta, tors):
+        theta = [Fraction(t) for t in theta]
+        data = theta + [Fraction(t) for t in tors]
+        den = math.lcm(*(t.denominator for t in data))
+        self._keep(den, [t.numerator * (den // t.denominator) for t in data],
+                   len(theta))
 
-    def __hash__(self):
-        """Equal characters hash equal, as their reduced data are equal.
-        Computed once and kept, as the character does not change."""
-        return self._hash
+    @staticmethod
+    def over(den: int, nums, free_rank: int) -> "Character":
+        """The character with data nums / den, for ints nums (free_rank of
+        theta, then tors) and den > 0, with no Fraction arithmetic."""
+        c = object.__new__(Character)
+        c._keep(den, nums, free_rank)
+        return c
+
+    def _keep(self, den, nums, free_rank):
+        """Set den, nums and free_rank from nums / den reduced mod 1 and
+        over their least common denominator."""
+        nums = [v % den for v in nums]
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "nums", tuple(v // g for v in nums))
+        object.__setattr__(self, "free_rank", free_rank)
+
+    @property
+    def theta(self) -> tuple:
+        return tuple(Fraction(v, self.den)
+                     for v in self.nums[:self.free_rank])
+
+    @property
+    def tors(self) -> tuple:
+        return tuple(Fraction(v, self.den)
+                     for v in self.nums[self.free_rank:])
+
+    def __lt__(self, other):
+        """(theta, tors) < (other.theta, other.tors), with each side's
+        numerators brought over the product of the two orders."""
+        if not isinstance(other, Character):
+            return NotImplemented
+        a = [v * other.den for v in self.nums]
+        b = [v * self.den for v in other.nums]
+        f, g = self.free_rank, other.free_rank
+        return (a[:f], a[f:]) < (b[:g], b[g:])
 
     @staticmethod
     def trivial(group: FgGroup) -> "Character":
-        return Character((Fraction(0),) * group.free_rank,
-                         (Fraction(0),) * len(group.invariants))
+        return Character.over(1, (0,) * group.ncoords, group.free_rank)
 
     def angle(self, g: GElement) -> Fraction:
         """phi(g) as a rational mod 1."""
-        total = Fraction(0)
-        for t, v in zip(self.theta, g.free):
-            total += t * v
-        for t, v in zip(self.tors, g.tors):
-            total += t * v
-        return total % 1
+        return Fraction(self._numerator(g) % self.den, self.den)
+
+    def _numerator(self, g: GElement) -> int:
+        """den * phi(g), an integer (not reduced mod den)."""
+        return sum(map(mul, self.nums, g.free + g.tors))
 
     def is_trivial(self) -> bool:
-        return not any(self.theta) and not any(self.tors)
+        return not any(self.nums)
 
     def fixes(self, g: GElement) -> bool:
-        return self.angle(g) == 0
+        return not self._numerator(g) % self.den
 
     def order(self) -> int:
         """Order of the root-of-unity image lattice (lcm of denominators)."""
-        return math.lcm(*(t.denominator for t in self.theta + self.tors))
+        return self.den
 
     def __repr__(self):
         th = ",".join(rat_str(t) for t in self.theta)
-        if not self.tors:
+        if self.free_rank == len(self.nums):
             return f"e[{th}]"
         tr = ",".join(rat_str(t) for t in self.tors)
         return f"e[{th};{tr}]"
@@ -79,19 +123,19 @@ class Character:
 
     @staticmethod
     def from_json(obj) -> "Character":
-        return Character(tuple(Fraction(str(t)) for t in obj["theta"]),
-                         tuple(Fraction(str(t)) for t in obj["tors"]))
+        return Character(map(str, obj["theta"]), map(str, obj["tors"]))
 
 
 def evaluate(c: Character, g: GElement) -> Cyclotomic:
     """e_phi(g) as an exact root of unity."""
-    return Cyclotomic.from_angle(c.angle(g))
+    return Cyclotomic.root_of_unity(c.den, c._numerator(g))
 
 
 def evaluate_point(c: Character, point) -> Cyclotomic:
-    """e_phi at a point of the free part, given by its coordinates."""
+    """e_phi at a point of the free part, given by its (rational)
+    coordinates."""
     return Cyclotomic.from_angle(
-        sum((t * v for t, v in zip(c.theta, point)), Fraction(0)))
+        Fraction(sum(map(mul, c.nums[:c.free_rank], point)), c.den))
 
 
 @dataclass(frozen=True)
@@ -102,7 +146,12 @@ class VertexData:
 
 
 def _characters_killing(x: GList, basis) -> list:
-    """All characters of G annihilating <B>, via SNF of the presentation."""
+    """All characters of G annihilating <B>, via SNF of the presentation.
+
+    With U [lifts of B | relations] V = diag, the characters are
+    y -> sum_i c_i / diag_i (U y)_i for 0 <= c_i < diag_i: over
+    den = lcm(diag), the numerators sum_i c_i (den / diag_i) U_i, in ints.
+    """
     g = x.group
     n = g.ncoords
     u, d, _ = snf(g.presentation([x.elems[i].lift()
@@ -111,17 +160,15 @@ def _characters_killing(x: GList, basis) -> list:
     if not all(diag):
         raise InternalError(f"the basis {sorted(basis)} does not have "
                             f"finite index")
+    den = math.lcm(*diag)
     out = []
     for combo in itertools.product(*(range(di) for di in diag)):
-        # character y -> sum_i combo[i]/diag[i] * y_i pulled back along U
-        coeffs = [Fraction(c, di) for c, di in zip(combo, diag)]
-        func = [Fraction(0)] * n
-        for c, row in zip(coeffs, u):
+        nums = [0] * n
+        for c, di, row in zip(combo, diag, u):
             if c:
-                for i in range(n):
-                    func[i] += c * row[i]
-        out.append(Character(tuple(func[: g.free_rank]),
-                             tuple(func[g.free_rank:])))
+                f = c * (den // di)
+                nums = [v + f * r for v, r in zip(nums, row)]
+        out.append(Character.over(den, nums, g.free_rank))
     return out
 
 
@@ -129,11 +176,11 @@ def _all_torsion_characters(group: FgGroup) -> list:
     if group.free_rank:
         raise InternalError(f"{group.spec_string()} is not finite, so its "
                             f"characters cannot be listed")
-    out = []
-    for combo in itertools.product(*(range(k) for k in group.invariants)):
-        out.append(Character((), tuple(Fraction(c, k) for c, k
-                                       in zip(combo, group.invariants))))
-    return out
+    den = math.lcm(*group.invariants)
+    return [Character.over(den, [c * (den // k) for c, k
+                                 in zip(combo, group.invariants)], 0)
+            for combo in itertools.product(*(range(k)
+                                             for k in group.invariants))]
 
 
 def vertices(x: GList) -> list:

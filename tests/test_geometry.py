@@ -524,10 +524,10 @@ class TestSplineValues:
         assert bx_value(x12, [2]) == F(1, 2)
 
     def test_box_adjugates_built_on_first_bx_value(self, monkeypatch):
-        from zonotopal import geometry
+        from zonotopal import linalg
         built = []
-        subset_adjugates = geometry._subset_adjugates
-        monkeypatch.setattr(geometry, "_subset_adjugates",
+        subset_adjugates = linalg.subset_adjugates
+        monkeypatch.setattr(linalg, "subset_adjugates",
                             lambda A, dim: built.append(len(A))
                             or subset_adjugates(A, dim))
         x = GList.from_rows([[1, 0, 1, 1], [0, 1, 1, 2]])

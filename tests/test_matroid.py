@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from accessors import free_columns
 from spans import span_contains
 from torus import basis_lcm, good_primes, point_count, tutte_side
+from zonotopal import linalg
 from zonotopal.abelian import (FgGroup, GList, contract, list_facts,
                                multiplicity, rank_of)
 from zonotopal.errors import InternalError, NotABasis, RankDeficient
@@ -503,3 +504,129 @@ def test_tutte_polynomials_equal_subset_sum_oracle(case, arithmetic,
         assert tutte(x) == tutte_oracle(x), x
         if arithmetic:
             assert arithmetic_tutte(x) == arithmetic_tutte_oracle(x), x
+
+
+# ---------------------------------------------------------------------------
+# the basis table against the definitions it replaced
+# ---------------------------------------------------------------------------
+
+def bases_by_rank(x):
+    """The d-subsets of rank d, one `rank_of` each."""
+    d = x.group.free_rank
+    return [frozenset(c) for c in itertools.combinations(range(len(x)), d)
+            if rank_of(x, c) == d]
+
+
+def external_activity_by_solve(x, b):
+    """x_j outside B is active when its coordinates in B, from one
+    multi-column `linalg.solve`, vanish on every basis element after j."""
+    b = sorted(b)
+    d = x.group.free_rank
+    free = free_columns(x)
+    rest = [j for j in range(len(x)) if j not in b]
+    unit = linalg.identity(d, 1, 0)
+    coords = linalg.solve([[free[i][r] for i in b] for r in range(d)],
+                          [[free[j][r] for j in rest] + unit[r]
+                           for r in range(d)])
+    return frozenset(j for col, j in enumerate(rest)
+                     if not any(row[col] for i, row in zip(b, coords)
+                                if i > j))
+
+
+def is_unimodular_by_snf(x):
+    """A free group and m(B) = 1 for every basis, by Smith normal form."""
+    return not x.group.invariants and all(
+        multiplicity(x, b) == 1 for b in bases_by_rank(x))
+
+
+def _table_lists():
+    """d = 0-3: torsion, zero, parallel and repeated columns."""
+    return _special_lists() + _z2_z2z4_lists() + [
+        GList.from_rows([[0, 2, -3, 2, 0]]),
+        GList.from_columns([[1, 1], [0, 1], [0, 3], [1, 0]],
+                           FgGroup(1, (4,))),
+        GList.from_rows([[1, 0, 2, 0, 1, -1], [1, 0, 2, 1, -1, 0],
+                         [0, 1, 0, 1, 1, 2]]),
+        GList.from_columns([[2], [1], [3]], FgGroup(0, (4,))),
+    ]
+
+
+def _check_table(x):
+    expect = bases_by_rank(x)
+    if not expect:
+        with pytest.raises(RankDeficient):
+            bases(x)
+        if x.group.invariants:
+            assert not is_unimodular(x)
+        else:
+            with pytest.raises(RankDeficient):
+                is_unimodular(x)
+        return
+    assert bases(x) == expect
+    assert is_unimodular(x) == is_unimodular_by_snf(x)
+    for b in expect:
+        assert external_activity(x, b) == external_activity_by_solve(x, b)
+
+
+class TestBasisTable:
+    def test_fixed_and_corpus_lists(self, mixed_corpus):
+        for x in _table_lists() + list(mixed_corpus):
+            _check_table(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tutte_lists())
+    def test_drawn_lists(self, x):
+        _check_table(x)
+
+    def test_unimodular_reads_the_determinant(self):
+        assert is_unimodular(GList.from_rows([[1, 0, 1, 1], [0, 1, 1, 0]]))
+        assert not is_unimodular(GList.from_rows([[1, 0, 1], [0, 1, 2]]))
+        assert not is_unimodular(GList.from_columns([[1, 0], [0, 1]],
+                                                    FgGroup(1, (2,))))
+
+    @pytest.mark.parametrize("b", [[0, 2], [0, 1, 3], [1], [3, 4], [-1, 1],
+                                   [0, 0]])
+    def test_not_a_basis(self, b):
+        # [0, 2] is dependent; then wrong sizes and indices out of range
+        x = GList.from_rows([[1, 0, 2, 1], [1, 1, 2, 0]])
+        with pytest.raises(NotABasis):
+            external_activity(x, b)
+
+    COLS = [[1, 0, 2], [0, 1, 1], [1, 1, 0], [2, -1, 1], [1, 0, 2],
+            [0, 0, 1]]
+
+    @staticmethod
+    def _count_adjugates(monkeypatch) -> list:
+        calls = []
+        adjugate = linalg.adjugate
+        monkeypatch.setattr(linalg, "adjugate",
+                            lambda m: calls.append(m) or adjugate(m))
+        return calls
+
+    @staticmethod
+    def _read_table(x):
+        for b in bases(x):
+            external_activity(x, b)
+        return is_unimodular(x)
+
+    def test_equal_list_builds_no_table(self, monkeypatch):
+        list_facts.cache_clear()
+        x = GList.from_columns(self.COLS)
+        self._read_table(x)
+        calls = self._count_adjugates(monkeypatch)
+        again = GList.from_columns(self.COLS)
+        assert again is not x
+        self._read_table(again)
+        assert calls == []
+        list_facts.cache_clear()
+
+    def test_evicted_table_is_built_again(self, monkeypatch):
+        list_facts.cache_clear()
+        x = GList.from_columns(self.COLS)
+        expect = bases(x)
+        for k in range(list_facts.cache_info().maxsize):
+            bases(GList.from_columns([[1, k + 2], [0, 1]]))
+        calls = self._count_adjugates(monkeypatch)
+        assert bases(x) == expect
+        assert len(calls) == 20           # one per 3-subset of 6 columns
+        list_facts.cache_clear()
