@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain error (rank-deficient input,
 unpointed list, ...), 3 internal error: a failed self-check or any other
-exception, reported in one line without a traceback.
+exception, reported in one line without a traceback; 141, with no message,
+when the reader of stdout has gone (what a shell reports for a tool killed
+by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -412,6 +415,11 @@ def main(argv=None) -> int:
             _cmd_corpus(args)
         else:
             _COMMANDS[args.command][0](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

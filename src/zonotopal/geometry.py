@@ -4,14 +4,15 @@ Everything is exact, and the inner loops run on integers.  Volumes come
 from integer vertex numerators over one common denominator, a recursive
 star triangulation with integer face tests and fraction-free simplex
 determinants (`linalg.det`); spline values from the per-list `Fiber`.
-Lattice points compare the integer eta.p with integer bounds over the
-admissible normals eta, and a spanning list's cone is cut out by its facet
-normals.  A chamber is named by its sign vector, the signs of eta.y over
-the admissible normals at any y inside it.  The polynomial piece of T_X on
-a chamber comes from one triangulation of the fiber at a sample point,
-whose vertices are affine in u, and is kept per list value (`GList.memo`)
-under the chamber's sign vector; the pieces of B_X on its alcoves are sums of
-translates of these (`brionvergne`).
+The admissible normals eta are read off the list's basis table, with no
+elimination (`matroid.hyperplane_flats`).  Lattice points compare the
+integer eta.p with integer bounds over them, and a spanning list's cone is
+cut out by its facet normals.  A chamber is named by its sign vector, the
+signs of eta.y over the admissible normals at any y inside it.  The
+polynomial piece of T_X on a chamber comes from one triangulation of the
+fiber at a sample point, whose vertices are affine in u, and is kept per
+list value (`GList.memo`) under the chamber's sign vector; the pieces of
+B_X on its alcoves are sums of translates of these (`brionvergne`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .abelian import GList
 from .errors import (DegenerateSample, InternalError, NotInCone, NotPointed,
                      NotShort, SamplesRequired, SingularGram,
                      TorsionUnsupported)
-from .matroid import corank_one_flats
+from .matroid import hyperplane_flats
 from .scalar import MPoly, rat_str, t_vars
 
 _F0 = Fraction(0)
@@ -237,25 +238,17 @@ class Hyperplane:
 def hyperplanes(x: GList) -> tuple:
     """The admissible hyperplanes, one per normal, sorted by normal.
 
-    For d = 1 the single "hyperplane" {0} has normal (1,).  A list that
-    does not span has none.  Built once per list value and kept
-    (`GList.memo`).
+    They are read off the list's basis table (`matroid.hyperplane_flats`),
+    with m(H) the number of columns off the flat.  For d = 1 the single
+    "hyperplane" {0} has normal (1,).  A list that does not span has none.
+    Built once per list value and kept (`GList.memo`).
     """
     return x.memo("hyperplanes", _hyperplanes)
 
 
 def _hyperplanes(x: GList) -> tuple:
-    d = x.group.free_rank
-    normals = set()
-    for flat in corank_one_flats(x):
-        cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
-                if any(x.elems[i].free)]
-        null = linalg.nullspace(cols, ncols=d)
-        if len(null) == 1:
-            normals.add(linalg.primitive(null[0]))
-    return tuple(Hyperplane(eta, sum(1 for e in x.elems
-                                     if linalg.dot(eta, e.free)))
-                 for eta in sorted(normals))
+    return tuple(Hyperplane(eta, len(x) - len(flat))
+                 for eta, flat in sorted(hyperplane_flats(x).items()))
 
 
 def hyperplane_normals(x: GList) -> list:

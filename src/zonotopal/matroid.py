@@ -1,14 +1,18 @@
 """Matroid and arithmetic-matroid combinatorics of a list.
 
-Bases, cocircuits, external activity, and both Tutte polynomials.  The
-bases come from one table per list value, kept in its `list_facts` entry:
-(adj B, |det B|) for each nonsingular d-subset B of the free parts, from
-`linalg.subset_adjugates`.  `bases` returns its keys, `is_unimodular`
-reads |det B| = m(B) and `external_activity` the B-coordinates
-adj B . x_j / |det B|, all in integers; `toric.vertices` and
-`periodic.pper_basis` take their bases from it.  The definitions it
-replaces (a rank per d-subset, a solve per basis, a Smith normal form per
-basis) are kept in the tests as oracles.  Rank
+Bases, hyperplanes, cocircuits, external activity, and both Tutte
+polynomials.  The bases come from one table per list value, kept in its
+`list_facts` entry: (adj B, |det B|) for each nonsingular d-subset B of the
+free parts, from `linalg.subset_adjugates`.  `bases` returns its keys,
+`is_unimodular` reads |det B| = m(B) and `external_activity` the
+B-coordinates adj B . x_j / |det B|, all in integers; `toric.vertices` and
+`periodic.pper_basis` take their bases from it.  The hyperplanes are the
+primitive forms of the adjugate columns (`_flat_table`), so
+`hyperplane_flats` (behind `geometry.hyperplanes`), `corank_one_flats`
+and `cocircuits` run no elimination on a spanning list.  The definitions
+the table replaces (a rank per d-subset, a solve per basis, a Smith normal
+form per basis, a nullspace per (r-1)-subset and per flat) are kept in the
+tests as oracles.  Rank
 and multiplicity of a subset depend only on the integer lattice it spans,
 so both Tutte polynomials come from one walk over the distinct lattices,
 built one column at a time: each lattice keeps its number of subsets of
@@ -25,13 +29,12 @@ the tests as the oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from operator import add
 
 from .abelian import GList, hnf_insert, multiplicity, rank_of
 from .errors import InternalError, NotABasis, RankDeficient
-from .linalg import dot, nullspace, subset_adjugates
+from .linalg import dot, primitive, rref, subset_adjugates
 
 
 # Exponent pairs (i, j) with i < 16 and j < 32, one object each.  Every
@@ -161,26 +164,51 @@ def is_unimodular(x: GList) -> bool:
 
 
 def corank_one_flats(x: GList) -> list:
-    """Index sets of the closed rank-(r-1) flats of X (r = rank of X).
+    """Index sets of the closed rank-(r-1) flats of X (r = rank of X), in
+    the order of their sorted index lists.
 
-    Each independent (r-1)-subset spans a flat: the columns orthogonal to
-    every vector of the subset's orthogonal complement, found with one
-    elimination per subset.
+    They are read off a basis table (`_flat_table`): the list's own when
+    X spans, else the table of X projected onto r coordinates on which it
+    keeps rank r (the pivot columns of its free parts).  That projection
+    is an isomorphism of the span of X, so the matroid does not change.
     """
-    n, d = len(x), x.group.free_rank
-    r = rank_of(x, range(n))
-    if r == 0:
-        return []
-    cols = [x.elems[i].free for i in range(n)]
-    flats = set()
-    for comb in itertools.combinations(range(n), r - 1):
-        normals = nullspace([cols[i] for i in comb], ncols=d)
-        if len(normals) != d - r + 1:
-            continue
-        flats.add(frozenset(
-            i for i in range(n)
-            if not any(dot(eta, cols[i]) for eta in normals)))
-    return sorted(flats, key=sorted)
+    cols = [e.free for e in x.elems]
+    adjs = [adj for adj, _ in x.memo("bases", _basis_table).values()]
+    if not adjs:
+        _, coords = rref(cols)
+        cols = [[c[k] for k in coords] for c in cols]
+        adjs = [adj for _, adj, _ in subset_adjugates(cols, len(coords))]
+    return sorted(_flat_table(cols, adjs).values(), key=sorted)
+
+
+def hyperplane_flats(x: GList) -> dict:
+    """{eta: flat} over the hyperplanes of a spanning list X, read off its
+    basis table (`_flat_table`): eta is the primitive integer normal, first
+    nonzero entry positive, and flat = {i : eta . x_i = 0}.  Empty when X
+    does not span."""
+    return _flat_table([e.free for e in x.elems],
+                       [adj for adj, _ in
+                        x.memo("bases", _basis_table).values()])
+
+
+def _flat_table(cols, adjs) -> dict:
+    """{eta: flat} over the hyperplanes of the integer columns cols, from
+    the adjugates adjs of all their bases (`_basis_table`).
+
+    Column k of adj B is orthogonal to every column of B but the k-th, so
+    its primitive form eta is the normal of the hyperplane that the other
+    columns span.  Every hyperplane is spanned by part of some basis, so
+    the distinct primitive columns of the adjugates are all the normals;
+    the flat of eta is {i : eta . x_i = 0}.
+    """
+    flats = {}
+    for adj in adjs:
+        for col in zip(*adj):
+            eta = primitive(col)
+            if eta not in flats:
+                flats[eta] = frozenset(i for i, c in enumerate(cols)
+                                       if not dot(eta, c))
+    return flats
 
 
 def cocircuits(x: GList) -> list:

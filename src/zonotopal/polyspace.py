@@ -33,6 +33,8 @@ class GradedSpan:
             for k, polys in degs.items():
                 if all(p.is_homogeneous() for p in polys):
                     mat = _to_matrix(polys)
+                    if all(c.is_rational() for row in mat for c in row):
+                        mat = [_integer_row(row) for row in mat]
                     if len(mat) != linalg.rank(mat):
                         raise InternalError("span basis is linearly dependent")
 
@@ -96,6 +98,13 @@ def _integer_terms(p: MPoly) -> list:
     return [(e, c.nums[0] * (den // c.den)) for e, c in p.terms.items()]
 
 
+def _integer_row(row) -> list:
+    """A row of rational cyclotomics as ints, scaled by the lcm of their
+    denominators."""
+    den = math.lcm(*(c.den for c in row))
+    return [c.nums[0] * (den // c.den) for c in row]
+
+
 def _to_matrix(polys, monos=None):
     """Coefficient rows of homogeneous same-degree polynomials."""
     if monos is None:
@@ -117,14 +126,31 @@ def p_linear(g: GElement, vars) -> MPoly:
 
 
 def p_product(x: GList, indices, vars=None) -> MPoly:
-    """prod over Y of the free-part linear forms; empty product = 1."""
+    """prod over Y of the free-part linear forms (`p_linear`); empty
+    product = 1.
+
+    The integer forms are multiplied out in ints, term by term as `MPoly`
+    multiplication would, and the result is wrapped as an `MPoly` once."""
     vars = vars or s_vars(x.group.free_rank)
-    out = MPoly.constant(vars, 1)
+    nv = len(vars)
+    shift = int(nv == x.group.free_rank + 1)      # leading s0 present
+    terms = {(0,) * nv: 1}
     for i in indices:
-        out = out * p_linear(x.elems[i], vars)
-        if not out:
+        form = [(k + shift, c) for k, c in enumerate(x.elems[i].free) if c]
+        grown = {}
+        for e1, c1 in terms.items():
+            for k, c2 in form:
+                e = (*e1[:k], e1[k] + 1, *e1[k + 1:])
+                cur = grown.get(e)
+                s = c1 * c2 if cur is None else cur + c1 * c2
+                if s:
+                    grown[e] = s
+                elif cur is not None:
+                    del grown[e]
+        terms = grown
+        if not terms:
             break
-    return out
+    return MPoly(vars, terms)
 
 
 # ---------------------------------------------------------------------------

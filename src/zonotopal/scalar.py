@@ -822,29 +822,49 @@ class MPoly:
 
 
 def divide_by_linear(p: MPoly, linear: MPoly) -> MPoly:
-    """Exact division by a degree-1 form; raises NonMember on a remainder."""
+    """Exact division by a degree-1 form; raises NonMember on a remainder.
+
+    The pivot is the variable of the form's first term.  Each step takes
+    the leading term of the remainder, with the pivot exponent first and
+    then the exponent tuple, as the next quotient term q, and subtracts q
+    times the form from one remainder dict in place.  That step cancels
+    the leading term and touches only terms whose pivot exponent is one
+    lower, so the leading terms are those of each pivot exponent in turn,
+    from the highest down to 1, each in decreasing order.  A remainder
+    left with pivot exponent 0 is not a multiple.
+    """
     if linear.total_degree() != 1 or not linear.is_homogeneous():
         raise ValueError("divisor must be a homogeneous linear form")
-    pivot = None
-    for e in linear.terms:
-        pivot = e.index(1)
-        break
-    c_piv = linear.coefficient(tuple(1 if i == pivot else 0
-                                     for i in range(len(p.vars))))
+    p._check(linear)
+    form = [(e.index(1), c) for e, c in linear.terms.items()]
+    pivot, c_piv = form[0]
     inv = c_piv.inv()
-    quot = MPoly(p.vars)
-    rem = p
-    while rem:
-        # leading term w.r.t. lex order with the pivot variable dominant
-        lead = max(rem.terms, key=lambda e: (e[pivot], e))
-        if lead[pivot] == 0:
-            raise NonMember(f"division of {p} by {linear} leaves remainder {rem}")
-        ne = list(lead)
-        ne[pivot] -= 1
-        mono = MPoly(p.vars, {tuple(ne): rem.terms[lead] * inv})
-        quot = quot + mono
-        rem = rem - mono * linear
-    return quot
+    rest = form[1:]
+    rem = dict(p.terms)
+    quot = {}
+    for level in range(max((e[pivot] for e in rem), default=0), 0, -1):
+        for lead in sorted([e for e in rem if e[pivot] == level],
+                           reverse=True):
+            q = rem.pop(lead) * inv
+            ne = (*lead[:pivot], level - 1, *lead[pivot + 1:])
+            quot[ne] = q
+            for k, c in rest:
+                e = (*ne[:k], ne[k] + 1, *ne[k + 1:])
+                cur = rem.get(e)
+                if cur is None:
+                    rem[e] = -(q * c)
+                else:
+                    s = cur - q * c
+                    if s:
+                        rem[e] = s
+                    else:
+                        del rem[e]
+    if rem:
+        raise NonMember(f"division of {p} by {linear} leaves remainder "
+                        f"{MPoly(p.vars, rem)}")
+    out = MPoly.__new__(MPoly)
+    out.vars, out.terms = p.vars, quot
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -306,6 +307,25 @@ class TestExitCodes:
         assert out.returncode == 1
         assert out.stdout == ""
         assert out.stderr == 'usage error: --x needs numbers, got ["1/0"]\n'
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_exits_141_without_message(self, unbuffered):
+        # the read end of stdout's pipe is closed before the run starts
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "zonotopal.cli", "tutte",
+                 "--x", "[[1,0,1],[0,1,1]]"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert out.returncode == 141
+        assert out.stderr == ""
 
     def test_other_exception_is_internal_error(self, monkeypatch, capsys):
         from zonotopal import cli

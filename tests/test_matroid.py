@@ -630,3 +630,111 @@ class TestBasisTable:
         assert bases(x) == expect
         assert len(calls) == 20           # one per 3-subset of 6 columns
         list_facts.cache_clear()
+
+
+def corank_one_flats_by_nullspace(x):
+    """Oracle: the closed flats of every independent (r-1)-subset, each the
+    columns orthogonal to the subset's orthogonal complement, found with
+    one `linalg.nullspace` per subset."""
+    n, d = len(x), x.group.free_rank
+    r = rank_of(x, range(n))
+    if r == 0:
+        return []
+    cols = [x.elems[i].free for i in range(n)]
+    flats = set()
+    for comb in itertools.combinations(range(n), r - 1):
+        normals = linalg.nullspace([cols[i] for i in comb], ncols=d)
+        if len(normals) != d - r + 1:
+            continue
+        flats.add(frozenset(
+            i for i in range(n)
+            if not any(linalg.dot(eta, cols[i]) for eta in normals)))
+    return sorted(flats, key=sorted)
+
+
+def hyperplanes_by_nullspace(x):
+    """Oracle: one `linalg.nullspace` per oracle flat, kept when it is a
+    line, whose primitive generator is the normal."""
+    from fractions import Fraction
+    from zonotopal.geometry import Hyperplane
+    d = x.group.free_rank
+    normals = set()
+    for flat in corank_one_flats_by_nullspace(x):
+        cols = [[Fraction(v) for v in x.elems[i].free] for i in flat
+                if any(x.elems[i].free)]
+        null = linalg.nullspace(cols, ncols=d)
+        if len(null) == 1:
+            normals.add(linalg.primitive(null[0]))
+    return tuple(Hyperplane(eta, sum(1 for e in x.elems
+                                     if linalg.dot(eta, e.free)))
+                 for eta in sorted(normals))
+
+
+def _ci_d3_list():
+    """CI's d = 3, n = 12 list: entries in [-1, 1] from Random(30)."""
+    import random
+    r = random.Random(30)
+    return GList.from_rows([[r.randint(-1, 1) for _ in range(12)]
+                            for _ in range(3)])
+
+
+def _check_hyperplane_table(x):
+    from zonotopal.geometry import hyperplanes
+    flats = corank_one_flats_by_nullspace(x)
+    assert corank_one_flats(x) == flats, x
+    assert hyperplanes(x) == hyperplanes_by_nullspace(x), x
+    if flats:
+        n = len(x)
+        assert cocircuits(x) == sorted(
+            tuple(sorted(set(range(n)) - f)) for f in flats), x
+
+
+class TestHyperplaneTable:
+    @pytest.mark.parametrize("seed", [3, 5, 11, 99])
+    def test_corpus(self, seed):
+        from zonotopal.corpus import corpus
+        for x in corpus(seed):
+            _check_hyperplane_table(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(flat_lists())
+    def test_drawn_lists(self, x):
+        _check_hyperplane_table(x)
+
+    def test_fixed_lists(self, zp_list):
+        for x in _special_lists() + _rank_deficient_lists() \
+                + _z2_z2z4_lists() + [zp_list, _ci_d3_list()]:
+            _check_hyperplane_table(x)
+
+    def test_ci_list_has_fifteen_hyperplanes(self):
+        # one per distinct primitive cross product of two columns
+        from zonotopal.geometry import hyperplanes
+        x = _ci_d3_list()
+        cols = free_columns(x)
+        normals = set()
+        for a, b in itertools.combinations(cols, 2):
+            cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0])
+            if any(cross):
+                normals.add(linalg.primitive(cross))
+        assert [h.normal for h in hyperplanes(x)] == sorted(normals)
+        assert len(normals) == 15
+
+    def test_equal_list_runs_no_nullspace(self, monkeypatch):
+        from zonotopal import geometry
+        list_facts.cache_clear()
+        cols = [list(c) for c in free_columns(_ci_d3_list())]
+        x = GList.from_columns(cols)
+        expect = (geometry.hyperplanes(x), corank_one_flats(x),
+                  cocircuits(x))
+        calls = []
+        nullspace = linalg.nullspace
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda *a, **k: calls.append(a) or
+                            nullspace(*a, **k))
+        again = GList.from_columns(cols)
+        assert again is not x
+        assert (geometry.hyperplanes(again), corank_one_flats(again),
+                cocircuits(again)) == expect
+        assert calls == []
+        list_facts.cache_clear()

@@ -11,11 +11,12 @@ from zonotopal import linalg
 from zonotopal.abelian import FgGroup, GList, contract, rank_of
 from zonotopal.matroid import tutte
 from zonotopal.periodic import periodic_todd
+from zonotopal.errors import InternalError
 from zonotopal.polyspace import (GradedSpan, PsiProjector, cocircuit_gens,
                                  d_basis, internal_p_basis, p_basis,
-                                 p_product, pair)
+                                 p_linear, p_product, pair)
 from zonotopal.scalar import (Cyclotomic, MPoly, euler_phi, exp_series,
-                              todd_factor)
+                              s_vars, t_vars, todd_factor)
 
 SV2 = ("s1", "s2")
 
@@ -44,6 +45,30 @@ class TestProducts:
     def test_zero_vector_kills(self):
         y = GList.from_rows([[1, 0], [0, 0]])
         assert not p_product(y, [0, 1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from([(), (2,), (3, 6)]),
+           st.sampled_from(["s", "s0", "t"]), st.data())
+    def test_equals_product_of_linear_forms(self, d, invariants, kind, data):
+        # columns with torsion-only and zero free parts, any index list
+        # (repeats and the empty list included), over s, s0 + s and t vars
+        group = FgGroup(d, invariants)
+        cols = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                      st.tuples(*[st.integers(0, m - 1)
+                                  for m in invariants])).map(
+                lambda c: c[0] + list(c[1])), min_size=1, max_size=6))
+        x = GList.from_columns(cols, group)
+        indices = data.draw(st.lists(st.integers(0, len(x) - 1),
+                                     max_size=7))
+        vars = {"s": s_vars(d), "s0": s_vars(d, with_s0=True),
+                "t": t_vars(d)}[kind]
+        want = MPoly.constant(vars, 1)
+        for i in indices:
+            want = want * p_linear(x.elems[i], vars)
+        got = p_product(x, indices, vars)
+        assert got == want
+        assert all(c.order == 1 for c in got.terms.values())
 
 
 class TestPBasis:
@@ -262,6 +287,24 @@ class TestInternal:
     def test_basis_only_zero_space(self):
         x = GList.from_rows([[1, 0], [0, 1]])
         assert internal_p_basis(x).dim == 0
+
+
+class TestDependentBasis:
+    def test_rational_basis(self):
+        a, b = MPoly.linear_form(SV2, (1, 2)), MPoly.linear_form(SV2, (3, 1))
+        GradedSpan([a, b], SV2)
+        with pytest.raises(InternalError,
+                           match="span basis is linearly dependent"):
+            GradedSpan([a, b, a * Fraction(-2, 3) + b], SV2)
+
+    def test_cyclotomic_basis(self):
+        z = Cyclotomic.root_of_unity(3)
+        a = MPoly.linear_form(SV2, (1, z))
+        b = MPoly.linear_form(SV2, (z, 1))
+        GradedSpan([a, b], SV2)
+        with pytest.raises(InternalError,
+                           match="span basis is linearly dependent"):
+            GradedSpan([a, a * z], SV2)
 
 
 class TestHilbertIdentities:

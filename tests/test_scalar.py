@@ -432,6 +432,87 @@ def polynomials(draw):
     return MPoly(vars, draw(st.dictionaries(exps, coeffs, max_size=6)))
 
 
+def divide_by_linear_by_subtraction(p, linear):
+    """Oracle: the leading term of the remainder (pivot exponent first) over
+    the pivot coefficient, and one `MPoly` subtraction of that quotient term
+    times the form per step."""
+    pivot = next(iter(linear.terms)).index(1)
+    c_piv = linear.coefficient(tuple(1 if i == pivot else 0
+                                     for i in range(len(p.vars))))
+    inv = c_piv.inv()
+    quot = MPoly(p.vars)
+    rem = p
+    while rem:
+        lead = max(rem.terms, key=lambda e: (e[pivot], e))
+        if lead[pivot] == 0:
+            raise NonMember(f"division of {p} by {linear} leaves "
+                            f"remainder {rem}")
+        ne = list(lead)
+        ne[pivot] -= 1
+        mono = MPoly(p.vars, {tuple(ne): rem.terms[lead] * inv})
+        quot = quot + mono
+        rem = rem - mono * linear
+    return quot
+
+
+def _declared(p):
+    """Each term with its coefficient's declared order and integers."""
+    return {e: (c.order, c.nums, c.den) for e, c in p.terms.items()}
+
+
+@st.composite
+def linear_forms(draw, vars):
+    """A nonzero linear form in vars with cyclotomic or rational
+    coefficients, its terms in any order (the first term's variable is the
+    pivot)."""
+    units = [tuple(int(i == k) for i in range(len(vars)))
+             for k in range(len(vars))]
+    coeffs = draw(st.lists(cyclotomics() | _small, min_size=len(vars),
+                           max_size=len(vars)))
+    terms = [(e, c) for e, c in zip(units, coeffs) if c]
+    if not terms:
+        terms = [(units[0], Cyclotomic.one())]
+    return MPoly(vars, dict(draw(st.permutations(terms))))
+
+
+class TestDivideByLinear:
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(), st.data())
+    def test_multiples_match_repeated_subtraction(self, p, data):
+        linear = data.draw(linear_forms(p.vars))
+        product = p * linear
+        got = divide_by_linear(product, linear)
+        want = divide_by_linear_by_subtraction(product, linear)
+        assert got == want == p
+        assert _declared(got) == _declared(want)
+        assert list(got.terms) == list(want.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(), polynomials(), st.data())
+    def test_non_multiples_raise_alike(self, p, r, data):
+        # r's terms of positive degree and a nonzero constant term c: no
+        # multiple of a linear form has a constant term
+        linear = data.draw(linear_forms(p.vars))
+        c = data.draw(cyclotomics().filter(bool))
+        q = p * linear + MPoly(p.vars, {e: v for e, v in r.terms.items()
+                                        if any(e) and len(e) == len(p.vars)})
+        q = q + MPoly.constant(p.vars, c)
+        with pytest.raises(NonMember) as want:
+            divide_by_linear_by_subtraction(q, linear)
+        with pytest.raises(NonMember) as got:
+            divide_by_linear(q, linear)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_divides_to_zero(self):
+        assert not divide_by_linear(MPoly(("s1", "s2")),
+                                    MPoly.linear_form(("s1", "s2"), (0, 3)))
+
+    def test_variable_mismatch_is_value_error(self):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            divide_by_linear(MPoly.linear_form(("s1", "s2"), (1, 1)),
+                             MPoly.linear_form(("t1", "t2"), (1, 1)))
+
+
 class TestMPolyHash:
     @settings(max_examples=60, deadline=None)
     @given(polynomials(), st.data())
