@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 _RATIONAL = frozenset((int, Fraction))
 
 
@@ -125,18 +126,18 @@ def rank(m) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m, ncols=None, one=Fraction(1), zero=Fraction(0)):
-    """Basis of the right kernel, one vector per free column (RREF-style)."""
+def nullspace(m, ncols=None):
+    """Basis of the right kernel, one vector per free column (RREF-style),
+    in Fractions; an empty m of ncols columns gives the identity."""
     if not m:
-        n = ncols or 0
-        return [[one if i == j else zero for j in range(n)] for i in range(n)]
+        return identity(ncols or 0)
     red, pivots = rref(m)
     n = len(m[0])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * n
-        v[fc] = one
+        v = [_F0] * n
+        v[fc] = _F1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)
@@ -240,20 +241,3 @@ def primitive(vec) -> tuple:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(v // g for v in ints)
-
-
-def intersect_spans(rows_a, rows_b):
-    """Row-space intersection: vectors expressible in both spans."""
-    if not rows_a or not rows_b:
-        return []
-    n = len(rows_a[0])
-    # [A^T | -B^T] kernel -> combinations of A rows equal to B combinations
-    m = [[rows_a[j][i] for j in range(len(rows_a))]
-         + [-rows_b[j][i] for j in range(len(rows_b))] for i in range(n)]
-    out = []
-    for v in nullspace(m):
-        vec = [sum((v[j] * rows_a[j][i] for j in range(len(rows_a))),
-                   rows_a[0][i] - rows_a[0][i]) for i in range(n)]
-        if any(vec):
-            out.append(vec)
-    return out

@@ -13,7 +13,8 @@ pairing, the membership test and the contraction map.
 The Hilbert series of Pper(X) and of its internal space are the count per
 degree of an independent basis (`hilbert`, from `polyspace`):
 `pper_basis` is checked independent one character at a time when it is
-built, and `pper_internal_basis` is independent by construction.
+built, and `pper_internal_basis` is independent by construction, as a
+`polyspace.kernel` over rational rows.
 
 f~_z, the psi_X-projection of the periodic Todd operator, needs the Todd
 series only up to psi_X's top degree n - d.  The f~_z of one list share
@@ -35,8 +36,8 @@ from .errors import (InternalError, NonMember, SingularGram,
                      TorsionPivot, TorsionUnsupported)
 from .geometry import hyperplanes, lattice_points
 from .matroid import arithmetic_tutte, bases, external_activity
-from .polyspace import (GradedSpan, PsiProjector, d_basis, hilbert,
-                        p_linear, p_product, pair)
+from .polyspace import (GradedSpan, PsiProjector, d_basis, derivative_along,
+                        hilbert, kernel, p_linear, p_product, pair)
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, divide_by_linear,
                      exp_series, s_vars, t_vars, todd_log)
 from .toric import Character, evaluate, evaluate_point, vertices
@@ -340,13 +341,13 @@ def _todd_parts(x: GList, cap: int) -> tuple:
     prefactor's degree."""
     vars = _pper_vars(x)
     s0_form = MPoly.variable(vars, 0) if "s0" in vars else None
+    elems = [(-elem, p_linear(elem, vars)) for elem in x.elems]
     parts = []
     for v in x.memo("vertices", vertices):
         lead, log = Cyclotomic.one(), MPoly(vars)
         prefactor = MPoly.constant(vars, 1)
-        for elem in x.elems:
-            c = evaluate(v.character, -elem)
-            form = p_linear(elem, vars)
+        for neg, form in elems:
+            c = evaluate(v.character, neg)
             if not form:
                 if c.is_one():
                     continue          # torsion fixed by the vertex: factor 1
@@ -395,71 +396,55 @@ def pper_internal_basis(x: GList) -> list:
     For each generalised hyperplane H (the admissible hyperplane plus the
     torsion): group the vertices by the restriction of their character to
     the subgroup H; within each class the sum of D_eta^(m(H)-1) applied to
-    the polynomial components must vanish.
+    the polynomial components must vanish.  Each `pper_basis` element has
+    one character, hence one class per hyperplane, and one rational
+    derivative (`derivative_along`): one `kernel` per degree takes the rows
+    keyed by (hyperplane, class, monomial).
 
-    The elements are independent by construction: `linalg.nullspace` gives
-    one vector per free column, with a 1 there and 0 at the other free
+    The elements are independent by construction: `kernel` gives one
+    vector per free column, with a 1 there and 0 at the other free
     columns, and each vector combines the independent `pper_basis`
     elements of one degree.  So `hilbert` counts them.
     """
     x.require_full_rank()
     vars = _pper_vars(x)
-    basis = pper_basis(x)
     verts = vertices(x)
-    planes = [(_restriction_classes(verts, hp.normal),
-               _eta_power(hp.normal, hp.mult - 1, vars))
+    planes = [(hp.normal, hp.mult - 1, _restriction_classes(verts, hp.normal))
               for hp in hyperplanes(x)]
     by_degree = {}
-    for b in basis:
+    for b in pper_basis(x):
         by_degree.setdefault(b.total_degree(), []).append(b)
     out = []
     for deg in sorted(by_degree):
         elems = by_degree[deg]
-        rows = []      # one row per (hyperplane, class, output monomial)
-        for classes, op in planes:
-            for cls in classes:
-                cols = []
-                for b in elems:
-                    total = MPoly(vars)
-                    for char, poly in b.terms:
-                        if char in cls:
-                            total = total + op.apply_diff(poly)
-                    cols.append(total)
-                monos = sorted({e for c in cols for e in c.terms})
-                for e in monos:
-                    rows.append([c.coefficient(e) for c in cols])
-        null = linalg.nullspace(rows, ncols=len(elems), one=Cyclotomic.one(),
-                                zero=Cyclotomic.zero())
+        images = []
+        for b in elems:
+            [(char, poly)] = b.terms
+            images.append({(eta, classes[char], e): v
+                           for eta, k, classes in planes
+                           for e, v in derivative_along(poly, eta, k).items()})
         out += [PeriodicPoly(vars, [(char, poly * c)
                                     for c, b in zip(vec, elems) if c
                                     for char, poly in b.terms])
-                for vec in null]
+                for vec in kernel(images)]
     return out
 
 
-def _restriction_classes(verts, eta):
-    """Vertex characters grouped by equal restriction to the subgroup
-    {v : eta . v = 0} of the free part plus the torsion."""
+def _restriction_classes(verts, eta) -> dict:
+    """{character: class} over the vertices: the restriction to the
+    subgroup {v : eta . v = 0} of the free part plus the torsion, as the
+    values mod 1 on its generators (the integer kernel of eta, then the
+    torsion generators)."""
     # columns 2..d of V span the integer kernel of the 1 x d matrix [eta]
     _, _, v_snf = snf([list(eta)])
     sat_basis = [[row[j] for row in v_snf] for j in range(1, len(eta))]
-    groups = {}
+    out = {}
     for v in verts:
-        key = []
-        for gen in sat_basis:
-            angle = sum((t * g for t, g in zip(v.character.theta, gen)),
-                        _F0) % 1
-            key.append(angle)
-        key.extend(v.character.tors)   # torsion generators are in H
-        groups.setdefault(tuple(key), set()).add(v.character)
-    return list(groups.values())
-
-
-def _eta_power(eta, order: int, vars) -> MPoly:
-    """The operator D_eta^order as a polynomial; a leading s0 (a pure degree
-    marker) gets coefficient 0."""
-    form = MPoly.linear_form(vars, [0] * (len(vars) - len(eta)) + list(eta))
-    return math.prod([form] * order, start=MPoly.constant(vars, 1))
+        c = v.character
+        theta, tors = c.nums[:c.free_rank], c.nums[c.free_rank:]
+        out[c] = tuple(Fraction(a % c.den, c.den) for a in (
+            *(linalg.dot(theta, gen) for gen in sat_basis), *tors))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """Continuous zonotopal spaces: P(X), P_-(X), D(X), the cocircuit ideal,
 the projection psi_X along it, and the differential pairing.
 
-All span computations are exact Gaussian eliminations with deterministic
-pivoting; degree slices are handled independently (each space here is graded).
+Each space is graded and built degree by degree, exactly.  D(X), P_-(X)
+and the periodic internal space (`periodic`) are kernels of differential
+constraints, all found by `kernel`: one fraction-free `linalg.nullspace`
+over rows keyed by (constraint, monomial).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .abelian import GElement, GList, rank_of
 from .errors import InternalError
-from .matroid import bases, cocircuits, external_activity, tutte
+from .matroid import (bases, cocircuits, external_activity, hyperplane_flats,
+                      tutte)
 from .scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi, s_vars,
                      t_vars)
 
@@ -111,6 +116,46 @@ def _to_matrix(polys, monos=None):
         deg = max(p.total_degree() for p in polys)
         monos = _monomials(polys[0].vars, deg)
     return [[p.coefficient(e) for e in monos] for p in polys]
+
+
+def kernel(images) -> list:
+    """Kernel basis of the map sending candidate j to images[j], a dict
+    {row key: int or Fraction} (absent keys are zero): one `linalg.nullspace`
+    call, on the fraction-free path.  Its reduced form does not depend on
+    the row order, so neither do the vectors: one per free candidate, 1
+    there and 0 at the other free candidates."""
+    index = {}
+    for image in images:
+        for key in image:
+            index.setdefault(key, len(index))
+    rows = [[0] * len(images) for _ in index]
+    for j, image in enumerate(images):
+        for key, v in image.items():
+            rows[index[key]][j] = v
+    return linalg.nullspace(rows, ncols=len(images))
+
+
+def derivative_along(poly: MPoly, eta, k: int) -> dict:
+    """D_eta^k poly as {exponent: int or Fraction}, for rational
+    coefficients and D_eta = sum_i eta_i d/ds_i over the last len(eta)
+    variables (a leading s0 marker is not differentiated); applied k times
+    to the integer numerators, and {} at once when k exceeds the degree."""
+    if k > poly.total_degree():
+        return {}
+    shift = len(poly.vars) - len(eta)
+    form = [(i + shift, a) for i, a in enumerate(eta) if a]
+    den = math.lcm(*(c.den for c in poly.terms.values()))
+    terms = dict(_integer_terms(poly))
+    for _ in range(k):
+        out = {}
+        for e, c in terms.items():
+            for i, a in form:
+                if e[i]:
+                    de = (*e[:i], e[i] - 1, *e[i + 1:])
+                    out[de] = out.get(de, 0) + c * a * e[i]
+        terms = {e: v for e, v in out.items() if v}
+    return terms if den == 1 else {e: Fraction(v, den)
+                                   for e, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +369,27 @@ class PsiProjector:
 # ---------------------------------------------------------------------------
 
 def d_basis(x: GList, vars=None) -> GradedSpan:
-    """Degreewise kernel of the cocircuit differential operators."""
+    """D(X): the kernel of the cocircuit operators p_C(D), one `kernel`
+    per degree over the monomials t^e, each with images
+    sum_a c_a (e)_a t^(e-a) (falling factorials) keyed by (cocircuit,
+    monomial).  Raises InternalError unless dim D(X) = T(1, 1)."""
     x.require_full_rank()
     vars = vars or t_vars(x.group.free_rank)
-    svars = s_vars(x.group.free_rank)
-    n, d = len(x), x.group.free_rank
-    gens = [p_product(x, c, svars) for c in cocircuits(x)]
-    gens = [g for g in gens if g]
+    gens = [p_product(x, c, vars) for c in cocircuits(x)]
     out = []
-    for deg in range(n - d + 1):
+    for deg in range(len(x) - x.group.free_rank + 1):
         monos = _monomials(vars, deg)
-        if not monos:
-            continue
-        cands = [MPoly(vars, {e: Cyclotomic.one()}) for e in monos]
-        rows = []
-        low_monos = {}
-        for cand in cands:
-            row = []
-            for g in gens:
-                img = g.apply_diff(cand)
-                key = g.total_degree()
-                lm = low_monos.setdefault(
-                    (key, deg), _monomials(vars, deg - key) if deg >= key else [])
-                row.extend(img.coefficient(e).to_rational() for e in lm)
-            rows.append(row)
-        # nullspace of the map candidate -> constraint values
-        mat = [list(col) for col in zip(*rows)] if rows and rows[0] else []
-        for vec in linalg.nullspace(mat, ncols=len(cands)):
-            poly = MPoly(vars)
-            for c, cand in zip(vec, cands):
-                if c:
-                    poly = poly + cand * c
-            out.append(poly)
+        images = []
+        for e in monos:
+            image = {}
+            for k, g in enumerate(gens):
+                for a, c in g.terms.items():
+                    f = math.prod(map(math.perm, e, a))
+                    if f:
+                        image[k, tuple(map(sub, e, a))] = c.to_rational() * f
+            images.append(image)
+        out += [MPoly(vars, {e: c for e, c in zip(monos, vec) if c})
+                for vec in kernel(images)]
     span = GradedSpan(out, vars)
     expected = tutte(x).evaluate(1, 1)
     if span.dim != expected:
@@ -384,38 +418,28 @@ def pair(p: MPoly, f: MPoly) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 def internal_p_basis(x: GList, vars=None) -> GradedSpan:
-    """P_-(X): intersection of the P(X \\ x) over full-rank deletions.
-
-    Deletions that drop the rank are excluded from the intersection (the
-    defining formula leaves them undefined); the case never occurs for the
-    lists the identities are asserted on.
-    """
-    vars = vars or s_vars(x.group.free_rank)
+    """P_-(X): the part of P(X) killed by D_eta^(m(H)-1) for every
+    hyperplane H (normal eta, m(H) columns off H; Holtz-Ron), one `kernel`
+    per degree over the `p_basis` elements, keyed by (hyperplane,
+    monomial).  A coloop is off a hyperplane with m(H) = 1, so P_-(X) = 0.
+    Raises InternalError unless dim P_-(X) = T(0, 1)."""
     x.require_full_rank()
-    d = x.group.free_rank
-    spans = []
-    skipped = 0
-    for i in range(len(x)):
-        rest = x.delete(i)
-        if rank_of(rest, range(len(rest))) < d:
-            skipped += 1
-            continue
-        spans.append(p_basis(rest, vars))
-    if not spans:
-        return GradedSpan([], vars)
-    top = min(max((p.total_degree() for p in s.basis), default=0)
-              for s in spans)
+    vars = vars or s_vars(x.group.free_rank)
+    planes = [(eta, len(x) - len(flat) - 1)
+              for eta, flat in hyperplane_flats(x).items()]
+    by_degree = {}
+    for p in p_basis(x, vars).basis:
+        by_degree.setdefault(p.total_degree(), []).append(p)
     out = []
-    for deg in range(top + 1):
-        monos = _monomials(vars, deg)
-        current = None
-        for s in spans:
-            rows = [[p.coefficient(e).to_rational() for e in monos]
-                    for p in s.by_degree(deg)]
-            current = rows if current is None else \
-                linalg.intersect_spans(current, rows)
-            if not current:
-                break
-        for vec in current or []:
-            out.append(MPoly(vars, dict(zip(monos, vec))))
-    return GradedSpan(out, vars)
+    for polys in by_degree.values():
+        images = [{(eta, e): v for eta, k in planes
+                   for e, v in derivative_along(p, eta, k).items()}
+                  for p in polys]
+        out += [sum((p * c for c, p in zip(vec, polys) if c), MPoly(vars))
+                for vec in kernel(images)]
+    span = GradedSpan(out, vars)
+    expected = tutte(x).evaluate(0, 1)
+    if span.dim != expected:
+        raise InternalError(
+            f"dim P_-(X) = {span.dim} but Tutte(0,1) = {expected}")
+    return span

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from accessors import coefficients_reversed, homogeneous_slice
 from spans import span_equal, stacked_rank
 from zonotopal import linalg
-from zonotopal.abelian import FgGroup, GList, contract, list_facts
+from zonotopal.abelian import FgGroup, GList, contract, list_facts, snf
 from zonotopal.corpus import CorpusLimits, corpus
 from zonotopal.errors import (InternalError, NonMember, TorsionPivot,
                               TorsionUnsupported)
-from zonotopal.geometry import lattice_points, short_regular
+from zonotopal.geometry import hyperplanes, lattice_points, short_regular
 from zonotopal.matroid import arithmetic_tutte, is_coloop
 from zonotopal import periodic
 from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
@@ -21,7 +21,7 @@ from zonotopal.periodic import (PeriodicPoly, PeriodicSeries,
                                 pper_mult, pper_project)
 from zonotopal.polyspace import PsiProjector, p_linear
 from zonotopal.scalar import (Cyclotomic, MPoly, TruncatedSeries, euler_phi,
-                              exp_series, t_vars, todd_factor)
+                              exp_series, t_vars, todd_factor, todd_log)
 from zonotopal.toric import Character, evaluate, evaluate_point, vertices
 
 F = Fraction
@@ -505,6 +505,178 @@ class TestInternal:
             assert len(pper_basis(x)) == m.evaluate(1, 1)
             assert len(pper_internal_basis(x)) == m.evaluate(0, 1)
         assert seen >= 3
+
+
+def pper_internal_by_class_scan(x):
+    """Oracle: the internal space as built before `polyspace.kernel`.  Per
+    hyperplane the vertex characters are grouped by their Fraction angles
+    on the integer kernel of eta and their torsion part; D_eta^(m(H)-1) is
+    the expanded power of the linear form, applied by `apply_diff` to the
+    components of each class and summed as MPolys; and the Cyclotomic
+    rows go through the field elimination of `linalg.rref`."""
+    vars = periodic._pper_vars(x)
+    basis = pper_basis(x)
+    verts = vertices(x)
+    planes = []
+    for hp in hyperplanes(x):
+        eta = list(hp.normal)
+        _, _, v_snf = snf([eta])
+        gens = [[row[j] for row in v_snf] for j in range(1, len(eta))]
+        groups = {}
+        for v in verts:
+            theta = v.character.theta
+            key = tuple(sum((t * g for t, g in zip(theta, gen)), F(0)) % 1
+                        for gen in gens) + v.character.tors
+            groups.setdefault(key, set()).add(v.character)
+        form = MPoly.linear_form(vars, [0] * (len(vars) - len(eta)) + eta)
+        op = MPoly.constant(vars, 1)
+        for _ in range(hp.mult - 1):
+            op = op * form
+        planes.append((list(groups.values()), op))
+    by_degree = {}
+    for b in basis:
+        by_degree.setdefault(b.total_degree(), []).append(b)
+    out = []
+    one, zero = Cyclotomic.one(), Cyclotomic.zero()
+    for deg in sorted(by_degree):
+        elems = by_degree[deg]
+        rows = []
+        for classes, op in planes:
+            for cls in classes:
+                cols = []
+                for b in elems:
+                    total = MPoly(vars)
+                    for char, poly in b.terms:
+                        if char in cls:
+                            total = total + op.apply_diff(poly)
+                    cols.append(total)
+                for e in sorted({e for c in cols for e in c.terms}):
+                    rows.append([c.coefficient(e) for c in cols])
+        if rows:
+            red, pivots = linalg.rref(rows)
+        else:
+            red, pivots = [], []
+        null = []
+        for fc in (c for c in range(len(elems)) if c not in pivots):
+            vec = [zero] * len(elems)
+            vec[fc] = one
+            for r, pc in enumerate(pivots):
+                vec[pc] = -red[r][fc]
+            null.append(vec)
+        out += [PeriodicPoly(vars, [(char, poly * c)
+                                    for c, b in zip(vec, elems) if c
+                                    for char, poly in b.terms])
+                for vec in null]
+    return out
+
+
+def _todd_parts_by_vertex(x, cap):
+    """Oracle: `periodic._todd_parts` with the linear form and the negated
+    element built once per (vertex, element)."""
+    vars = periodic._pper_vars(x)
+    s0_form = MPoly.variable(vars, 0) if "s0" in vars else None
+    parts = []
+    for v in vertices(x):
+        lead, log = Cyclotomic.one(), MPoly(vars)
+        prefactor = MPoly.constant(vars, 1)
+        for elem in x.elems:
+            c = evaluate(v.character, -elem)
+            form = p_linear(elem, vars)
+            if not form:
+                if c.is_one():
+                    continue
+                form = s0_form
+            a, moved, l = todd_log(form, c, cap)
+            lead, log = lead * a, log + l
+            if moved:
+                prefactor = prefactor * form
+        parts.append((v.character, lead, log, prefactor,
+                      cap - prefactor.total_degree()))
+    return tuple(parts)
+
+
+def _oracle_lists():
+    """Bounded corpus lists, torsion included, with M(1, 1) <= 150."""
+    return [x for seed in (3, 5, 11) for x in corpus(
+        seed=seed, limits=CorpusLimits(max_volume=150), count=20)]
+
+
+class TestInternalKernel:
+    def test_equals_class_scan(self, zp_list, x124, x11, x12):
+        # element by element, with every coefficient's declared order
+        fixed = [zp_list, x124, x11, x12, GList.from_rows([[2, 0], [0, 2]]),
+                 GList.from_columns([[2, 0], [0, 1]], FgGroup(1, (2,))),
+                 GList.from_columns([[2]], FgGroup(0, (4,)))]
+        lists = fixed + _oracle_lists()
+        assert sum(bool(x.group.invariants) for x in lists) >= 10
+        assert sum(x.group.free_rank == 3 for x in lists) >= 10
+        for x in lists:
+            got = pper_internal_basis(x)
+            want = pper_internal_by_class_scan(x)
+            assert got == want, x
+            assert [p.to_json() for p in got] \
+                == [p.to_json() for p in want], x
+
+    def test_no_field_elimination(self, zp_list, x124, monkeypatch):
+        # every entry is rational, so no list takes the cyclotomic field
+        # loop of `linalg.rref`
+        def refuse(m):
+            raise AssertionError("field elimination reached")
+        monkeypatch.setattr(linalg, "_rref_field", refuse)
+        torsion = GList.from_columns([[2, 0], [0, 1], [1, 1]],
+                                     FgGroup(1, (2,)))
+        for x in (zp_list, x124, torsion, _oracle_lists()[-1]):
+            assert len(pper_internal_basis(x)) \
+                == arithmetic_tutte(x).evaluate(0, 1)
+
+    def test_restriction_classes_are_a_lookup(self, zp_list):
+        verts = vertices(zp_list)
+        classes = periodic._restriction_classes(verts, (1, 1))
+        assert set(classes) == {v.character for v in verts}
+        # e[1/2,1/2] is 0 on the kernel (1, -1) of eta, as the trivial one
+        half = Character((F(1, 2), F(1, 2)), ())
+        assert classes[half] == classes[Character.trivial(zp_list.group)]
+
+    def test_d3_hilbert_series_n12(self):
+        # the d = 3, n = 12 list of the CI steps, with M(1, 1) = 236: the
+        # internal series is q^9 M(0, 1/q)
+        import random
+        r = random.Random(30)
+        x = GList.from_rows([[r.randint(-1, 1) for _ in range(12)]
+                             for _ in range(3)])
+        m = arithmetic_tutte(x)
+        assert m.evaluate(1, 1) == 236
+        h = hilbert(pper_internal_basis(x))
+        assert h == [1, 3, 7, 12, 17, 22, 28, 33, 34, 20]
+        assert h == coefficients_reversed(m, 9, 0)
+
+
+class TestToddParts:
+    def test_equals_per_vertex_forms(self):
+        # the same parts, with every coefficient's declared order
+        lists = [x for x in _oracle_lists() if not x.group.invariants][:12] \
+            + [GList.from_columns([[2, 0], [0, 1], [1, 1]],
+                                  FgGroup(1, (2,)))]
+        for x in lists:
+            cap = len(x) - x.group.free_rank + 1
+            got = periodic._todd_parts(x, cap)
+            want = _todd_parts_by_vertex(x, cap)
+            assert got == want, x
+            for (_, la, ga, pa, _), (_, lb, gb, pb, _) in zip(got, want):
+                assert la.to_json() == lb.to_json()
+                assert ga.to_json() == gb.to_json()
+                assert pa.to_json() == pb.to_json()
+
+    def test_one_form_per_element(self, zp_list, monkeypatch):
+        forms = []
+
+        def counted(elem, vars):
+            forms.append(elem)
+            return p_linear(elem, vars)
+        monkeypatch.setattr(periodic, "p_linear", counted)
+        assert len(vertices(zp_list)) > 1
+        periodic._todd_parts(zp_list, 3)
+        assert forms == list(zp_list.elems)
 
 
 class TestPairingAndL:

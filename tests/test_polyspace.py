@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 from accessors import coefficients_reversed, is_constant
 from cycfield import psi_by_components
 from spans import psi_project, span_equal
-from zonotopal import linalg
+from zonotopal import linalg, polyspace
 from zonotopal.abelian import FgGroup, GList, contract, rank_of
-from zonotopal.matroid import tutte
+from zonotopal.corpus import corpus
+from zonotopal.matroid import cocircuits, is_coloop, tutte
 from zonotopal.periodic import periodic_todd
 from zonotopal.errors import InternalError
-from zonotopal.polyspace import (GradedSpan, PsiProjector, cocircuit_gens,
-                                 d_basis, internal_p_basis, p_basis,
-                                 p_linear, p_product, pair)
+from zonotopal.polyspace import (GradedSpan, PsiProjector, _monomials,
+                                 cocircuit_gens, d_basis, internal_p_basis,
+                                 p_basis, p_linear, p_product, pair)
 from zonotopal.scalar import (Cyclotomic, MPoly, euler_phi, exp_series,
                               s_vars, t_vars, todd_factor)
 
@@ -288,6 +289,191 @@ class TestInternal:
         x = GList.from_rows([[1, 0], [0, 1]])
         assert internal_p_basis(x).dim == 0
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 1], [0, 1, 0]],
+        [[-2, 1, 1, -1, 2, 1], [0, 0, 0, 1, 0, 0]],
+    ])
+    def test_coloop_gives_zero(self, rows):
+        # a coloop x spans a complement of the hyperplane X \ x, whose
+        # m(H) = 1 makes D_eta^0 = 1 a constraint: T(0, 1) = 0
+        x = GList.from_rows(rows)
+        assert any(is_coloop(x, i) for i in range(len(x)))
+        assert tutte(x).evaluate(0, 1) == 0
+        span = internal_p_basis(x)
+        assert span.dim == 0 and span.hilbert() == []
+
+    def test_dimension_is_checked_against_tutte(self, zp_list, monkeypatch):
+        kernel = polyspace.kernel
+        monkeypatch.setattr(polyspace, "kernel", lambda images: kernel(
+            images)[:-1])
+        with pytest.raises(InternalError,
+                           match=r"dim P_-\(X\) = 1 but Tutte\(0,1\) = 3"):
+            internal_p_basis(zp_list)
+
+
+def d_basis_by_dense_rows(x):
+    """Oracle: D(X) as built before `polyspace.kernel`.  The cocircuit
+    generators in s-variables act on each candidate monomial by
+    `apply_diff`, each image is padded to every monomial of its degree,
+    and the transposed candidate rows go to `linalg.nullspace`."""
+    vars, svars = t_vars(x.group.free_rank), s_vars(x.group.free_rank)
+    n, d = len(x), x.group.free_rank
+    gens = [p_product(x, c, svars) for c in cocircuits(x)]
+    gens = [g for g in gens if g]
+    out = []
+    for deg in range(n - d + 1):
+        monos = _monomials(vars, deg)
+        if not monos:
+            continue
+        cands = [MPoly(vars, {e: Cyclotomic.one()}) for e in monos]
+        rows = []
+        for cand in cands:
+            row = []
+            for g in gens:
+                img = g.apply_diff(cand)
+                low = deg - g.total_degree()
+                row.extend(img.coefficient(e).to_rational()
+                           for e in (_monomials(vars, low) if low >= 0
+                                     else []))
+            rows.append(row)
+        mat = [list(col) for col in zip(*rows)] if rows and rows[0] else []
+        for vec in linalg.nullspace(mat, ncols=len(cands)):
+            poly = MPoly(vars)
+            for c, cand in zip(vec, cands):
+                if c:
+                    poly = poly + cand * c
+            out.append(poly)
+    return out
+
+
+def _intersect_rows(rows_a, rows_b):
+    """Row-space intersection: the combinations of rows_a that are also
+    combinations of rows_b, from the kernel of [A^T | -B^T]."""
+    if not rows_a or not rows_b:
+        return []
+    n = len(rows_a[0])
+    m = [[a[i] for a in rows_a] + [-b[i] for b in rows_b] for i in range(n)]
+    out = []
+    for v in linalg.nullspace(m):
+        vec = [sum((c * a[i] for c, a in zip(v, rows_a)), Fraction(0))
+               for i in range(n)]
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def internal_by_intersection(x):
+    """Oracle: P_-(X) as the intersection of the P(X \\ x) over every
+    deletion, degree by degree; for lists without a coloop, whose
+    deletions all span."""
+    vars = s_vars(x.group.free_rank)
+    spans = [p_basis(x.delete(i), vars) for i in range(len(x))]
+    top = min(max((p.total_degree() for p in s.basis), default=0)
+              for s in spans)
+    out = []
+    for deg in range(top + 1):
+        monos = _monomials(vars, deg)
+        current = None
+        for s in spans:
+            rows = [[p.coefficient(e).to_rational() for e in monos]
+                    for p in s.by_degree(deg)]
+            current = rows if current is None else _intersect_rows(
+                current, rows)
+        out += [MPoly(vars, dict(zip(monos, vec))) for vec in current]
+    return out
+
+
+def _lattice_lists(mixed_corpus):
+    return [x for x in mixed_corpus if not x.group.invariants]
+
+
+def _oracle_lists(mixed_corpus, zp_list, x124, x11):
+    """The fixtures and the lattice lists of the mixed corpus and of corpus
+    seeds 3, 5 and 11, coloops included."""
+    seeded = [x for seed in (3, 5, 11) for x in corpus(seed=seed, count=40)]
+    return [zp_list, x124, x11] + _lattice_lists(mixed_corpus + seeded)
+
+
+class TestKernelOracles:
+    def test_d_basis_matches_dense_rows(self, mixed_corpus, zp_list, x124,
+                                        x11):
+        # element by element, with every coefficient's declared order
+        for x in _oracle_lists(mixed_corpus, zp_list, x124, x11):
+            got = d_basis(x)
+            assert got.basis == d_basis_by_dense_rows(x), x
+            assert got.to_json() == GradedSpan(
+                d_basis_by_dense_rows(x), got.vars).to_json()
+
+    def test_internal_matches_intersection(self, mixed_corpus, zp_list,
+                                           x124, x11):
+        done = 0
+        for x in _oracle_lists(mixed_corpus, zp_list, x124, x11):
+            if any(is_coloop(x, i) for i in range(len(x))):
+                continue
+            done += 1
+            assert _spans_equal(internal_p_basis(x).basis,
+                                internal_by_intersection(x)), x
+        assert done >= 60
+
+
+class TestKernel:
+    def test_empty(self):
+        assert polyspace.kernel([]) == []
+        assert polyspace.kernel([{}, {}]) == [[1, 0], [0, 1]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_nullspace_in_any_row_order(self, ncand, data):
+        keys = st.sampled_from(["a", "b", ("c", 1), ("c", 2), 3])
+        vals = st.one_of(st.integers(-3, 3),
+                         st.fractions(max_denominator=4).filter(
+                             lambda q: abs(q) <= 3))
+        images = data.draw(st.lists(st.dictionaries(keys, vals),
+                                    min_size=ncand, max_size=ncand))
+        order = sorted({k for im in images for k in im}, key=repr)
+        dense = [[im.get(k, 0) for im in images] for k in order]
+        want = linalg.nullspace(dense, ncols=ncand)
+        assert polyspace.kernel(images) == want
+        shuffled = data.draw(st.permutations(order))
+        reordered = [{k: im[k] for k in shuffled if k in im}
+                     for im in images]
+        assert polyspace.kernel(reordered) == want
+
+
+def _eta_operator(eta, k, vars):
+    """Oracle: D_eta^k as the expanded polynomial of its k-th power, with
+    a leading s0 given coefficient 0."""
+    form = MPoly.linear_form(vars, [0] * (len(vars) - len(eta)) + list(eta))
+    op = MPoly.constant(vars, 1)
+    for _ in range(k):
+        op = op * form
+    return op
+
+
+class TestDerivativeAlong:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.integers(0, 4), st.data())
+    def test_matches_expanded_power(self, d, with_s0, k, data):
+        vars = s_vars(d, with_s0=with_s0)
+        eta = data.draw(st.lists(st.integers(-3, 3), min_size=d,
+                                 max_size=d))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * len(vars)),
+            st.fractions(max_denominator=6), max_size=6))
+        poly = MPoly(vars, terms)
+        want = _eta_operator(eta, k, vars).apply_diff(poly)
+        got = polyspace.derivative_along(poly, eta, k)
+        assert got == {e: c.to_rational() for e, c in want.terms.items()}
+        assert all(type(v) is int for v in got.values()) \
+            or any(c.den != 1 for c in poly.terms.values())
+
+    def test_zero_at_once_past_the_degree(self):
+        z = Cyclotomic.root_of_unity(3)
+        poly = MPoly(SV2, {(1, 1): z})
+        assert polyspace.derivative_along(poly, (1, 2), 3) == {}
+        with pytest.raises(ValueError, match="not a rational polynomial"):
+            polyspace.derivative_along(poly, (1, 2), 2)
+
 
 class TestDependentBasis:
     def test_rational_basis(self):
@@ -314,15 +500,12 @@ class TestHilbertIdentities:
             GradedSpan([one_plus_s1], ("s1",)).hilbert()
 
     def test_hilbert_vs_tutte(self, mixed_corpus):
-        # q^(N-d) T(1, 1/q) for P(X); q^(N-d) T(0, 1/q) for internal
-        done = 0
-        for x in mixed_corpus:
-            if x.group.invariants or x.group.free_rank > 2 or len(x) > 6:
-                continue
-            done += 1
-            if done > 8:
-                break
+        # q^(N-d) T(1, 1/q) for P(X); q^(N-d) T(0, 1/q) for internal, on
+        # every lattice list of the corpus, coloops included
+        coloops = 0
+        for x in _lattice_lists(mixed_corpus):
             n, d = len(x), x.group.free_rank
+            coloops += any(is_coloop(x, i) for i in range(n))
             t = tutte(x)
             hp = p_basis(x).hilbert()
             hp += [0] * (n - d + 1 - len(hp))
@@ -330,7 +513,7 @@ class TestHilbertIdentities:
             hi = internal_p_basis(x).hilbert()
             hi += [0] * (n - d + 1 - len(hi))
             assert hi == coefficients_reversed(t, n - d, 0)
-        assert done >= 5
+        assert coloops >= 3
 
     def test_exact_sequence_dimensions(self, mixed_corpus):
         done = 0
