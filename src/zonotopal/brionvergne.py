@@ -4,6 +4,12 @@ Directional limits apply the operator to the exact polynomial of the spline
 on the alcove next to the evaluation point; the quasi-polynomial of a chamber
 applies f~_z to the exact piece of T_X there.  Counts are checked to be
 rational integers after cyclotomic cancellation.
+
+B_X = sum_v c_v T_X(. - v) is read off the chamber pieces of T_X: the shifts
+are grouped by the chamber of p0 - v with one integer sign test per
+admissible normal (`_shift_groups`).  The alcove polynomials translate the
+pieces, and the partition of unity evaluates them at z - v, so its volume
+work is one `tx_value` per chamber reached, not one `bx_value` per point.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .abelian import FgGroup, GElement, GList
 from .errors import (HasColoop, InternalError, NonIntegerResult, NotInCone,
                      NotUnimodular, RankDeficient, SingularGram)
 from .geometry import (Cell, _cone_rays, big_cells, bx_value, cells_at,
-                       hyperplane_normals, in_cone, lattice_points,
+                       fiber, hyperplane_normals, in_cone, lattice_points,
                        local_piece, pointed_certificate, require_pointed,
                        require_short, require_value, short_regular,
                        zonotope_hrep)
@@ -140,7 +146,10 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
     """sum over interior zonotope lattice points of B_X(z) * f_tilde_z.
 
     The sum is 1 for a coloop-free list, where B_X vanishes on the boundary
-    of the zonotope; a list with a coloop raises `HasColoop`.
+    of the zonotope; a list with a coloop raises `HasColoop`, and a group
+    with torsion `TorsionUnsupported`.  Each B_X(z) is `_box_value` toward
+    one short regular w: a few chamber pieces evaluated at the z - v, so
+    the volume work follows the chambers reached, not the points.
     """
     x.require_full_rank()
     require_pointed(x)
@@ -149,10 +158,12 @@ def partition_of_unity(x: GList) -> PeriodicPoly:
             raise HasColoop(f"x_{i} = {list(x.elems[i].free)} is a coloop; "
                             f"the partition of unity needs a coloop-free "
                             f"list")
+    fiber(x)   # with torsion a domain error, as for every spline value
+    w = short_regular(x)
     total = PeriodicPoly(s_vars(x.group.free_rank), [])
     for z in lattice_points(x, "interior"):
-        b = bx_value(x, z)   # with torsion a domain error, before element()
-        total = total + f_tilde(x, x.group.element(z)).scale(b)
+        total = total + f_tilde(x, x.group.element(z)).scale(
+            _box_value(x, z, w))
     return total
 
 
@@ -164,37 +175,15 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     """Polynomial agreeing with B_X on the alcove towards w, checked against
     ``spline`` (`bx_value`) at one point of it.
 
-    B_X = sum_v c_v T_X(. - v) (`_box_shifts`), so the piece on the alcove
-    of p0 is sum_v c_v P_v(t - v), with P_v the T_X piece on the chamber of
-    p0 - v.  p0 is off every affine hyperplane and v is integral, so the
-    signs of eta.(p0 - v) name that chamber: the shifts are grouped by it,
-    and `local_piece` keeps each chamber's piece per list value.
+    B_X = sum_v c_v T_X(. - v), so the piece on the alcove of p0 is
+    sum_v c_v P_v(t - v), with P_v the T_X piece on the chamber of p0 - v:
+    `_shift_groups` groups the shifts by that chamber, and `local_piece`
+    keeps each chamber's piece per list value.
     """
-    normals = hyperplane_normals(x)
-    # step keeping (point, point + 2 eps0 w] inside one alcove
-    bound = max(abs(dot(eta, w)) for eta in normals)
-    eps0 = Fraction(1, 4 * (int(bound) + 1))
-    for eta in normals:
-        if not dot(eta, w):
-            raise SingularGram(f"w is not affine regular: it is orthogonal "
-                               f"to the hyperplane normal {list(eta)}")
-    p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
-               for v, c in zip(point, w))
-    heights = [dot(eta, p0) for eta in normals]
-    for eta, val in zip(normals, heights):
-        if val.denominator == 1:
-            raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
-                                f"lies on the affine hyperplane eta.y = {val} "
-                                f"of the normal {list(eta)}")
-    groups = {}
-    for v, c in x.memo("box_shifts", _box_shifts):
-        signs = tuple(h > dot(eta, v) for h, eta in zip(heights, normals))
-        groups.setdefault(signs, []).append((v, c))
+    p0, groups = _shift_groups(x, point, w)
     terms = {}
-    for signs, shifts in groups.items():
-        v0 = shifts[0][0]
-        piece = local_piece(x, Cell(tuple(p - a for p, a in zip(p0, v0)),
-                                    signs))
+    for cell, shifts in groups:
+        piece = local_piece(x, cell)
         for e, coeff in piece.terms.items():
             # t^e translated by v: sum_{k <= e} binom(e, k) t^k (-v)^(e - k)
             for k in itertools.product(*(range(ei + 1) for ei in e)):
@@ -209,9 +198,67 @@ def _alcove_polynomial(x: GList, point, w, spline=bx_value) -> MPoly:
     return poly
 
 
+def _box_value(x: GList, point, w) -> Fraction:
+    """B_X at a lattice point of a coloop-free list, from chamber pieces.
+
+    B_X = sum_v c_v T_X(. - v), and T_X is continuous when X has no
+    coloop, so T_X(point - v) is the piece of any chamber whose closure
+    holds point - v: the chamber of p0 - v that `_shift_groups` names
+    toward w.  No volume is computed here; `local_piece` checks each
+    chamber's piece against `tx_value` once per list value.
+    """
+    total = _F0
+    for cell, shifts in _shift_groups(x, point, w)[1]:
+        piece = local_piece(x, cell)
+        if piece:
+            for v, c in shifts:
+                total += c * piece.evaluate(
+                    [a - b for a, b in zip(point, v)]).to_rational()
+    return total
+
+
+def _shift_groups(x: GList, point, w) -> tuple:
+    """(p0, [(cell, shifts)]): the alcove sample p0 = point + 2 eps0 w and
+    the shifts (v, c_v) of `_box_shifts` grouped by the chamber of p0 - v,
+    each group with the `Cell` (p0 - v, signs) of its first shift.
+
+    eps0 keeps (point, point + 2 eps0 w] inside one alcove, and p0 is off
+    every affine hyperplane, so the signs of eta.(p0 - v) over the
+    admissible normals name the chamber.  p0 is scaled by the lcm den of
+    its denominators, so each sign is the integer comparison
+    den eta.p0 > den eta.v against the table's eta.v.  The groups keep
+    the table's order.
+    """
+    normals = hyperplane_normals(x)
+    bound = max(abs(dot(eta, w)) for eta in normals)
+    eps0 = Fraction(1, 4 * (int(bound) + 1))
+    for eta in normals:
+        if not dot(eta, w):
+            raise SingularGram(f"w is not affine regular: it is orthogonal "
+                               f"to the hyperplane normal {list(eta)}")
+    p0 = tuple(Fraction(v) + 2 * eps0 * Fraction(c)
+               for v, c in zip(point, w))
+    den = math.lcm(*(v.denominator for v in p0))
+    heights = [dot(eta, [v.numerator * (den // v.denominator) for v in p0])
+               for eta in normals]
+    for eta, h in zip(normals, heights):
+        if not h % den:
+            raise InternalError(f"alcove sample [{', '.join(map(str, p0))}] "
+                                f"lies on the affine hyperplane "
+                                f"eta.y = {h // den} of the normal "
+                                f"{list(eta)}")
+    groups = {}
+    for v, c, dots in x.memo("box_shifts", _box_shifts):
+        signs = tuple(h > den * e for h, e in zip(heights, dots))
+        groups.setdefault(signs, []).append((v, c))
+    return p0, [(Cell(tuple(p - a for p, a in zip(p0, shifts[0][0])), signs),
+                 shifts) for signs, shifts in groups.items()]
+
+
 def _box_shifts(x: GList) -> tuple:
-    """The pairs (v, c_v) of prod_i (1 - tau_{x_i}): v runs over the subset
-    sums x_S and c_v = sum_{x_S = v} (-1)^|S|, zeros dropped."""
+    """The triples (v, c_v, eta.v) of prod_i (1 - tau_{x_i}): v runs over
+    the subset sums x_S, c_v = sum_{x_S = v} (-1)^|S| with zeros dropped,
+    and eta.v is the tuple of ints over `hyperplane_normals`."""
     sums = {(0,) * x.group.free_rank: 1}
     for el in x.elems:
         step = dict(sums)
@@ -219,7 +266,9 @@ def _box_shifts(x: GList) -> tuple:
             key = tuple(a + b for a, b in zip(v, el.free))
             step[key] = step.get(key, 0) - c
         sums = step
-    return tuple((v, c) for v, c in sorted(sums.items()) if c)
+    normals = hyperplane_normals(x)
+    return tuple((v, c, tuple(dot(eta, v) for eta in normals))
+                 for v, c in sorted(sums.items()) if c)
 
 
 def box_limit_value(x: GList, op: PeriodicPoly, point, w) -> Cyclotomic:

@@ -399,7 +399,8 @@ def pper_internal_basis(x: GList) -> list:
     the polynomial components must vanish.  Each `pper_basis` element has
     one character, hence one class per hyperplane, and one rational
     derivative (`derivative_along`): one `kernel` per degree takes the rows
-    keyed by (hyperplane, class, monomial).
+    keyed by (hyperplane, class, monomial).  An element with a second
+    character or a non-rational coefficient raises `InternalError`.
 
     The elements are independent by construction: `kernel` gives one
     vector per free column, with a 1 there and 0 at the other free
@@ -419,7 +420,13 @@ def pper_internal_basis(x: GList) -> list:
         elems = by_degree[deg]
         images = []
         for b in elems:
+            if len(b.terms) != 1:
+                raise InternalError(f"a pper_basis element of degree {deg} "
+                                    f"has {len(b.terms)} characters, not one")
             [(char, poly)] = b.terms
+            if not all(c.is_rational() for c in poly.terms.values()):
+                raise InternalError(f"a pper_basis element of degree {deg} "
+                                    f"has a non-rational coefficient: {poly}")
             images.append({(eta, classes[char], e): v
                            for eta, k, classes in planes
                            for e, v in derivative_along(poly, eta, k).items()})

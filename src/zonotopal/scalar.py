@@ -714,19 +714,37 @@ class MPoly:
         """Act on ``f`` as a constant-coefficient differential operator.
 
         Variable i of the operator differentiates variable i of ``f`` (the
-        s/t index pairing); leftover s0 exponents are not allowed here.
+        s/t index pairing); variables of ``f`` past the operator's are left
+        alone, and leftover s0 exponents are not allowed here.  Each pair
+        of terms is one falling factorial, d^e t^a = (a)_e t^(a - e),
+        summed into one dict over the operator's terms, then f's, in order.
         """
-        result = MPoly(f.vars)
+        terms = {}
         for e, c in self.terms.items():
-            g = f
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    g = g.derivative(i)
-                    if not g:
+            if len(e) > len(f.vars) and any(e[len(f.vars):]):
+                raise ValueError(f"the operator term {e} differentiates a "
+                                 f"variable that {f.vars} lacks")
+            for a, fc in f.terms.items():
+                factor = 1
+                for ai, ei in zip(a, e):
+                    if ai < ei:
+                        factor = 0
                         break
-            if g:
-                result = result + g * c
-        return result
+                    for j in range(ei):
+                        factor *= ai - j
+                if not factor:
+                    continue
+                k = tuple(ai - ei for ai, ei in zip(a, e)) + a[len(e):]
+                v = (fc * factor if factor != 1 else fc) * c
+                cur = terms.get(k)
+                s = v if cur is None else cur + v
+                if s:
+                    terms[k] = s
+                elif cur is not None:
+                    del terms[k]
+        out = MPoly.__new__(MPoly)
+        out.vars, out.terms = f.vars, terms
+        return out
 
     def evaluate(self, point) -> Cyclotomic:
         """Exact evaluation at a rational/cyclotomic point.

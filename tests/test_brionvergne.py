@@ -5,19 +5,23 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from alcoves import alcove_sample, fraction_shift_groups
 from spans import span_contains
 from zonotopal.abelian import FgGroup, GList, list_facts
 from zonotopal import periodic
-from zonotopal.brionvergne import (_applied, apply_periodic,
+from zonotopal.brionvergne import (_applied, _box_value, _shift_groups,
+                                   apply_periodic,
                                    box_deconvolution_check, box_delta_check,
                                    box_interpolant, bv_count,
                                    chamber_quasipolynomial, continuity_check,
                                    partition_of_unity, wall_jump,
                                    wall_jump_check, wall_v12, walls)
+from zonotopal.cli import main
+from zonotopal.corpus import CorpusLimits, corpus
 from zonotopal.errors import NotUnimodular
-from zonotopal.geometry import (big_cells, cells_at, in_cone,
-                                lattice_points, local_piece, short_regular,
-                                vpf_count)
+from zonotopal.geometry import (big_cells, bx_value, cells_at, chamber_signs,
+                                in_cone, lattice_points, local_piece,
+                                short_regular, vpf_count)
 from zonotopal.periodic import (PeriodicPoly, f_tilde,
                                 pper_basis, pper_internal_basis)
 from zonotopal.scalar import Cyclotomic, MPoly, t_vars
@@ -346,6 +350,91 @@ class TestPartitionOfUnity:
         assert len(unity_corpus) >= 5
         for x in unity_corpus:
             assert partition_of_unity(x) == PeriodicPoly.one(x)
+
+    def test_d3(self):
+        # the d = 3 lists of the coloop-free corpus, and two named ones:
+        # the unimodular one with one interior point and the CI list
+        lists = [x for x in _coloop_free_lists() if x.group.free_rank == 3]
+        lists += [GList.from_rows([[1, 0, 0, 1], [0, 1, 0, 1],
+                                   [0, 0, 1, 1]]),
+                  GList.from_rows([[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1],
+                                   [0, 0, 1, 1, 1, 1]])]
+        assert len(lists) >= 4
+        for x in lists:
+            assert partition_of_unity(x) == PeriodicPoly.one(x), x
+
+    def test_box_values_from_pieces(self):
+        # B_X at every lattice point of the closed zonotope, boundary
+        # included, equals the box-fibre volume, for d = 1, 2 and 3
+        lists = _coloop_free_lists()
+        assert {x.group.free_rank for x in lists} == {1, 2, 3}
+        points = 0
+        for x in lists:
+            w = short_regular(x)
+            for z in lattice_points(x, "shifted", w=[0] * len(w)):
+                assert _box_value(x, z, w) == bx_value(x, z), (x, z)
+                points += 1
+        assert points >= 500
+
+    def test_groups_equal_fraction_grouping(self):
+        # the integer sign comparisons give the groups, in order, that
+        # Fractions at the alcove sample give, toward a short w and toward
+        # a long one (no normal of these lists is orthogonal to it); each
+        # group's cell sample lies in its chamber
+        for x in _coloop_free_lists():
+            d = x.group.free_rank
+            for w in (short_regular(x), (F(7, 5), F(-2, 3), F(5, 11))[:d]):
+                for z in lattice_points(x, "shifted", w=[0] * d):
+                    p0, groups = _shift_groups(x, z, w)
+                    want = fraction_shift_groups(x, z, w)
+                    assert p0 == alcove_sample(x, z, w)
+                    assert [(c.signs, shifts) for c, shifts in groups] \
+                        == list(want.items()), (x, z, w)
+                    for cell, shifts in groups:
+                        assert cell.sample == tuple(
+                            p - v for p, v in zip(p0, shifts[0][0]))
+                        assert chamber_signs(x, cell.sample) == cell.signs
+
+    def test_no_box_volume(self, monkeypatch):
+        # B_X comes from chamber pieces alone: no `bx_value`, and one
+        # `tx_value` per chamber piece kept, fewer than the points
+        from zonotopal import brionvergne, geometry
+
+        def refuse(*args):
+            raise AssertionError("bx_value reached")
+        for module in (brionvergne, geometry):
+            monkeypatch.setattr(module, "bx_value", refuse)
+        volumes = []
+        tx_value = geometry.tx_value
+        monkeypatch.setattr(geometry, "tx_value",
+                            lambda *args: volumes.append(args) or
+                            tx_value(*args))
+        list_facts.cache_clear()
+        try:
+            x = GList.from_rows([[1, 0, 1, 2, 1, 3, 1],
+                                 [0, 1, 1, 1, 2, 1, 3]])
+            assert partition_of_unity(x) == PeriodicPoly.one(x)
+            pieces = x.memo("chamber_pieces", dict)
+            assert len(volumes) == len(pieces)
+            assert len(pieces) < len(lattice_points(x, "interior")) == 40
+        finally:
+            list_facts.cache_clear()
+
+    def test_torsion_is_a_domain_error(self, capsys):
+        # a coloop-free pointed list over Z^2 + Z/2 with interior points
+        x = "[[1,0,1,1],[0,1,1,1],[0,1,1,0]]"
+        assert main(["check-unity", "--x", x, "--group", "Z^2+Z/2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "spline values require a torsion-free group" in err
+
+
+def _coloop_free_lists():
+    """24 coloop-free pointed lattice lists with d = 1, 2 and 3, n <= 6."""
+    limits = CorpusLimits(max_dim=3, max_len=6, max_entry=2,
+                          allow_torsion=False, require_pointed=True,
+                          max_volume=40, no_coloops=True)
+    return corpus(seed=4711, limits=limits, count=24)
 
 
 class TestBoxDelta:

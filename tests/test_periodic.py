@@ -629,6 +629,34 @@ class TestInternalKernel:
             assert len(pper_internal_basis(x)) \
                 == arithmetic_tutte(x).evaluate(0, 1)
 
+    def test_two_characters_is_internal_error(self, x12, monkeypatch):
+        # the first element of degree 0 gains the second vertex character
+        basis = pper_basis(x12)
+        verts = vertices(x12)
+        chars = [v.character for v in verts]
+        b = basis[0]
+        [(char, poly)] = b.terms
+        other = next(c for c in chars if c != char)
+        broken = PeriodicPoly(b.vars, [(char, poly), (other, poly)])
+        monkeypatch.setattr(periodic, "pper_basis",
+                            lambda x: [broken] + basis[1:])
+        with pytest.raises(InternalError, match="2 characters, not one"):
+            pper_internal_basis(x12)
+
+    def test_non_rational_coefficient_is_internal_error(self, x12,
+                                                        monkeypatch):
+        # a top-degree element, so the derivative along each hyperplane is
+        # taken, scaled by a primitive cube root of unity
+        basis = pper_basis(x12)
+        top = max(range(len(basis)), key=lambda i: basis[i].total_degree())
+        [(char, poly)] = basis[top].terms
+        broken = PeriodicPoly(basis[top].vars, [
+            (char, poly * Cyclotomic.root_of_unity(3))])
+        monkeypatch.setattr(periodic, "pper_basis", lambda x: [
+            broken if i == top else b for i, b in enumerate(basis)])
+        with pytest.raises(InternalError, match="non-rational coefficient"):
+            pper_internal_basis(x12)
+
     def test_restriction_classes_are_a_lookup(self, zp_list):
         verts = vertices(zp_list)
         classes = periodic._restriction_classes(verts, (1, 1))

@@ -426,8 +426,7 @@ class TestKernel:
     def test_matches_nullspace_in_any_row_order(self, ncand, data):
         keys = st.sampled_from(["a", "b", ("c", 1), ("c", 2), 3])
         vals = st.one_of(st.integers(-3, 3),
-                         st.fractions(max_denominator=4).filter(
-                             lambda q: abs(q) <= 3))
+                         st.fractions(-3, 3, max_denominator=4))
         images = data.draw(st.lists(st.dictionaries(keys, vals),
                                     min_size=ncand, max_size=ncand))
         order = sorted({k for im in images for k in im}, key=repr)
